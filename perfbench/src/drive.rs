@@ -216,16 +216,27 @@ pub fn jsonl_open(
                     .map(TcpStream::try_clone)
                     .collect::<io::Result<_>>()?;
                 let mut sends = Vec::with_capacity(n);
-                for (i, off) in offsets.iter().enumerate() {
-                    let due = t0 + *off;
+                let mut texts = vec![String::new(); conns];
+                while sends.len() < n {
+                    let first = sends.len();
+                    let due = t0 + offsets[first];
                     let now = Instant::now();
                     if due > now {
                         std::thread::sleep(due - now);
                     }
-                    let mut text = line(i);
-                    text.push('\n');
-                    outs[i % conns].write_all(text.as_bytes())?;
-                    sends.push((due, Instant::now()));
+                    let end = crate::schedule::due_through(offsets, first, t0.elapsed());
+                    for i in first..end {
+                        texts[i % conns].push_str(&line(i));
+                        texts[i % conns].push('\n');
+                    }
+                    for (out, text) in outs.iter_mut().zip(&mut texts) {
+                        if !text.is_empty() {
+                            out.write_all(text.as_bytes())?;
+                            text.clear();
+                        }
+                    }
+                    let sent = Instant::now();
+                    sends.extend(offsets[first..end].iter().map(|off| (t0 + *off, sent)));
                 }
                 Ok(sends)
             });

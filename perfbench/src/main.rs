@@ -51,8 +51,11 @@ const FIREHOSE_TEMPLATES: usize = 3000;
 /// three-member entries, well under the working set.
 const FIREHOSE_CACHE_BYTES: usize = 200_000;
 /// `jsonl_firehose_open`: the generator's p99 lateness beyond which the
-/// run is invalid.
-const LAG_BOUND_MS: f64 = 5.0;
+/// run is invalid. Latency counts from the scheduled instant, so a late
+/// send only ever makes latency look worse; the bound catches a generator
+/// that could not keep its schedule, not the few-millisecond preemptions
+/// of a shared host (p99 about 11 ms on 2 CPUs with six busy neighbours).
+const LAG_BOUND_MS: f64 = 50.0;
 /// `bulk_scan_trace`: contracts in flight on the stdin stream.
 const BULK_WINDOW: usize = 256;
 /// Traced runs: a `stats` command after every so many bulk requests.

@@ -53,6 +53,15 @@ pub fn lag(due: Instant, sent: Instant) -> Duration {
     sent.saturating_duration_since(due)
 }
 
+/// The end of the burst that starts at request `from` when the generator
+/// wakes `elapsed` into the schedule: every request due by then goes out
+/// together, and always at least request `from`. A generator the host kept
+/// off the CPU thus catches up in one write instead of one per request.
+pub fn due_through(offsets: &[Duration], from: usize, elapsed: Duration) -> usize {
+    let rest = &offsets[(from + 1).min(offsets.len())..];
+    (from + 1 + rest.partition_point(|&off| off <= elapsed)).min(offsets.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,5 +95,20 @@ mod tests {
         let late = due + Duration::from_micros(250);
         assert_eq!(lag(due, late), Duration::from_micros(250));
         assert_eq!(lag(late, due), Duration::ZERO);
+    }
+
+    #[test]
+    fn bursts_take_every_request_already_due() {
+        let ms = Duration::from_millis;
+        let offsets = [ms(1), ms(2), ms(2), ms(5), ms(9)];
+        // On time: only the request the generator woke for.
+        assert_eq!(due_through(&offsets, 0, ms(1)), 1);
+        // Woken late: everything due by then, ties included.
+        assert_eq!(due_through(&offsets, 0, ms(4)), 3);
+        assert_eq!(due_through(&offsets, 1, ms(2)), 3);
+        // Always at least one, and never past the end.
+        assert_eq!(due_through(&offsets, 3, ms(0)), 4);
+        assert_eq!(due_through(&offsets, 3, ms(60)), 5);
+        assert_eq!(due_through(&offsets, 4, ms(60)), 5);
     }
 }
