@@ -460,7 +460,6 @@ fn main() {
         batch: SERVE_BATCH,
         workers: 1,
         queue_depth: 1024,
-        linger_micros: 200,
         cache_bytes: 0, // isolate batching from caching
         ..SchedulerOptions::default()
     };
@@ -901,7 +900,6 @@ fn main() {
     "requests": {total_requests},
     "batch_size": {serve_batch},
     "workers": 1,
-    "linger_micros": {linger_micros},
     "per_connection_secs": {per_conn_secs},
     "per_connection_contracts_per_sec": {per_conn_cps},
     "cross_connection_secs": {cross_conn_secs},
@@ -997,7 +995,6 @@ fn main() {
         ensemble_cost_x = json_f(single_cps / ensemble_cps),
         clients = CLIENTS,
         total_requests = total_requests,
-        linger_micros = scheduler_opts.linger_micros,
         per_conn_secs = json_f(per_conn_secs),
         per_conn_cps = json_f(per_conn_cps),
         cross_conn_secs = json_f(cross_conn_secs),

@@ -177,13 +177,8 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Partial-batch linger before a worker flushes, in microseconds.
-    pub fn linger_micros(mut self, linger_micros: u64) -> Self {
-        self.scheduler.linger_micros = linger_micros;
-        self
-    }
-
-    /// Verdict-cache byte budget; `0` disables the cache.
+    /// Verdict-cache byte budget, which also bounds the cache's resident
+    /// memory; `0` disables the cache.
     pub fn cache_bytes(mut self, cache_bytes: usize) -> Self {
         self.scheduler.cache_bytes = cache_bytes;
         self
@@ -341,7 +336,6 @@ mod tests {
             .shards(4)
             .pin_cores(true)
             .queue_depth(17)
-            .linger_micros(250)
             .cache_bytes(0)
             .max_outstanding(5)
             .proto(Protocol::V1)
@@ -356,7 +350,6 @@ mod tests {
         assert_eq!(config.scheduler().shards, 4);
         assert!(config.scheduler().pin_cores);
         assert_eq!(config.scheduler().queue_depth, 17);
-        assert_eq!(config.scheduler().linger_micros, 250);
         assert_eq!(config.scheduler().cache_bytes, 0);
         assert_eq!(config.scheduler().max_outstanding, 5);
         assert_eq!(config.proto(), Protocol::V1);

@@ -11,15 +11,15 @@
 //!   rather than unbounded memory;
 //! * **blocking producers** — [`BoundedQueue::push`] waits for space (the
 //!   lossless stdin bulk-scoring path);
-//! * **deadline pops** — [`BoundedQueue::pop_until`] lets a worker top up a
-//!   partial batch only until its flush deadline;
+//! * **work-conserving batch pops** — [`BoundedQueue::pop_batch`] blocks
+//!   only while the queue is empty, then takes whatever is already queued
+//!   under the same lock, so a worker never waits for a batch to fill;
 //! * **a graceful-shutdown sentinel** — [`BoundedQueue::close`] wakes
 //!   everyone; consumers drain whatever is still queued and only then see
 //!   the end of the stream, so in-flight requests are never dropped.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 /// Why a non-blocking push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -29,17 +29,6 @@ pub enum PushError<T> {
     Full(T),
     /// The queue was closed for shutdown; no new work is admitted.
     Closed(T),
-}
-
-/// Outcome of a deadline-bounded pop.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Popped<T> {
-    /// An item arrived before the deadline.
-    Item(T),
-    /// The deadline passed with the queue still empty.
-    TimedOut,
-    /// The queue is closed *and* fully drained — the shutdown sentinel.
-    Closed,
 }
 
 struct Inner<T> {
@@ -123,61 +112,34 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Blocking pop: waits for an item; `None` only once the queue is
-    /// closed **and** drained.
-    pub fn pop(&self) -> Option<T> {
+    /// Work-conserving batch pop: blocks only while the queue is empty,
+    /// then moves what is already queued — up to `max` items (at least
+    /// one), oldest first — onto `out` in one critical section, never
+    /// waiting for more. Every freed slot may admit a blocked producer, so
+    /// all of them are woken. `false` only once the queue is closed **and**
+    /// drained (nothing was appended).
+    pub fn pop_batch(&self, max: usize, out: &mut Vec<T>) -> bool {
         let mut inner = self.inner.lock().expect("queue lock");
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
-                return Some(item);
-            }
+        while inner.items.is_empty() {
             if inner.closed {
-                return None;
+                return false;
             }
             inner = self.not_empty.wait(inner).expect("queue lock");
         }
-    }
-
-    /// Pop with a deadline: waits for an item only until `deadline` — the
-    /// batch-forming flush timer.
-    pub fn pop_until(&self, deadline: Instant) -> Popped<T> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
-                return Popped::Item(item);
-            }
-            if inner.closed {
-                return Popped::Closed;
-            }
-            let now = Instant::now();
-            let Some(wait) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return Popped::TimedOut;
-            };
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(inner, wait)
-                .expect("queue lock");
-            inner = guard;
-            if timeout.timed_out() && inner.items.is_empty() {
-                return if inner.closed {
-                    Popped::Closed
-                } else {
-                    Popped::TimedOut
-                };
-            }
+        let taken = inner.items.len().min(max.max(1));
+        out.extend(inner.items.drain(..taken));
+        drop(inner);
+        if taken == 1 {
+            self.not_full.notify_one();
+        } else {
+            self.not_full.notify_all();
         }
+        true
     }
 
     /// The graceful-shutdown sentinel: no new items are admitted, every
     /// blocked producer fails, and consumers drain the remainder before
-    /// seeing `None` / [`Popped::Closed`].
+    /// [`pop_batch`](Self::pop_batch) returns `false`.
     pub fn close(&self) {
         self.inner.lock().expect("queue lock").closed = true;
         self.not_empty.notify_all();
@@ -189,7 +151,15 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
+
+    /// One item through the one-at-a-time handoff, `pop_batch(1, ..)`;
+    /// `None` once the queue is closed and drained.
+    fn pop_one<T>(q: &BoundedQueue<T>) -> Option<T> {
+        let mut out = Vec::new();
+        q.pop_batch(1, &mut out)
+            .then(|| out.pop().expect("one item"))
+    }
 
     #[test]
     fn fifo_order_and_capacity() {
@@ -200,11 +170,11 @@ mod tests {
         }
         assert_eq!(q.try_push(9), Err(PushError::Full(9)));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some(0));
+        assert_eq!(pop_one(&q), Some(0));
         q.try_push(3).expect("space after pop");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
+        assert_eq!(pop_one(&q), Some(1));
+        assert_eq!(pop_one(&q), Some(2));
+        assert_eq!(pop_one(&q), Some(3));
         assert!(q.is_empty());
     }
 
@@ -218,22 +188,79 @@ mod tests {
         assert_eq!(q.try_push(3), Err(PushError::Closed(3)));
         assert_eq!(q.push(4), Err(4));
         // …but queued work drains before the sentinel.
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        let deadline = Instant::now() + Duration::from_millis(50);
-        assert_eq!(q.pop_until(deadline), Popped::Closed);
+        assert_eq!(pop_one(&q), Some(1));
+        assert_eq!(pop_one(&q), Some(2));
+        assert_eq!(pop_one(&q), None);
+        assert!(!q.pop_batch(4, &mut Vec::new()));
     }
 
     #[test]
-    fn pop_until_times_out_when_empty() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(1);
+    fn pop_batch_takes_what_is_queued_in_fifo_order_up_to_max() {
+        let q = BoundedQueue::new(8);
+        for i in 0..5 {
+            q.try_push(i).expect("space");
+        }
+        let mut got = Vec::new();
+        assert!(q.pop_batch(3, &mut got));
+        assert_eq!(got, [0, 1, 2], "FIFO, and never more than max");
+        // Fewer queued than max: returns what is there instead of waiting.
+        assert!(q.pop_batch(8, &mut got));
+        assert_eq!(got, [0, 1, 2, 3, 4]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_batch_ends_only_once_closed_and_drained() {
+        // The consumer may start on an empty, open queue: it must wait
+        // there rather than report the end, and see every item before it.
+        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let mut batches = Vec::new();
+                let mut batch = Vec::new();
+                while q.pop_batch(4, &mut batch) {
+                    batches.push(std::mem::take(&mut batch));
+                }
+                batches
+            })
+        };
+        q.push(1).expect("open");
+        q.push(2).expect("open");
+        q.close();
+        let batches = consumer.join().expect("consumer");
+        assert!(batches.iter().all(|b| !b.is_empty()), "{batches:?}");
+        assert_eq!(batches.concat(), [1, 2]);
+    }
+
+    #[test]
+    fn one_pop_batch_releases_every_producer_blocked_on_freed_slots() {
+        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(2));
+        q.try_push(0).expect("space");
+        q.try_push(1).expect("space");
+        let producers: Vec<_> = [2, 3]
+            .into_iter()
+            .map(|item| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || q.push(item))
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20)); // both block: full
+        let mut got = Vec::new();
+        assert!(q.pop_batch(2, &mut got));
+        assert_eq!(got, [0, 1]);
+        // No further pop: that one batch pop must have woken both.
         let t0 = Instant::now();
-        let deadline = t0 + Duration::from_millis(20);
-        assert_eq!(q.pop_until(deadline), Popped::TimedOut);
-        assert!(t0.elapsed() >= Duration::from_millis(15));
-        // A deadline already in the past returns immediately.
-        assert_eq!(q.pop_until(Instant::now()), Popped::TimedOut);
+        while q.len() < 2 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "a producer stayed blocked"
+            );
+            std::thread::yield_now();
+        }
+        for producer in producers {
+            assert_eq!(producer.join().expect("producer"), Ok(()));
+        }
     }
 
     #[test]
@@ -245,9 +272,9 @@ mod tests {
             std::thread::spawn(move || q.push(1).is_ok())
         };
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(0)); // frees the producer
+        assert_eq!(pop_one(&q), Some(0)); // frees the producer
         assert!(producer.join().expect("producer"));
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(pop_one(&q), Some(1));
     }
 
     #[test]
@@ -255,7 +282,7 @@ mod tests {
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop())
+            std::thread::spawn(move || pop_one(&q))
         };
         std::thread::sleep(Duration::from_millis(20));
         q.close();
@@ -274,8 +301,8 @@ mod tests {
         q.close();
         // The blocked producer is refused; the admitted item still drains.
         assert_eq!(producer.join().expect("producer"), Err(8));
-        assert_eq!(q.pop(), Some(7));
-        assert_eq!(q.pop(), None);
+        assert_eq!(pop_one(&q), Some(7));
+        assert_eq!(pop_one(&q), None);
     }
 
     #[test]
@@ -297,7 +324,7 @@ mod tests {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
-                    while let Some(item) = q.pop() {
+                    while let Some(item) = pop_one(&q) {
                         got.push(item);
                     }
                     got

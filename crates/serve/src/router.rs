@@ -799,19 +799,25 @@ mod tests {
 
     #[test]
     fn deadline_timeouts_surface_as_504() {
-        // The lone request lingers in a half-full batch far past its
-        // 10ms deadline; the deferred slot resolves to 504, not 200.
+        // A 30ms chain lookup runs after the deadline clock starts, so the
+        // request is past its 10ms deadline when it is queued; the
+        // deferred slot resolves to 504, not 200.
+        use crate::fault::FaultConfig;
         let opts = SchedulerOptions {
-            batch: 2,
-            workers: 1,
-            linger_micros: 300_000,
             deadline_ms: 10,
             cache_bytes: 0,
+            fault: Some(FaultConfig {
+                chain_latency_micros: 30_000,
+                ..FaultConfig::default()
+            }),
             ..SchedulerOptions::default()
         };
         let (_, codes) = probe_lines(1);
-        let body = format!("{{\"bytecode\":\"0x{}\"}}", to_hex(&codes[0]));
-        let scheduler = Scheduler::new(scanner(), &opts);
+        let chain = SharedChain::new();
+        let address: Address = [0x42; 20];
+        chain.deploy(address, codes[0].clone());
+        let body = format!("{{\"address\":\"0x{}\"}}", to_hex(&address));
+        let scheduler = Scheduler::with_chain(scanner(), &opts, Some(chain));
         with_gateway(&scheduler, 1, |addr, _| {
             let r = raw_exchange(addr, post_predict(&body));
             assert!(r.starts_with("HTTP/1.1 504 "), "{r}");

@@ -15,8 +15,11 @@
 //! ```
 //!
 //! * **Micro-batching** — workers drain the queue into batches of up to
-//!   `batch` rows *across connections*, flushing on size or on a `linger`
-//!   deadline, and score them through one shared [`Scanner`] snapshot.
+//!   `batch` rows *across connections* and score them through one shared
+//!   [`Scanner`] snapshot. Batching is work-conserving: a free worker takes
+//!   whatever is already queued and never waits for a batch to fill, so a
+//!   lone request is scored at once while batches still grow under load
+//!   (rows pile up while the previous batch scores).
 //! * **Verdict cache** — in front of the queue sits a keccak-keyed
 //!   [`VerdictCache`]: a redeployed bytecode is answered at submit time
 //!   without ever occupying a batch slot, bit-identically to a cold score.
@@ -106,11 +109,11 @@ pub struct SchedulerOptions {
     /// evenly across shards (each lane gets `queue_depth / shards`,
     /// rounded up).
     pub queue_depth: usize,
-    /// How long a worker tops up a partial batch before flushing it (µs).
-    pub linger_micros: u64,
-    /// Verdict-cache byte budget; `0` disables the cache. Split evenly
-    /// across shards — each lane owns a `cache_bytes / shards` slice keyed
-    /// by the digests that route to it, so slices never duplicate entries.
+    /// Verdict-cache byte budget; `0` disables the cache. The budget bounds
+    /// the cache's resident memory (see [`entry_bytes`](crate::entry_bytes)).
+    /// Split evenly across shards — each lane owns a `cache_bytes / shards`
+    /// slice keyed by the digests that route to it, so slices never
+    /// duplicate entries.
     pub cache_bytes: usize,
     /// Per-connection flow-control window: the maximum responses a
     /// connection may have outstanding (allocated but not yet received by
@@ -144,12 +147,10 @@ pub struct SchedulerOptions {
 
 impl Default for SchedulerOptions {
     fn default() -> Self {
-        // 64-row batches keep the scratch matrix hot; a 1 ms linger is far
-        // below human-visible latency but long enough for concurrent
-        // single-line clients to coalesce; 8 MiB caches ~80k single-model
-        // verdicts — plenty for the few thousand live phishing templates
-        // the paper observes. 8192 outstanding responses bound a
-        // never-reading connection to a couple of MB.
+        // 64-row batches keep the scratch matrix hot; 8 MiB caches ~60k
+        // single-model verdicts — plenty for the few thousand live
+        // phishing templates the paper observes. 8192 outstanding
+        // responses bound a never-reading connection to a couple of MB.
         // Brownout thresholds sit above any healthy steady state: a queue
         // half full means the workers are already behind.
         SchedulerOptions {
@@ -158,7 +159,6 @@ impl Default for SchedulerOptions {
             shards: 1,
             pin_cores: false,
             queue_depth: 1024,
-            linger_micros: 1000,
             cache_bytes: 8 << 20,
             max_outstanding: 8192,
             deadline_ms: 0,
@@ -759,7 +759,6 @@ impl Scheduler {
                 .map(|config| Arc::new(FaultPlan::new(config))),
         });
         let batch = opts.batch.max(1);
-        let linger = Duration::from_micros(opts.linger_micros);
         let workers_per_shard = opts.workers.max(1);
         let pin = opts.pin_cores;
         let cores = crate::affinity::available_cores();
@@ -778,7 +777,7 @@ impl Scheduler {
                     }
                     loop {
                         let worker = seed.worker();
-                        if worker_loop(&shared, shard_idx, worker, batch, linger) {
+                        if worker_loop(&shared, shard_idx, worker, batch) {
                             return;
                         }
                     }
@@ -1209,6 +1208,9 @@ impl Connection {
                     &self.shared.names,
                     &verdict.per_model,
                 );
+                // Recorded before routing, so a `/metrics` scrape that
+                // follows the client's read of this answer counts it.
+                self.shared.metrics.record_latency(t0.elapsed());
                 self.shared.router.complete(
                     self.id,
                     seq,
@@ -1218,7 +1220,6 @@ impl Connection {
                         cached: true,
                     },
                 );
-                self.shared.metrics.record_latency(t0.elapsed());
                 return SubmitOutcome::CacheHit;
             }
         }
@@ -1390,36 +1391,22 @@ fn answer_timeout(shared: &Shared, job: &Job) {
         .complete(job.conn, job.seq, out, Settle::Timeout);
 }
 
-/// One worker, bound to one shard: drain that shard's queue into batches
-/// (flush on size or linger deadline), score through the shared model,
-/// insert into the shard's cache slice, route responses. Returns `true` on
-/// the clean exit (queue closed **and** drained) and `false` after a
+/// One worker, bound to one shard: take whatever that shard's queue holds
+/// (up to `batch` jobs, waiting only while it is empty), score it through
+/// the shared model, insert into the shard's cache slice, route responses.
+/// Returns `true` on the clean exit (queue closed **and** drained) and
+/// `false` after a
 /// caught scoring panic — the supervisor in [`Scheduler::with_chain`]
 /// respawns a fresh sibling on the same shard in that case, after every
 /// job of the poisoned batch was answered with a typed internal error.
 /// Requests that out-waited their deadline (or a bounded drain's budget)
 /// answer typed timeouts at dequeue without being scored.
-fn worker_loop(
-    shared: &Shared,
-    shard_idx: usize,
-    mut scanner: Scanner,
-    batch: usize,
-    linger: Duration,
-) -> bool {
+fn worker_loop(shared: &Shared, shard_idx: usize, mut scanner: Scanner, batch: usize) -> bool {
     let shard = &shared.shards[shard_idx];
     loop {
-        let Some(first) = shard.queue.pop() else {
+        let mut jobs = Vec::new();
+        if !shard.queue.pop_batch(batch, &mut jobs) {
             return true; // shutdown sentinel: closed and drained
-        };
-        let mut jobs = vec![first];
-        if batch > 1 {
-            let deadline = Instant::now() + linger;
-            while jobs.len() < batch {
-                match shard.queue.pop_until(deadline) {
-                    crate::queue::Popped::Item(job) => jobs.push(job),
-                    crate::queue::Popped::TimedOut | crate::queue::Popped::Closed => break,
-                }
-            }
         }
 
         // Deadline enforcement happens here, at dequeue: scoring a request
@@ -1516,6 +1503,8 @@ fn worker_loop(
                 &shared.names,
                 &member_probas,
             );
+            // Recorded before routing (see the cache-hit path).
+            shared.metrics.record_latency(job.t0.elapsed());
             shared.router.complete(
                 job.conn,
                 job.seq,
@@ -1525,7 +1514,6 @@ fn worker_loop(
                     cached: false,
                 },
             );
-            shared.metrics.record_latency(job.t0.elapsed());
         }
         // Degraded verdicts report the one member they ran and never enter
         // the cache: a later hit must replay full-ensemble bits.
@@ -1541,6 +1529,7 @@ fn worker_loop(
                 &degraded_names,
                 &primary[row..=row],
             );
+            shared.metrics.record_latency(job.t0.elapsed());
             shared.router.complete(
                 job.conn,
                 job.seq,
@@ -1550,7 +1539,6 @@ fn worker_loop(
                     cached: false,
                 },
             );
-            shared.metrics.record_latency(job.t0.elapsed());
         }
     }
 }
@@ -1736,7 +1724,6 @@ mod tests {
             batch: 4,
             queue_depth: 64,
             cache_bytes: 0,
-            linger_micros: 5000,
             ..opts()
         };
         let scheduler = Scheduler::new(scanner(), &burst);
@@ -1968,20 +1955,30 @@ mod tests {
 
     #[test]
     fn deadline_expired_jobs_answer_typed_timeouts_at_dequeue() {
-        // The worker pops the lone job, then lingers 300ms waiting for a
-        // second row that never comes; by flush time the 10ms deadline has
-        // long passed, so the job is answered as a typed timeout without
-        // being scored.
+        // The deadline clock starts before address resolution, and the
+        // fault plan makes every chain lookup take 30ms: the job is already
+        // past its 10ms deadline when it is queued, so the worker answers
+        // it as a typed timeout without scoring it.
+        use phishinghook_data::SharedChain;
         let opts = SchedulerOptions {
-            batch: 2,
             workers: 1,
-            linger_micros: 300_000,
             deadline_ms: 10,
             cache_bytes: 0,
+            fault: Some(FaultConfig {
+                chain_latency_micros: 30_000,
+                ..FaultConfig::default()
+            }),
             ..opts()
         };
-        let (input, _) = probe_lines(1);
-        let scheduler = Scheduler::new(scanner(), &opts);
+        let (_, codes) = probe_lines(1);
+        let chain = SharedChain::new();
+        let address: Address = [0x42; 20];
+        chain.deploy(address, codes[0].clone());
+        let scheduler = Scheduler::with_chain(scanner(), &opts, Some(chain));
+        let input = format!(
+            "{{\"id\":\"late\",\"address\":\"0x{}\"}}\n",
+            to_hex(&address)
+        );
         let lines = roundtrip(&scheduler, Protocol::V2, &input);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("\"code\":\"timeout\""), "{}", lines[0]);
@@ -1994,14 +1991,11 @@ mod tests {
 
     #[test]
     fn drain_budget_answers_queued_jobs_as_timeouts() {
-        // Same linger trick, but expiry comes from the drain deadline:
-        // once `begin_drain` has been called and the 1ms budget elapses,
-        // still-queued work is answered as typed timeouts instead of
-        // holding shutdown hostage.
+        // Expiry comes from the drain deadline: once `begin_drain` has run
+        // and its 1ms budget has elapsed, queued work is answered as typed
+        // timeouts instead of holding shutdown hostage.
         let opts = SchedulerOptions {
-            batch: 2,
             workers: 1,
-            linger_micros: 300_000,
             drain_ms: 1,
             cache_bytes: 0,
             ..opts()
@@ -2009,14 +2003,10 @@ mod tests {
         let (input, _) = probe_lines(1);
         let scheduler = Scheduler::new(scanner(), &opts);
         assert_eq!(scheduler.lifecycle(), Lifecycle::Running);
-        let (mut conn, rx) = scheduler.connect(Protocol::V2);
-        for line in input.lines() {
-            conn.submit(line, Admission::Block);
-        }
         scheduler.begin_drain();
         assert_eq!(scheduler.lifecycle(), Lifecycle::Draining);
-        conn.finish();
-        let lines: Vec<String> = rx.iter().collect();
+        std::thread::sleep(Duration::from_millis(20)); // past the budget
+        let lines = roundtrip(&scheduler, Protocol::V2, &input);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("\"code\":\"timeout\""), "{}", lines[0]);
         let stats = scheduler.shutdown();

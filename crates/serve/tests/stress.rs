@@ -21,8 +21,13 @@ fn racy_queue_capacities_never_lose_or_duplicate_items() {
     const CONSUMERS: usize = 3;
     const PER_PRODUCER: u64 = 2_000;
     // Capacity 1 serialises every handoff; capacity == producer count sits
-    // right on the full/empty boundary both sides race across.
-    for capacity in [1usize, PRODUCERS as usize] {
+    // right on the full/empty boundary both sides race across. Consumers
+    // pop one item at a time, or drain work-conserving batches that free
+    // several slots at once.
+    for (capacity, max) in [1usize, PRODUCERS as usize]
+        .into_iter()
+        .flat_map(|c| [(c, 1), (c, 3)])
+    {
         let queue = BoundedQueue::new(capacity);
         let collected = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
@@ -41,15 +46,13 @@ fn racy_queue_capacities_never_lose_or_duplicate_items() {
                 let collected = &collected;
                 scope.spawn(move || {
                     let mut local = Vec::new();
-                    while let Some(seq) = queue.pop() {
-                        local.push(seq);
-                    }
+                    while queue.pop_batch(max, &mut local) {}
                     collected.lock().expect("collector").extend(local);
                 });
             }
             // Close only after every producer has pushed its range: the
             // consumers then drain the remainder and see the shutdown
-            // sentinel (pop -> None), ending the scope.
+            // sentinel (pop_batch -> false), ending the scope.
             for producer in producers {
                 producer.join().expect("producer");
             }
@@ -60,7 +63,7 @@ fn racy_queue_capacities_never_lose_or_duplicate_items() {
         let expected: Vec<u64> = (0..PRODUCERS * PER_PRODUCER).collect();
         assert_eq!(
             total, expected,
-            "capacity {capacity}: sequence numbers lost or duplicated"
+            "capacity {capacity}, batches of {max}: sequence numbers lost or duplicated"
         );
     }
 }
