@@ -165,18 +165,8 @@ fn check_readme(bench_path: &str) {
             ),
         ),
         (
-            "inference_quant.batch_rows_per_sec",
-            format!(
-                "{} rows/s",
-                readme_k(json_number(&doc, "inference_quant", "batch_rows_per_sec"))
-            ),
-        ),
-        (
-            "inference_quant.speedup_vs_f64",
-            format!(
-                "{:.1}×",
-                json_number(&doc, "inference_quant", "speedup_vs_f64")
-            ),
+            "inference.speedup",
+            format!("{:.1}×", json_number(&doc, "inference", "speedup")),
         ),
         (
             "pipeline.contracts_per_sec",
@@ -293,7 +283,12 @@ fn main() {
         tracer.gas_per_run,
     );
 
-    // --- Forest inference: seed per-row walk vs. batch blocks. ---
+    // --- Forest inference: seed per-row arena walk vs. the batch engine. ---
+    // `predict_proba_batch` is the engine `serve` runs: thresholds binned
+    // per feature at fit time, nodes repacked into 8-byte cache-line-dense
+    // records, and a lockstep walk over u16s. Bins come from the model's
+    // own split thresholds, so the output is bit-identical to the per-row
+    // arena walk (asserted here on every row).
     let x = extractor.transform(&refs);
     let y: Vec<usize> = (0..refs.len()).map(|i| i % 2).collect();
     let mut forest = RandomForest::new(ForestConfig {
@@ -303,44 +298,25 @@ fn main() {
         ..ForestConfig::default()
     });
     forest.fit(&x, &y);
+    let quant_bins = forest
+        .quant_bins()
+        .expect("a fitted forest carries its quantized mirror");
+    assert!(
+        forest
+            .predict_proba_batch(&x)
+            .iter()
+            .zip(&seed_paths::forest_predict_proba(&forest, &x))
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "the batch engine must reproduce the per-row arena walk bit-for-bit"
+    );
     let seed_infer_secs = measure(reps, || seed_paths::forest_predict_proba(&forest, &x));
     let batch_infer_secs = measure(reps, || forest.predict_proba_batch(&x));
     println!(
-        "inference  per-row {:>10.3} ms   batch  {:>10.3} ms   speedup {:>6.2}x   {:.0} rows/s batch",
+        "inference  per-row {:>10.3} ms   batch  {:>10.3} ms   speedup {:>6.2}x   {:.0} rows/s batch   {} bins/feature, bit-identical",
         seed_infer_secs * 1e3,
         batch_infer_secs * 1e3,
         seed_infer_secs / batch_infer_secs,
-        x.rows() as f64 / batch_infer_secs
-    );
-
-    // --- Quantized inference: the same forest through the u16 engine. ---
-    // Thresholds are binned per feature at fit time, nodes repacked into
-    // 8-byte cache-line-dense records, and the lockstep walk compares u16s;
-    // bins come from the model's own split thresholds, so the output is
-    // bit-identical to the f64 arena (asserted here on every row).
-    let quant_probs = forest
-        .predict_proba_batch_quantized(&x)
-        .expect("a fitted forest carries its quantized mirror");
-    let f64_probs = forest.predict_proba_batch(&x);
-    assert!(
-        quant_probs
-            .iter()
-            .zip(&f64_probs)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "quantized walk must reproduce the f64 reference bit-for-bit"
-    );
-    let quant_infer_secs = measure(reps, || {
-        forest
-            .predict_proba_batch_quantized(&x)
-            .expect("quantized mirror present")
-    });
-    let quant_bins = forest.quant_bins().unwrap_or(0);
-    let quant_speedup = batch_infer_secs / quant_infer_secs;
-    println!(
-        "inference  quant   {:>10.3} ms   ({:>6.2}x the f64 batch)   {:.0} rows/s   {} bins/feature, bit-identical",
-        quant_infer_secs * 1e3,
-        quant_speedup,
-        x.rows() as f64 / quant_infer_secs,
+        x.rows() as f64 / batch_infer_secs,
         quant_bins,
     );
 
@@ -361,7 +337,7 @@ fn main() {
     // --- Serve path: snapshot restore + the batched Scanner facade. ---
     // The same hot path `phishinghook serve` drives per request batch:
     // snapshot-restored detector, reusable scratch matrix, fused
-    // transform_into + predict_proba_batch.
+    // transform_into + the quantized batch engine.
     const SERVE_BATCH: usize = 64;
     let registry = DetectorRegistry::global();
     let mut detector = registry.build_str("rf:seed=7", 7).expect("built-in spec");
@@ -859,12 +835,6 @@ fn main() {
     "batch_secs": {batch_infer},
     "speedup": {infer_speedup},
     "batch_rows_per_sec": {batch_rps},
-    "n_trees": 100
-  }},
-  "inference_quant": {{
-    "batch_secs": {quant_infer},
-    "batch_rows_per_sec": {quant_rps},
-    "speedup_vs_f64": {quant_speedup},
     "bins_per_feature": {quant_bins},
     "bit_identical": true,
     "n_trees": 100
@@ -972,9 +942,6 @@ fn main() {
         batch_infer = json_f(batch_infer_secs),
         infer_speedup = json_f(seed_infer_secs / batch_infer_secs),
         batch_rps = json_f(x.rows() as f64 / batch_infer_secs),
-        quant_infer = json_f(quant_infer_secs),
-        quant_rps = json_f(x.rows() as f64 / quant_infer_secs),
-        quant_speedup = json_f(quant_speedup),
         quant_bins = quant_bins,
         pipeline = json_f(pipeline_secs),
         cps = json_f(contracts_per_sec),

@@ -86,7 +86,7 @@ pub mod seed_paths {
         let mut probs = vec![0.0; x.rows()];
         for tree in forest.trees() {
             for (p, row) in probs.iter_mut().zip(x.iter_rows()) {
-                *p += tree.predict_row_arena(row);
+                *p += tree.predict_row(row);
             }
         }
         let k = forest.trees().len() as f64;

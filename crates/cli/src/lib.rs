@@ -299,18 +299,13 @@ fn feature_desc(n: usize, features: FeatureSet) -> String {
 }
 
 /// Human spelling of a scoring engine: the quantized u16 walk with its bin
-/// width, or the f64 reference arena (`quantize=off`, or a model family
-/// with no tree mirror).
-fn engine_parts_desc(quantize: bool, quant_bins: Option<usize>) -> String {
-    match (quantize, quant_bins) {
-        (true, Some(bins)) => format!("quantized engine, {bins} bins/feature"),
-        _ => "f64 reference engine".to_owned(),
+/// width, or the f64 reference engine (a model family with no tree mirror,
+/// or a tree model walking its arena per row).
+fn engine_desc(quant_bins: Option<usize>) -> String {
+    match quant_bins {
+        Some(bins) => format!("quantized engine, {bins} bins/feature"),
+        None => "f64 reference engine".to_owned(),
     }
-}
-
-/// [`engine_parts_desc`] for the scanner a serve/scan surface runs.
-fn engine_desc(scanner: &Scanner) -> String {
-    engine_parts_desc(scanner.quantize(), scanner.quant_bins())
 }
 
 /// Resolves a `--model` argument: an existing file loads as a snapshot (of
@@ -335,7 +330,7 @@ fn scanner_from_model_arg(
             "loaded {} snapshot ({}; {}) from {model}\n",
             scanner.model_name(),
             feature_desc(scanner.n_features(), scanner.model().features()),
-            engine_desc(&scanner),
+            engine_desc(scanner.quant_bins()),
         );
         return Ok((scanner, banner));
     }
@@ -357,7 +352,7 @@ fn scanner_from_model_arg(
         "trained {} on {} labeled contracts from {path} ({})\n",
         scanner.model_name(),
         records.len(),
-        engine_desc(&scanner),
+        engine_desc(scanner.quant_bins()),
     );
     Ok((scanner, banner))
 }
@@ -420,7 +415,7 @@ fn train(args: &[String]) -> Result<String, CliError> {
         records.len(),
         train_secs,
         feature_desc(det.n_features(), det.features()),
-        engine_parts_desc(det.quantize(), det.quant_bins()),
+        engine_desc(det.quant_bins()),
     );
     if let Some(path) = save {
         let bytes = det.to_snapshot_bytes();
@@ -1099,5 +1094,39 @@ mod tests {
             run(&args(&["eval", "/nonexistent/ds.csv"])),
             Err(CliError::Io(_))
         ));
+    }
+
+    #[test]
+    fn a_training_set_with_no_opcodes_trains_and_scans() {
+        // Every bytecode `0x` (EOAs, say) gives zero histogram columns.
+        let dir = std::env::temp_dir().join("phishinghook-cli-test-no-opcodes");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let csv = dir.join("eoas.csv");
+        let csv_str = csv.to_str().unwrap();
+        let mut corpus = Corpus::generate(&CorpusConfig {
+            n_contracts: 12,
+            seed: 5,
+            ..Default::default()
+        });
+        for record in &mut corpus.records {
+            record.bytecode.clear();
+        }
+        std::fs::write(&csv, to_csv(&corpus.records)).expect("write");
+
+        let out = run(&args(&["train", csv_str, "--model", "rf"])).expect("trains");
+        assert!(
+            out.contains("trained Random Forest on 12 labeled contracts"),
+            "{out}"
+        );
+        let out = run(&args(&[
+            "scan",
+            "--model",
+            "lr",
+            "--train",
+            csv_str,
+            "0x6080604052",
+        ]))
+        .expect("scans");
+        assert_eq!(out.matches('→').count(), 1, "{out}");
     }
 }

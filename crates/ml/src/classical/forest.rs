@@ -5,6 +5,11 @@
 //! of per-tree class-1 probabilities. Trees are trained in parallel with
 //! [`std::thread::scope`]; determinism is preserved because each tree's
 //! RNG seed is derived from the forest seed and the tree index.
+//!
+//! Inference has one engine: [`RandomForest::predict_proba_batch`] walks a
+//! quantized mirror shared by every tree (see [`crate::classical::quant`]),
+//! bit-identical to the per-row [`Node`](crate::classical::tree::Node)
+//! arena walk it falls back to when a feature exceeds the bin budget.
 
 use crate::classical::quant::{FeatureBins, NanRoute, QuantNodes};
 use crate::classical::tree::{DecisionTree, TreeConfig};
@@ -96,90 +101,49 @@ impl RandomForest {
         self.trees.first().map(DecisionTree::n_features)
     }
 
-    /// Rows per inference block: small enough that a block's probabilities
-    /// stay in cache while every tree accumulates into it, large enough to
-    /// amortize the per-tree loop overhead.
-    const INFER_BLOCK: usize = 256;
+    /// Minimum rows a scoring thread must own before it is worth
+    /// spawning: below this the scoped-thread spawn outweighs the fused
+    /// quantize-and-walk work it offloads.
+    const ROWS_PER_THREAD: usize = 64;
 
-    /// Batch class-1 probabilities over all rows of `x`, parallelized across
-    /// row blocks with [`std::thread::scope`].
+    /// Batch class-1 probabilities over all rows of `x`.
     ///
-    /// Each block accumulates its per-row sum in tree order, so the result
-    /// is bit-identical to the sequential per-row path for any thread
-    /// count.
+    /// Scores through the forest's quantized mirror, sharded across scoped
+    /// threads. Each thread *fuses* the two stages over its own rows: it
+    /// quantizes exactly the rows it will walk (so the `u16` rows are
+    /// L1/L2-hot when the walk reads them), then accumulates every tree
+    /// over them. A row's probability is its tree-ordered sum however rows
+    /// are sharded, and the shared bins come from the trees' own
+    /// thresholds, so the result is bit-identical to the per-row arena walk
+    /// ([`DecisionTree::predict_row`]) for any thread count. A forest with
+    /// no mirror (a feature with more than 65,534 distinct thresholds)
+    /// takes that arena walk instead.
     ///
     /// # Panics
     /// Panics when called before [`Classifier::fit`].
     pub fn predict_proba_batch(&self, x: &Matrix) -> Vec<f64> {
         assert!(!self.trees.is_empty(), "predict before fit");
-        let n = x.rows();
-        let mut out = vec![0.0; n];
-        let threads = self
-            .config
-            .threads
-            .max(1)
-            .min(n.div_ceil(Self::INFER_BLOCK).max(1));
-        if threads == 1 {
-            self.accumulate_blocks(x, 0, &mut out);
-        } else {
-            let rows_per_thread = n.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (t, chunk) in out.chunks_mut(rows_per_thread).enumerate() {
-                    scope.spawn(move || self.accumulate_blocks(x, t * rows_per_thread, chunk));
-                }
-            });
-        }
         let k = self.trees.len() as f64;
-        for p in &mut out {
-            *p /= k;
-        }
-        out
-    }
-
-    /// Accumulates all trees' probabilities for rows `lo..lo + out.len()`,
-    /// walking the rows in [`Self::INFER_BLOCK`]-sized blocks.
-    fn accumulate_blocks(&self, x: &Matrix, lo: usize, out: &mut [f64]) {
-        for (b, block) in out.chunks_mut(Self::INFER_BLOCK).enumerate() {
-            let start = lo + b * Self::INFER_BLOCK;
-            for tree in &self.trees {
-                tree.accumulate_rows(x, start, start + block.len(), block);
-            }
-        }
-    }
-
-    /// Minimum rows a quantized scoring thread must own before it is worth
-    /// spawning: below this the scoped-thread spawn outweighs the fused
-    /// quantize-and-walk work it offloads.
-    const QUANT_ROWS_PER_THREAD: usize = 64;
-
-    /// Batch probabilities via the quantized fast path, or `None` when a
-    /// feature exceeded the bin budget at fit time.
-    ///
-    /// Each worker thread *fuses* the two stages over its own row shard:
-    /// it quantizes exactly the rows it will walk (so the `u16` rows are
-    /// L1/L2-hot when the walk reads them, and the transform parallelizes
-    /// with zero extra spawns), then accumulates every tree over them.
-    /// Because a row's probability is its tree-ordered sum regardless of
-    /// how rows are sharded into threads or blocks, and the shared bins
-    /// come from the trees' own thresholds, the result is bit-identical to
-    /// [`RandomForest::predict_proba_batch`] for any thread count —
-    /// including the f64 path's own sharding.
-    pub fn predict_proba_batch_quantized(&self, x: &Matrix) -> Option<Vec<f64>> {
-        assert!(!self.trees.is_empty(), "predict before fit");
-        let quant = self.quant.as_ref()?;
+        let Some(quant) = &self.quant else {
+            // Tree-ordered sum from zero, exactly as the quantized walk
+            // accumulates.
+            return x
+                .iter_rows()
+                .map(|row| self.trees.iter().fold(0.0, |s, t| s + t.predict_row(row)) / k)
+                .collect();
+        };
         let n = x.rows();
         let mut out = vec![0.0; n];
-        // Sharding never changes the result (each row's sum is tree-ordered
-        // regardless of which thread owns it), so the quantized path is free
-        // to clamp by the cores actually present — configured thread counts
-        // above that are pure spawn overhead.
+        // Sharding never changes the result, so the thread count is free to
+        // clamp by the cores actually present — configured counts above
+        // that are pure spawn overhead.
         let hw = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
         let threads = self
             .config
             .threads
             .max(1)
             .min(hw)
-            .min(n.div_ceil(Self::QUANT_ROWS_PER_THREAD).max(1));
+            .min(n.div_ceil(Self::ROWS_PER_THREAD).max(1));
         if threads == 1 {
             Self::quantize_and_accumulate(quant, x, 0, &mut out);
         } else {
@@ -192,26 +156,22 @@ impl RandomForest {
                 }
             });
         }
-        let k = self.trees.len() as f64;
         for p in &mut out {
             *p /= k;
         }
-        Some(out)
+        out
     }
 
-    /// Rows per quantized inference block, smaller than [`Self::INFER_BLOCK`]
-    /// on purpose: every tree walk re-reads the block's `u16` rows at random
-    /// columns, so the block must stay L1-resident across the whole forest
-    /// (128 rows × ~144 cols × 2 bytes ≈ 36 KiB) — the f64 path's 256-row
-    /// blocks would spill it to L2 at double the bytes per value.
-    const QUANT_BLOCK: usize = 128;
+    /// Rows per inference block: every tree walk re-reads the block's
+    /// `u16` rows at random columns, so the block must stay L1-resident
+    /// across the whole forest (128 rows × ~144 cols × 2 bytes ≈ 36 KiB).
+    const BLOCK: usize = 128;
 
-    /// Quantized twin of [`RandomForest::accumulate_blocks`], fused with
-    /// the transform: quantizes rows `lo..lo + out.len()` and accumulates
-    /// every tree over them in [`Self::QUANT_BLOCK`]-sized blocks.
+    /// Quantizes rows `lo..lo + out.len()` of `x` and accumulates every
+    /// tree over them in [`Self::BLOCK`]-sized blocks.
     fn quantize_and_accumulate(quant: &ForestQuant, x: &Matrix, lo: usize, out: &mut [f64]) {
-        for (b, block) in out.chunks_mut(Self::QUANT_BLOCK).enumerate() {
-            let start = lo + b * Self::QUANT_BLOCK;
+        for (b, block) in out.chunks_mut(Self::BLOCK).enumerate() {
+            let start = lo + b * Self::BLOCK;
             let q = quant.bins.quantize_row_range(x, start, start + block.len());
             for tree in &quant.trees {
                 tree.accumulate_rows(&q, 0, block.len(), block);
@@ -249,7 +209,7 @@ impl RandomForest {
             .config
             .max_features
             .unwrap_or_else(|| (d as f64).sqrt().ceil() as usize)
-            .clamp(1, d);
+            .clamp(1, d.max(1));
         let mut tree = DecisionTree::new(TreeConfig {
             max_depth: self.config.max_depth,
             min_samples_split: self.config.min_samples_split,
@@ -352,6 +312,7 @@ impl Restore for RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn blobs(n: usize, seed: u64) -> (Matrix, Vec<usize>) {
         let mut rng = SplitMix::new(seed);
@@ -464,13 +425,13 @@ mod tests {
         assert_eq!(rf.trees().len(), 13);
     }
 
-    /// The seed's per-row reference path: trees outer, rows inner, arena
-    /// node walk. Batch inference is tested against this.
+    /// The per-row reference: trees outer, rows inner, arena node walk.
+    /// Batch inference is tested against this.
     fn predict_proba_per_row(rf: &RandomForest, x: &Matrix) -> Vec<f64> {
         let mut probs = vec![0.0; x.rows()];
         for tree in rf.trees() {
             for (p, row) in probs.iter_mut().zip(x.iter_rows()) {
-                *p += tree.predict_row_arena(row);
+                *p += tree.predict_row(row);
             }
         }
         let k = rf.trees().len() as f64;
@@ -478,6 +439,10 @@ mod tests {
             *p /= k;
         }
         probs
+    }
+
+    fn bits(probs: &[f64]) -> Vec<u64> {
+        probs.iter().map(|p| p.to_bits()).collect()
     }
 
     #[test]
@@ -489,40 +454,50 @@ mod tests {
             ..ForestConfig::default()
         });
         rf.fit(&x, &y);
-        let reference = predict_proba_per_row(&rf, &x);
+        assert!(rf.quant_bins().expect("quantized") >= 2);
         let batch = rf.predict_proba_batch(&x);
-        assert_eq!(batch.len(), reference.len());
-        for (b, r) in batch.iter().zip(&reference) {
-            assert!((b - r).abs() <= 1e-12, "batch {b} vs per-row {r}");
-        }
+        assert_eq!(bits(&batch), bits(&predict_proba_per_row(&rf, &x)));
     }
 
     #[test]
     fn batch_inference_is_thread_count_invariant() {
-        // More rows than 2× INFER_BLOCK, so threads = 2 and 5 genuinely
-        // shard (the thread count is clamped to the number of 256-row
-        // blocks; a smaller input would silently test the sequential path
-        // three times).
+        // 600 rows: enough 64-row shards that every thread count below
+        // really splits the batch (up to the cores present).
         let (x, y) = blobs(600, 12);
-        assert!(x.rows() > 2 * RandomForest::INFER_BLOCK);
         let mut rf = RandomForest::new(ForestConfig {
             n_trees: 7,
             seed: 3,
             ..ForestConfig::default()
         });
         rf.fit(&x, &y);
-        let mut baseline: Option<Vec<f64>> = None;
+        let reference = bits(&predict_proba_per_row(&rf, &x));
         for threads in [1, 2, 5] {
             let mut cfg = rf.clone();
             cfg.config.threads = threads;
-            let probs = cfg.predict_proba_batch(&x);
-            match &baseline {
-                None => baseline = Some(probs),
-                // Bit-identical: per-row sums accumulate in tree order
-                // regardless of how rows are sharded across threads.
-                Some(b) => assert_eq!(&probs, b, "threads = {threads}"),
-            }
+            // Bit-identical: per-row sums accumulate in tree order
+            // regardless of how rows are sharded across threads.
+            assert_eq!(
+                bits(&cfg.predict_proba_batch(&x)),
+                reference,
+                "threads = {threads}"
+            );
         }
+    }
+
+    #[test]
+    fn arena_fallback_matches_the_quantized_engine() {
+        // Without a mirror (a feature over the bin budget) the forest walks
+        // the arena per row, with the same bits.
+        let (x, y) = blobs(200, 14);
+        let mut rf = RandomForest::new(ForestConfig {
+            n_trees: 9,
+            ..ForestConfig::default()
+        });
+        rf.fit(&x, &y);
+        let quantized = rf.predict_proba_batch(&x);
+        rf.quant = None;
+        assert_eq!(rf.quant_bins(), None);
+        assert_eq!(bits(&rf.predict_proba_batch(&x)), bits(&quantized));
     }
 
     #[test]
@@ -539,71 +514,29 @@ mod tests {
         let back: RandomForest = from_envelope("forest", &bytes).expect("round-trips");
         assert_eq!(back.config(), rf.config());
         assert_eq!(back.trees().len(), rf.trees().len());
-        let (a, b) = (rf.predict_proba_batch(&x), back.predict_proba_batch(&x));
-        assert_eq!(
-            a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn quantized_batch_is_bit_identical_to_f64_path() {
-        let (x, y) = blobs(300, 31);
-        let mut rf = RandomForest::new(ForestConfig {
-            n_trees: 12,
-            threads: 3,
-            ..ForestConfig::default()
-        });
-        rf.fit(&x, &y);
-        let f64_path = rf.predict_proba_batch(&x);
-        let quant = rf
-            .predict_proba_batch_quantized(&x)
-            .expect("within bin budget");
-        assert_eq!(
-            f64_path.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            quant.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        assert!(rf.quant_bins().expect("quantized") >= 2);
-    }
-
-    #[test]
-    fn quantized_batch_is_thread_count_invariant() {
-        let (x, y) = blobs(600, 32);
-        let mut rf = RandomForest::new(ForestConfig {
-            n_trees: 7,
-            seed: 3,
-            ..ForestConfig::default()
-        });
-        rf.fit(&x, &y);
-        let mut baseline: Option<Vec<f64>> = None;
-        for threads in [1, 2, 5] {
-            let mut cfg = rf.clone();
-            cfg.config.threads = threads;
-            let probs = cfg.predict_proba_batch_quantized(&x).expect("quantized");
-            match &baseline {
-                None => baseline = Some(probs),
-                Some(b) => assert_eq!(&probs, b, "threads = {threads}"),
-            }
-        }
-        assert_eq!(baseline.unwrap(), rf.predict_proba_batch(&x));
-    }
-
-    #[test]
-    fn restored_forest_rebuilds_the_quantized_mirror() {
-        use phishinghook_persist::{from_envelope, to_envelope};
-        let (x, y) = blobs(80, 33);
-        let mut rf = RandomForest::new(ForestConfig {
-            n_trees: 5,
-            ..ForestConfig::default()
-        });
-        rf.fit(&x, &y);
-        let bytes = to_envelope("forest", &rf);
-        let back: RandomForest = from_envelope("forest", &bytes).expect("round-trips");
+        // Restore rebuilds the quantized mirror from the arenas.
         assert_eq!(back.quant_bins(), rf.quant_bins());
         assert_eq!(
-            back.predict_proba_batch_quantized(&x).expect("quantized"),
-            rf.predict_proba_batch_quantized(&x).expect("quantized"),
+            bits(&rf.predict_proba_batch(&x)),
+            bits(&back.predict_proba_batch(&x))
         );
+    }
+
+    #[test]
+    fn zero_column_training_set_fits_and_scores() {
+        // Every bytecode empty: no feature to split on, so every tree is a
+        // single leaf at the class prior.
+        let x = Matrix::zeros(5, 0);
+        let y = vec![1, 0, 1, 0, 1];
+        let mut rf = RandomForest::new(ForestConfig {
+            n_trees: 4,
+            ..ForestConfig::default()
+        });
+        rf.fit(&x, &y);
+        let probs = rf.predict_proba_batch(&x);
+        assert_eq!(probs.len(), 5);
+        assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)));
+        assert_eq!(bits(&probs), bits(&predict_proba_per_row(&rf, &x)));
     }
 
     #[test]
@@ -617,5 +550,33 @@ mod tests {
         assert!(rf
             .predict_proba_batch(&Matrix::zeros(0, x.cols()))
             .is_empty());
+    }
+
+    proptest! {
+        #[test]
+        fn quantized_batch_is_bit_identical_to_arena_walk(seed in any::<u64>()) {
+            // The mirror bins on the trees' own thresholds, so the batch
+            // must agree with the per-row arena walk bit-for-bit —
+            // including NaN rows (route right) and values far outside the
+            // training range (clamped at transform time).
+            let mut rng = SplitMix::new(seed);
+            let mut rows: Vec<Vec<f64>> =
+                (0..48).map(|_| vec![rng.unit(), rng.unit(), rng.unit()]).collect();
+            let y: Vec<usize> = (0..48).map(|_| rng.below(2)).collect();
+            let mut rf = RandomForest::new(ForestConfig {
+                n_trees: 5,
+                seed,
+                ..ForestConfig::default()
+            });
+            rf.fit(&Matrix::from_rows(&rows), &y);
+            // Corrupt some evaluation rows: NaN and out-of-range values.
+            for (i, row) in rows.iter_mut().enumerate() {
+                if i % 7 == 0 { row[i % 3] = f64::NAN; }
+                if i % 5 == 0 { row[(i + 1) % 3] = 1e9 * if i % 2 == 0 { 1.0 } else { -1.0 }; }
+            }
+            let x = Matrix::from_rows(&rows);
+            prop_assert!(rf.quant_bins().is_some());
+            prop_assert_eq!(bits(&rf.predict_proba_batch(&x)), bits(&predict_proba_per_row(&rf, &x)));
+        }
     }
 }

@@ -13,6 +13,10 @@
 //! * [`BoostVariant::Oblivious`] — CatBoost's symmetric (oblivious) trees:
 //!   one shared split condition per level, leaves indexed by the condition
 //!   bit-vector.
+//!
+//! Scoring walks a quantized mirror of every tree (see
+//! [`crate::classical::quant`]), bit-identical to the per-row walk it falls
+//! back to when there is no mirror.
 
 use crate::classical::quant::{FeatureBins, NanRoute, QuantNodeDesc, QuantNodes, QuantOblivious};
 use crate::classical::SplitMix;
@@ -263,17 +267,13 @@ impl GradientBoosting {
             .collect()
     }
 
-    /// Batch probabilities via the quantized fast path, or `None` when
-    /// quantization is unavailable (over the bin budget, or a crafted
-    /// snapshot mixing tree families). Trees accumulate in order starting
-    /// from zero with the base score added afterwards — the same floating-
-    /// point association as the private `raw_scores` reference path — so the
-    /// result is bit-identical to [`Classifier::predict_proba`].
-    pub fn predict_proba_quantized(&self, x: &Matrix) -> Option<Vec<f64>> {
-        assert!(
-            !self.trees.is_empty() || self.base_score != 0.0,
-            "predict before fit"
-        );
+    /// Batch probabilities via the quantized mirror, or `None` when there
+    /// is none (over the bin budget, or a crafted snapshot mixing tree
+    /// families). Trees accumulate in order starting from zero with the
+    /// base score added afterwards — the same floating-point association
+    /// as the `raw_scores` reference — so the result is bit-identical to
+    /// it.
+    fn predict_proba_quantized(&self, x: &Matrix) -> Option<Vec<f64>> {
         let quant = self.quant.as_ref()?;
         let q = quant.bins.quantize_matrix(x);
         let mut acc = vec![0.0; x.rows()];
@@ -299,7 +299,7 @@ impl GradientBoosting {
     }
 
     /// Widest per-feature bin count of the quantized mirror, or `None`
-    /// when quantization is unavailable.
+    /// when there is none (scoring then walks the trees per row).
     pub fn quant_bins(&self) -> Option<usize> {
         self.quant.as_ref().map(|q| q.bins.max_bins())
     }
@@ -309,8 +309,8 @@ impl GradientBoosting {
         self.quant = None;
         // NaN routing differs by family: `v <= t` trees send NaN right,
         // oblivious `v > t` conditions send it left. One booster only ever
-        // fits one family; a crafted snapshot mixing them stays on the f64
-        // path rather than sharing a wrongly-routed matrix.
+        // fits one family; a crafted snapshot mixing them stays on the
+        // per-row walk rather than sharing a wrongly-routed matrix.
         let all_reg = self.trees.iter().all(|t| matches!(t, BoostTree::Reg(_)));
         let all_oblivious = self
             .trees
@@ -535,7 +535,8 @@ impl Classifier for GradientBoosting {
             !self.trees.is_empty() || self.base_score != 0.0,
             "predict before fit"
         );
-        self.raw_scores(x).into_iter().map(sigmoid).collect()
+        self.predict_proba_quantized(x)
+            .unwrap_or_else(|| self.raw_scores(x).into_iter().map(sigmoid).collect())
     }
 
     fn name(&self) -> &'static str {
@@ -1277,8 +1278,12 @@ mod tests {
         }
     }
 
+    fn bits(probs: &[f64]) -> Vec<u64> {
+        probs.iter().map(|p| p.to_bits()).collect()
+    }
+
     #[test]
-    fn quantized_path_is_bit_identical_per_variant() {
+    fn predict_proba_is_bit_identical_to_the_raw_score_walk_per_variant() {
         let (x, y) = blobs(150, 41);
         for variant in [
             BoostVariant::Exact,
@@ -1291,6 +1296,7 @@ mod tests {
                 ..GbdtConfig::default()
             });
             m.fit(&x, &y);
+            assert!(m.quant_bins().expect("quantized") >= 2, "{variant:?}");
             // Evaluate on perturbed rows, including NaN and out-of-range.
             let mut rows: Vec<Vec<f64>> = x.iter_rows().map(<[f64]>::to_vec).collect();
             for (i, row) in rows.iter_mut().enumerate() {
@@ -1302,14 +1308,13 @@ mod tests {
                 }
             }
             let xe = Matrix::from_rows(&rows);
-            let f64_path = m.predict_proba(&xe);
-            let quant = m.predict_proba_quantized(&xe).expect("within bin budget");
-            assert_eq!(
-                f64_path.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                quant.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{variant:?}"
-            );
-            assert!(m.quant_bins().expect("quantized") >= 2, "{variant:?}");
+            let reference: Vec<f64> = m.raw_scores(&xe).into_iter().map(sigmoid).collect();
+            let quantized = m.predict_proba(&xe);
+            assert_eq!(bits(&quantized), bits(&reference), "{variant:?}");
+            // Without a mirror the booster walks the trees per row, with
+            // the same bits.
+            m.quant = None;
+            assert_eq!(bits(&m.predict_proba(&xe)), bits(&quantized), "{variant:?}");
         }
     }
 
@@ -1331,9 +1336,10 @@ mod tests {
             let bytes = to_envelope("gbdt", &m);
             let back: GradientBoosting = from_envelope("gbdt", &bytes).expect("round-trips");
             assert_eq!(back.quant_bins(), m.quant_bins(), "{variant:?}");
+            assert!(back.quant.is_some(), "{variant:?}");
             assert_eq!(
-                back.predict_proba_quantized(&x).expect("quantized"),
-                m.predict_proba_quantized(&x).expect("quantized"),
+                bits(&back.predict_proba(&x)),
+                bits(&m.predict_proba(&x)),
                 "{variant:?}"
             );
         }

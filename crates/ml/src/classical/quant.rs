@@ -2,10 +2,11 @@
 //! cache-line-dense node layout for the batch scoring hot path.
 //!
 //! The paper's serving workload is dominated by walking tree ensembles over
-//! opcode-histogram rows. The f64 walk ([`crate::classical::tree`]'s
-//! struct-of-arrays mirror) touches three parallel arrays per node visit
-//! plus an 8-byte feature value per lane; at depth 20 that is cache-miss
-//! bound. This module shrinks both sides of every comparison:
+//! opcode-histogram rows. Walking the f64 [`Node`](crate::classical::tree::Node)
+//! arena chases one 48-byte enum node per level plus an 8-byte feature value
+//! per row; at depth 20 that is cache-miss bound. This module shrinks both
+//! sides of every comparison, and it is the one batch engine every tree
+//! family scores through:
 //!
 //! * [`FeatureBins`] bins each feature column to `u16` using the model's
 //!   **own split thresholds** as bin edges. Binning against the thresholds
@@ -14,7 +15,9 @@
 //!   distinct, `v <= edges[j]` ⇔ `rank(v) <= j` where
 //!   `rank(v) = #{edges < v}`. The quantized walk therefore reproduces the
 //!   f64 arena walk bit-for-bit — a stronger property than the
-//!   verdict-equality the serving contract requires.
+//!   verdict-equality the serving contract requires — so there is no engine
+//!   to choose: a model without a mirror (a feature with more than 65,534
+//!   distinct thresholds) falls back to the per-row arena walk.
 //! * [`QuantNodes`] repacks a tree into 8-byte nodes (`u16` feature id,
 //!   `u16` quantized threshold, `u32` first-child index) with siblings
 //!   adjacent, so 8 nodes share a cache line and the child edge is one
@@ -29,9 +32,15 @@
 //! ranks `edge_count`, both of which compare exactly like the raw value
 //! against every in-model threshold.
 //!
-//! Everything here is **derived state**: built at fit time, rebuilt on
-//! snapshot restore exactly like the f64 struct-of-arrays mirror, and
-//! never persisted — the snapshot format is unchanged.
+//! Everything here is **derived state**: one mirror per model (a forest's
+//! trees, or a booster's, share one set of bins), built at fit time,
+//! rebuilt on snapshot restore, and never persisted — the snapshot format
+//! carries only the arenas.
+//!
+//! The equivalence tests live beside each walk: random-tree proptests
+//! against the arena in this module, a forest-batch proptest in
+//! [`crate::classical::forest`], and all three boosting variants in
+//! [`crate::classical::gbdt`].
 
 use crate::matrix::Matrix;
 
@@ -84,7 +93,7 @@ pub struct FeatureBins {
 impl FeatureBins {
     /// Builds bins from per-feature split-threshold lists (unsorted, with
     /// duplicates). Returns `None` when any feature carries more than
-    /// 65 534 distinct thresholds — the caller then keeps the f64 path.
+    /// 65 534 distinct thresholds — the caller then walks its arena per row.
     ///
     /// # Panics
     /// Panics on a non-finite threshold: fitted trees only ever split on
@@ -219,42 +228,7 @@ impl FeatureBins {
     /// # Panics
     /// Panics when `x` has fewer columns than these bins cover.
     pub fn quantize_matrix(&self, x: &Matrix) -> QuantMatrix {
-        self.quantize_matrix_threaded(x, 1)
-    }
-
-    /// Minimum quantized values per worker before
-    /// [`FeatureBins::quantize_matrix_threaded`] spawns it: below this the
-    /// scoped-thread spawn costs more than the lookup work it offloads.
-    const VALUES_PER_THREAD: usize = 1 << 17;
-
-    /// [`FeatureBins::quantize_matrix`] with the rows sharded across up to
-    /// `threads` scoped threads (fewer when the matrix is too small to
-    /// amortize the spawns). Quantization is per-value exact, so the result
-    /// is identical for any thread count.
-    pub fn quantize_matrix_threaded(&self, x: &Matrix, threads: usize) -> QuantMatrix {
-        let cols = self.n_features();
-        assert!(
-            x.cols() >= cols,
-            "matrix has {} columns but the model tests {cols}",
-            x.cols()
-        );
-        let rows = x.rows();
-        let mut data = vec![0u16; rows * cols];
-        let threads = threads
-            .max(1)
-            .min(rows.max(1))
-            .min(((rows * cols) / Self::VALUES_PER_THREAD).max(1));
-        if threads == 1 || cols == 0 {
-            self.quantize_rows_into(x, 0, &mut data);
-        } else {
-            let rows_per_thread = rows.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (t, chunk) in data.chunks_mut(rows_per_thread * cols).enumerate() {
-                    scope.spawn(move || self.quantize_rows_into(x, t * rows_per_thread, chunk));
-                }
-            });
-        }
-        QuantMatrix { rows, cols, data }
+        self.quantize_row_range(x, 0, x.rows())
     }
 
     /// Quantizes rows `lo..hi` of `x` into a standalone [`QuantMatrix`]
@@ -488,7 +462,7 @@ pub enum QuantNodeDesc {
 /// `first_child + (v > thr)` with no second pointer. Leaves carry
 /// `thr == u16::MAX` (never exceeded — the NaN sentinel `u16::MAX` is not
 /// *greater* than it) and point `first_child` at themselves, so a
-/// finished lane self-loops exactly like the f64 walk.
+/// finished lane self-loops until the whole group is done.
 ///
 /// A 16-byte 4-ary supernode covering two binary levels (three embedded
 /// comparisons, four adjacent children) was tried and lost ~70%: half the
@@ -594,9 +568,9 @@ impl QuantNodes {
     }
 
     /// Adds this tree's leaf value for rows `lo..hi` of `q` into
-    /// `out[0..hi - lo]` — the quantized twin of the f64 lockstep walk,
-    /// same group width, same self-loop termination, same accumulation
-    /// order, so a model walking both produces bit-identical sums.
+    /// `out[0..hi - lo]`. Each row's slot receives exactly one addition per
+    /// tree, so a model that walks its trees in order produces the same
+    /// tree-ordered sums as the per-row arena walk.
     ///
     /// The pass body indexes without bounds checks; soundness rests on two
     /// facts checked once up front instead of per visit:
@@ -635,9 +609,9 @@ impl QuantNodes {
             data.len() <= u32::MAX as usize,
             "quantized matrix exceeds the u32 offset range"
         );
-        /// Lockstep lanes per group — matches the f64 walk: enough
-        /// independent load chains to hide L1 latency, few enough that the
-        /// lane state stays in registers. A branch-free pass keeps the
+        /// Lockstep lanes per group: enough independent load chains to
+        /// hide L1 latency, few enough that the lane state stays in
+        /// registers. A branch-free pass keeps the
         /// group loop fully unrolled; per-lane retirement was tried twice
         /// (immediate compaction, and two-phase visit-then-compact) and
         /// lost both times — the compaction writes and their serial write

@@ -1,10 +1,14 @@
 //! CART decision trees (Gini impurity, binary classification).
 //!
 //! This is the building block of the best-performing model in the paper
-//! (Random Forest, 93.63% accuracy). The tree structure is public — the
-//! statistics crate walks it to compute TreeSHAP values (the paper's Fig. 9).
+//! (Random Forest, 93.63% accuracy). The [`Node`] arena is a tree's only
+//! state: it is what snapshots persist, what the statistics crate walks to
+//! compute TreeSHAP values (the paper's Fig. 9), and what
+//! [`DecisionTree::predict_row`] walks. A forest scores batches through one
+//! quantized mirror shared by all of its trees, built from these arenas
+//! (see [`crate::classical::forest`]).
 
-use crate::classical::quant::{FeatureBins, NanRoute, QuantNodeDesc, QuantNodes};
+use crate::classical::quant::{FeatureBins, QuantNodeDesc, QuantNodes};
 use crate::classical::SplitMix;
 use crate::matrix::Matrix;
 use crate::Classifier;
@@ -62,114 +66,11 @@ impl Default for TreeConfig {
     }
 }
 
-/// Flat struct-of-arrays mirror of the node arena, rebuilt at fit time.
-///
-/// Traversal touches dense arrays instead of 48-byte enum nodes:
-/// `feature[i]` is the tested column (or [`FlatNodes::LEAF`]),
-/// `threshold[i]` is the split threshold — or, for a leaf, the class-1
-/// probability — and `children[2i] / children[2i+1]` are the left/right
-/// child indices, with leaves looping back to themselves.
-///
-/// The self-loops plus the sanitized `lfeature`/`lthreshold` copies
-/// (column 0 and `+∞` on leaves, so a leaf always "compares" left into
-/// itself) enable the lockstep batch walk in
-/// [`DecisionTree::accumulate_rows`]: a group of rows advances one level
-/// per pass with no per-node branch, so the row chains are independent and
-/// the CPU can overlap their loads — unlike the per-row descent, which is
-/// one long dependent pointer chase. The [`Node`] arena remains the
-/// canonical structure that interpretability tooling (TreeSHAP) walks.
-#[derive(Debug, Clone, Default)]
-struct FlatNodes {
-    feature: Vec<u16>,
-    threshold: Vec<f64>,
-    children: Vec<u32>,
-    /// `feature` with leaves mapped to column 0 (always in bounds).
-    lfeature: Vec<u16>,
-    /// `threshold` with leaves mapped to `+∞` (comparison always goes left).
-    lthreshold: Vec<f64>,
-    /// Class-1 probability per node (0.0 on splits).
-    proba: Vec<f64>,
-}
-
-impl FlatNodes {
-    /// `feature` sentinel marking a leaf.
-    const LEAF: u16 = u16::MAX;
-
-    fn from_arena(nodes: &[Node]) -> Self {
-        let n = nodes.len();
-        let mut flat = FlatNodes {
-            feature: Vec::with_capacity(n),
-            threshold: Vec::with_capacity(n),
-            children: Vec::with_capacity(2 * n),
-            lfeature: Vec::with_capacity(n),
-            lthreshold: Vec::with_capacity(n),
-            proba: Vec::with_capacity(n),
-        };
-        for (id, node) in nodes.iter().enumerate() {
-            match *node {
-                Node::Leaf { proba, .. } => {
-                    flat.feature.push(Self::LEAF);
-                    flat.threshold.push(proba);
-                    flat.children.extend([id as u32, id as u32]);
-                    flat.lfeature.push(0);
-                    flat.lthreshold.push(f64::INFINITY);
-                    flat.proba.push(proba);
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                    ..
-                } => {
-                    assert!(feature < usize::from(Self::LEAF), "feature index fits u16");
-                    flat.feature.push(feature as u16);
-                    flat.threshold.push(threshold);
-                    flat.children.extend([left as u32, right as u32]);
-                    flat.lfeature.push(feature as u16);
-                    flat.lthreshold.push(threshold);
-                    flat.proba.push(0.0);
-                }
-            }
-        }
-        flat
-    }
-
-    #[inline]
-    // `!(v <= t)` rather than `v > t` is load-bearing: NaN must route
-    // right, exactly like the arena walk's `if v <= t { left } else
-    // { right }`.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    fn predict(&self, row: &[f64]) -> f64 {
-        let mut i = 0usize;
-        loop {
-            let f = self.feature[i];
-            if f == Self::LEAF {
-                return self.threshold[i];
-            }
-            let go_right = !(row[usize::from(f)] <= self.threshold[i]);
-            i = self.children[2 * i + usize::from(go_right)] as usize;
-        }
-    }
-}
-
-/// Quantized mirror of one tree: the model-derived bins plus the packed
-/// node layout. Derived state like [`FlatNodes`] — rebuilt at fit and
-/// restore time, never persisted. `None` when a feature exceeds the bin
-/// budget (the f64 path then remains the only one).
-#[derive(Debug, Clone)]
-struct QuantTree {
-    bins: FeatureBins,
-    nodes: QuantNodes,
-}
-
 /// A fitted CART classification tree.
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
     config: TreeConfig,
     nodes: Vec<Node>,
-    flat: FlatNodes,
-    quant: Option<QuantTree>,
     n_features: usize,
 }
 
@@ -179,8 +80,6 @@ impl DecisionTree {
         DecisionTree {
             config,
             nodes: Vec::new(),
-            flat: FlatNodes::default(),
-            quant: None,
             n_features: 0,
         }
     }
@@ -217,17 +116,10 @@ impl DecisionTree {
         }
     }
 
-    /// Probability of class 1 for a single feature row (flat-array
-    /// traversal).
-    #[inline]
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
-        self.flat.predict(row)
-    }
-
     /// Probability of class 1 for a single feature row, walking the [`Node`]
-    /// arena. This is the seed reference path the flat traversal is tested
-    /// and benchmarked against; prefer [`DecisionTree::predict_row`].
-    pub fn predict_row_arena(&self, row: &[f64]) -> f64 {
+    /// arena. This is the reference the quantized forest walk is tested
+    /// against, and the fallback when a forest has no quantized mirror.
+    pub fn predict_row(&self, row: &[f64]) -> f64 {
         let mut i = 0;
         loop {
             match self.nodes[i] {
@@ -249,97 +141,15 @@ impl DecisionTree {
         }
     }
 
-    /// Adds this tree's class-1 probability for rows `lo..hi` of `x` into
-    /// `out[0..hi - lo]` (the forest's block-accumulation primitive).
-    ///
-    /// Rows advance through the tree in lockstep groups: each pass moves
-    /// every row in the group down one level with no per-node branch
-    /// (leaves self-loop), so the group's load chains are independent and
-    /// overlap instead of serializing like a per-row descent. The group is
-    /// done when a pass changes no node index (only leaves map to
-    /// themselves), which bounds the passes by the deepest row in the
-    /// group, not the tree's maximum depth.
-    // `!(v <= t)` rather than `v > t` so NaN routes right like the arena
-    // walk (see `FlatNodes::predict`).
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub(crate) fn accumulate_rows(&self, x: &Matrix, lo: usize, hi: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), hi - lo);
-        let flat = &self.flat;
-        if flat.feature.first() == Some(&FlatNodes::LEAF) {
-            // Single-leaf tree: constant prediction. Also the only shape a
-            // zero-column matrix can reach, which the lockstep walk below
-            // must not touch (it reads a feature value before the leaf
-            // self-loop resolves).
-            for p in out.iter_mut() {
-                *p += flat.proba[0];
-            }
-            return;
-        }
-        let cols = x.cols();
-        let data = x.as_slice();
-        /// Lockstep lanes per group: enough independent chains to hide L1
-        /// latency, small enough that the lane state stays in registers.
-        const G: usize = 16;
-        let mut slots = [0u32; G];
-        let mut row0 = lo;
-        for group in out.chunks_mut(G) {
-            let n = group.len();
-            slots[..n].fill(0);
-            loop {
-                let mut changed = 0u32;
-                for (k, slot) in slots[..n].iter_mut().enumerate() {
-                    let i = *slot as usize;
-                    let f = usize::from(flat.lfeature[i]);
-                    let v = data[(row0 + k) * cols + f];
-                    // `!(v <= t)` so NaN routes right like the arena walk.
-                    let right = usize::from(!(v <= flat.lthreshold[i]));
-                    let next = flat.children[2 * i + right];
-                    changed |= next ^ *slot;
-                    *slot = next;
-                }
-                if changed == 0 {
-                    break;
-                }
-            }
-            for (p, &i) in group.iter_mut().zip(&slots[..n]) {
-                *p += flat.proba[i as usize];
-            }
-            row0 += n;
-        }
-    }
-
-    /// Batch probabilities over all rows of `x`, processed in row-major
-    /// blocks. Numerically identical to mapping
-    /// [`DecisionTree::predict_row`] over the rows.
+    /// Batch probabilities: [`DecisionTree::predict_row`] over every row
+    /// of `x`.
     pub fn predict_proba_batch(&self, x: &Matrix) -> Vec<f64> {
         assert!(!self.nodes.is_empty(), "predict before fit");
-        let mut out = vec![0.0; x.rows()];
-        self.accumulate_rows(x, 0, x.rows(), &mut out);
-        out
+        x.iter_rows().map(|row| self.predict_row(row)).collect()
     }
 
-    /// Batch probabilities via the quantized fast path, or `None` when the
-    /// tree exceeded the per-feature bin budget at fit time. Binning on the
-    /// tree's own thresholds makes the result bit-identical to
-    /// [`DecisionTree::predict_proba_batch`] (see
-    /// [`crate::classical::quant`]).
-    pub fn predict_proba_batch_quantized(&self, x: &Matrix) -> Option<Vec<f64>> {
-        assert!(!self.nodes.is_empty(), "predict before fit");
-        let quant = self.quant.as_ref()?;
-        let q = quant.bins.quantize_matrix(x);
-        let mut out = vec![0.0; x.rows()];
-        quant.nodes.accumulate_rows(&q, 0, x.rows(), &mut out);
-        Some(out)
-    }
-
-    /// Widest per-feature bin count of the quantized mirror, or `None`
-    /// when quantization is unavailable (unfitted, or over budget).
-    pub fn quant_bins(&self) -> Option<usize> {
-        self.quant.as_ref().map(|q| q.bins.max_bins())
-    }
-
-    /// Appends every split threshold into `per_feature[feature]` (used to
-    /// derive shared bins — per tree here, per ensemble in the forest).
+    /// Appends every split threshold into `per_feature[feature]` (the
+    /// forest pools these across its trees into one shared set of bins).
     pub(crate) fn collect_split_thresholds(&self, per_feature: &mut [Vec<f64>]) {
         for node in &self.nodes {
             if let Node::Split {
@@ -351,9 +161,11 @@ impl DecisionTree {
         }
     }
 
-    /// The arena in the quantizer's neutral descriptor form.
-    fn quant_desc(&self) -> Vec<QuantNodeDesc> {
-        self.nodes
+    /// Repacks this tree against the forest's shared bins (one
+    /// [`FeatureBins`] over all member trees, so a batch quantizes once).
+    pub(crate) fn quant_nodes(&self, bins: &FeatureBins) -> QuantNodes {
+        let desc: Vec<QuantNodeDesc> = self
+            .nodes
             .iter()
             .map(|node| match *node {
                 Node::Leaf { proba, .. } => QuantNodeDesc::Leaf { value: proba },
@@ -370,23 +182,8 @@ impl DecisionTree {
                     right,
                 },
             })
-            .collect()
-    }
-
-    /// Repacks this tree against externally shared bins (the forest builds
-    /// one [`FeatureBins`] over all member trees so a batch quantizes once).
-    pub(crate) fn quant_nodes(&self, bins: &FeatureBins) -> QuantNodes {
-        QuantNodes::from_arena(&self.quant_desc(), bins)
-    }
-
-    /// Rebuilds the quantized mirror from the arena (fit + restore).
-    fn rebuild_quant(&mut self) {
-        let mut per_feature = vec![Vec::new(); self.n_features];
-        self.collect_split_thresholds(&mut per_feature);
-        self.quant = FeatureBins::from_split_thresholds(per_feature, NanRoute::Right).map(|bins| {
-            let nodes = self.quant_nodes(&bins);
-            QuantTree { bins, nodes }
-        });
+            .collect();
+        QuantNodes::from_arena(&desc, bins)
     }
 
     /// Fits with externally chosen sample indices (used by bagging).
@@ -398,8 +195,6 @@ impl DecisionTree {
         let mut rng = SplitMix::new(self.config.seed);
         let mut idx = indices.to_vec();
         self.build(x, y, &mut idx, 0, &mut rng);
-        self.flat = FlatNodes::from_arena(&self.nodes);
-        self.rebuild_quant();
     }
 
     /// Recursively builds the subtree over `indices`, returning its node id.
@@ -476,6 +271,9 @@ impl DecisionTree {
         let total_ones: usize = indices.iter().map(|&i| y[i]).sum();
 
         let d = x.cols();
+        if d == 0 {
+            return None;
+        }
         let mut features: Vec<usize> = (0..d).collect();
         let n_features = self.config.max_features.unwrap_or(d).clamp(1, d);
         if n_features < d {
@@ -617,9 +415,6 @@ impl Restore for Node {
 
 impl Snapshot for DecisionTree {
     fn snapshot(&self, w: &mut Writer) {
-        // The flat struct-of-arrays mirror is derived state: only the
-        // canonical arena travels, and restore rebuilds the mirror exactly
-        // as `fit_indices` does.
         self.config.snapshot(w);
         w.put_usize(self.n_features);
         self.nodes.snapshot(w);
@@ -639,7 +434,9 @@ impl Restore for DecisionTree {
                 ..
             } = *node
             {
-                if feature >= n_features || feature >= usize::from(FlatNodes::LEAF) {
+                // The forest's packed quantized nodes store the feature as
+                // a `u16`.
+                if feature >= n_features || feature >= usize::from(u16::MAX) {
                     return Err(PersistError::Malformed(format!(
                         "node {i} splits on feature {feature} but the tree has {n_features}"
                     )));
@@ -647,7 +444,7 @@ impl Restore for DecisionTree {
                 // Children must point strictly forward: `build` pushes the
                 // parent before recursing, so every legitimate arena is
                 // topologically ordered — and forward-only edges make
-                // cycles (which would hang the lockstep walk) impossible.
+                // cycles (which would hang the walk) impossible.
                 if left >= nodes.len() || right >= nodes.len() || left <= i || right <= i {
                     return Err(PersistError::Malformed(format!(
                         "node {i} has invalid children ({left}/{right} of {})",
@@ -656,16 +453,11 @@ impl Restore for DecisionTree {
                 }
             }
         }
-        let flat = FlatNodes::from_arena(&nodes);
-        let mut tree = DecisionTree {
+        Ok(DecisionTree {
             config,
             nodes,
-            flat,
-            quant: None,
             n_features,
-        };
-        tree.rebuild_quant();
-        Ok(tree)
+        })
     }
 }
 
@@ -707,15 +499,15 @@ mod tests {
 
     #[test]
     fn zero_column_matrix_predicts_the_leaf() {
-        // Pure labels never reach best_split, so a zero-column fit yields a
-        // single leaf; batch prediction must return it rather than read a
+        // With no feature to split on, a mixed-label fit yields a single
+        // leaf; prediction must return it once per row rather than read a
         // (nonexistent) feature column.
-        let x = Matrix::zeros(3, 0);
-        let y = vec![1, 1, 1];
+        let x = Matrix::zeros(4, 0);
+        let y = vec![1, 0, 1, 1];
         let mut tree = DecisionTree::with_defaults();
         tree.fit(&x, &y);
-        assert_eq!(tree.predict_proba(&x), vec![1.0, 1.0, 1.0]);
-        assert_eq!(tree.predict_proba_batch(&x), vec![1.0, 1.0, 1.0]);
+        assert_eq!(tree.nodes().len(), 1);
+        assert_eq!(tree.predict_proba(&x), vec![0.75; 4]);
     }
 
     #[test]
@@ -823,50 +615,6 @@ mod tests {
             tree.fit(&x, &y);
             for p in tree.predict_proba(&x) {
                 prop_assert!((0.0..=1.0).contains(&p));
-            }
-        }
-
-        #[test]
-        fn quantized_batch_is_bit_identical_to_arena_walk(seed in any::<u64>()) {
-            // The quantized path bins on the tree's own thresholds, so it
-            // must agree with the arena walk bit-for-bit — including NaN
-            // rows (route right) and values far outside the training range
-            // (clamped at transform time).
-            let mut rng = crate::classical::SplitMix::new(seed);
-            let mut rows: Vec<Vec<f64>> =
-                (0..48).map(|_| vec![rng.unit(), rng.unit(), rng.unit()]).collect();
-            let y: Vec<usize> = (0..48).map(|_| rng.below(2)).collect();
-            let train = Matrix::from_rows(&rows);
-            let mut tree = DecisionTree::with_defaults();
-            tree.fit(&train, &y);
-            // Corrupt some evaluation rows: NaN and out-of-range values.
-            for (i, row) in rows.iter_mut().enumerate() {
-                if i % 7 == 0 { row[i % 3] = f64::NAN; }
-                if i % 5 == 0 { row[(i + 1) % 3] = 1e9 * if i % 2 == 0 { 1.0 } else { -1.0 }; }
-            }
-            let x = Matrix::from_rows(&rows);
-            let quant = tree.predict_proba_batch_quantized(&x).expect("within bin budget");
-            for (i, row) in x.iter_rows().enumerate() {
-                prop_assert_eq!(quant[i], tree.predict_row_arena(row), "row {}", i);
-            }
-        }
-
-        #[test]
-        fn flat_traversal_matches_arena_walk(seed in any::<u64>()) {
-            // The flat struct-of-arrays path must agree with the seed's
-            // enum-node walk on every row — bit-identical, not just close.
-            let mut rng = crate::classical::SplitMix::new(seed);
-            let rows: Vec<Vec<f64>> =
-                (0..40).map(|_| vec![rng.unit(), rng.unit(), rng.unit()]).collect();
-            let y: Vec<usize> = (0..40).map(|_| rng.below(2)).collect();
-            let x = Matrix::from_rows(&rows);
-            let mut tree = DecisionTree::with_defaults();
-            tree.fit(&x, &y);
-            let batch = tree.predict_proba_batch(&x);
-            for (i, row) in x.iter_rows().enumerate() {
-                let arena = tree.predict_row_arena(row);
-                prop_assert_eq!(tree.predict_row(row), arena);
-                prop_assert!((batch[i] - arena).abs() <= 1e-12);
             }
         }
     }

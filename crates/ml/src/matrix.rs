@@ -94,9 +94,10 @@ impl Matrix {
         (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
-    /// Iterates over rows as slices.
+    /// Iterates over rows as slices — `rows` of them, empty ones for a
+    /// zero-column matrix.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1))
+        (0..self.rows).map(move |i| &self.data[i * self.cols..(i + 1) * self.cols])
     }
 
     /// The flat row-major buffer.
@@ -317,6 +318,13 @@ mod tests {
         let m = Matrix::from_rows(&[vec![1.0, 10.0], vec![3.0, 10.0]]);
         assert_eq!(m.col_means(), vec![2.0, 10.0]);
         assert_eq!(m.col_stds(), vec![1.0, 0.0]);
+    }
+
+    #[test]
+    fn zero_column_matrix_still_has_rows() {
+        let m = Matrix::zeros(3, 0);
+        assert_eq!(m.iter_rows().count(), 3);
+        assert!(m.iter_rows().all(<[f64]>::is_empty));
     }
 
     #[test]

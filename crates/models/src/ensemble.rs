@@ -149,25 +149,6 @@ impl EnsembleDetector {
         self.members[0].features()
     }
 
-    /// Enables or disables the quantized scoring path on every member
-    /// (builder-style — the registry applies a spec's `quantize=` option
-    /// here). Execution config only: fitted state is untouched, and the
-    /// canonical name does not change.
-    pub fn with_quantize(mut self, quantize: bool) -> Self {
-        self.members = self
-            .members
-            .into_iter()
-            .map(|m| m.with_quantize(quantize))
-            .collect();
-        self
-    }
-
-    /// Whether members score through their quantized mirrors
-    /// ([`EnsembleDetector::with_quantize`] sets all members together).
-    pub fn quantize(&self) -> bool {
-        self.members[0].quantize()
-    }
-
     /// Widest per-feature bin count across the members' quantized mirrors;
     /// `None` when no member has one (non-tree models, or before fit).
     pub fn quant_bins(&self) -> Option<usize> {
@@ -578,25 +559,14 @@ mod tests {
 
     #[test]
     fn quantized_snapshot_round_trips_with_identical_verdicts() {
-        // The quantized mirror is derived state: it is rebuilt on restore
-        // (never persisted), the envelope bytes are identical whether the
-        // toggle is on or off, and a restored ensemble scores verdicts
-        // identical to the original through the quantized path.
+        // The quantized mirrors are derived state: never persisted, rebuilt
+        // from the restored trees, and a restored ensemble scores verdicts
+        // identical to the original's.
         let det = fitted("ensemble:rf+lgbm+catboost:vote=soft");
-        assert!(det.quantize());
         assert!(det.quant_bins().is_some());
 
-        let bytes = det.to_snapshot_bytes();
-        // `quantize` never enters the envelope: toggling it changes nothing,
-        // so snapshots written before the quantized engine existed restore
-        // exactly as they always did (no format bump).
-        let toggled = fitted("ensemble:rf+lgbm+catboost:vote=soft").with_quantize(false);
-        assert_eq!(bytes, toggled.to_snapshot_bytes());
-
-        let back = EnsembleDetector::from_snapshot_bytes(&bytes).expect("restores");
-        // Restore lands on the default execution config with the mirror
-        // rebuilt from the restored trees.
-        assert!(back.quantize());
+        let back =
+            EnsembleDetector::from_snapshot_bytes(&det.to_snapshot_bytes()).expect("restores");
         assert_eq!(back.quant_bins(), det.quant_bins());
 
         let (codes, _) = corpus();
@@ -605,14 +575,6 @@ mod tests {
         let a: Vec<u64> = det.predict_proba(&x).iter().map(|p| p.to_bits()).collect();
         let b: Vec<u64> = back.predict_proba(&x).iter().map(|p| p.to_bits()).collect();
         assert_eq!(a, b);
-        // And the quantized path agrees with the f64 reference arena on
-        // every verdict (here: bit-identical probabilities).
-        let reference: Vec<u64> = toggled
-            .predict_proba(&x)
-            .iter()
-            .map(|p| p.to_bits())
-            .collect();
-        assert_eq!(a, reference);
     }
 
     #[test]

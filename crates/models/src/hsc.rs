@@ -80,10 +80,6 @@ pub struct HscDetector {
     extractor: Option<HistogramExtractor>,
     features: FeatureSet,
     trace: Option<TraceExtractor>,
-    /// Score through the model's quantized mirror when it has one (tree
-    /// models; default on). Runtime execution config, not model identity:
-    /// never persisted, and snapshots restore with the default.
-    quantize: bool,
 }
 
 impl HscDetector {
@@ -100,7 +96,6 @@ impl HscDetector {
             extractor: None,
             features: FeatureSet::Histogram,
             trace: None,
-            quantize: true,
         }
     }
 
@@ -112,7 +107,6 @@ impl HscDetector {
             extractor: None,
             features: FeatureSet::Histogram,
             trace: None,
-            quantize: true,
         }
     }
 
@@ -127,7 +121,6 @@ impl HscDetector {
             extractor: None,
             features: FeatureSet::Histogram,
             trace: None,
-            quantize: true,
         }
     }
 
@@ -139,7 +132,6 @@ impl HscDetector {
             extractor: None,
             features: FeatureSet::Histogram,
             trace: None,
-            quantize: true,
         }
     }
 
@@ -155,7 +147,6 @@ impl HscDetector {
             extractor: None,
             features: FeatureSet::Histogram,
             trace: None,
-            quantize: true,
         }
     }
 
@@ -171,7 +162,6 @@ impl HscDetector {
             extractor: None,
             features: FeatureSet::Histogram,
             trace: None,
-            quantize: true,
         }
     }
 
@@ -188,7 +178,6 @@ impl HscDetector {
             extractor: None,
             features: FeatureSet::Histogram,
             trace: None,
-            quantize: true,
         }
     }
 
@@ -218,23 +207,9 @@ impl HscDetector {
         self.features
     }
 
-    /// Enables or disables the quantized scoring path (builder-style — the
-    /// registry applies a spec's `quantize=` option here). Unlike
-    /// [`HscDetector::with_features`] this is pure execution config: it
-    /// does not clear fitted state, so it can toggle a loaded snapshot.
-    pub fn with_quantize(mut self, quantize: bool) -> Self {
-        self.quantize = quantize;
-        self
-    }
-
-    /// Whether this detector scores through the quantized mirror when the
-    /// backing model has one.
-    pub fn quantize(&self) -> bool {
-        self.quantize
-    }
-
     /// Widest per-feature bin count of the backing model's quantized
-    /// mirror; `None` for non-tree models or before fit.
+    /// mirror; `None` for non-tree models, before fit, or when the model
+    /// falls back to its per-row arena walk.
     pub fn quant_bins(&self) -> Option<usize> {
         match &self.model {
             HscModel::RandomForest(m) => m.quant_bins(),
@@ -383,14 +358,7 @@ impl Detector for HscDetector {
 
     fn predict(&self, codes: &[&[u8]]) -> Vec<usize> {
         let x = self.featurize(codes);
-        // Route through `predict_proba` so the quantize toggle applies to
-        // one-shot prediction exactly as it does to batch serving. The
-        // verdict contract (same side of 0.5) is what the quantized path
-        // guarantees; here it is in fact bit-identical.
-        self.predict_proba(&x)
-            .into_iter()
-            .map(|p| usize::from(p >= 0.5))
-            .collect()
+        self.model.as_classifier().predict(&x)
     }
 
     fn fit_fold(&mut self, fold: &crate::FoldFeatures<'_>, labels: &[usize]) {
@@ -578,9 +546,6 @@ impl Restore for HscDetector {
             extractor,
             features,
             trace,
-            // Execution config, not model identity: snapshots never carry
-            // it, and a restored detector starts with the default (on).
-            quantize: true,
         })
     }
 }
@@ -597,28 +562,9 @@ impl HscDetector {
     /// Class-1 probabilities on an already-extracted feature matrix (rows
     /// from this detector's [`HscDetector::featurize_into`]). This is the
     /// serving hot path: with a reused scratch matrix it scores a batch
-    /// without allocating per-contract rows.
+    /// without allocating per-contract rows. Tree models score through
+    /// their quantized mirror (see `phishinghook_ml::classical::quant`).
     pub fn predict_proba(&self, x: &phishinghook_ml::Matrix) -> Vec<f64> {
-        if self.quantize {
-            // Quantized fast path for tree models. Falls through to the f64
-            // walk when the model has no mirror (non-tree, or over the bin
-            // budget); when the mirror exists its probabilities are
-            // bit-identical to the reference (see
-            // `phishinghook_ml::classical::quant`).
-            match &self.model {
-                HscModel::RandomForest(m) => {
-                    if let Some(p) = m.predict_proba_batch_quantized(x) {
-                        return p;
-                    }
-                }
-                HscModel::Boosted(m) => {
-                    if let Some(p) = m.predict_proba_quantized(x) {
-                        return p;
-                    }
-                }
-                _ => {}
-            }
-        }
         self.model.as_classifier().predict_proba(x)
     }
 
@@ -750,6 +696,24 @@ mod tests {
     fn predict_before_fit_panics() {
         let det = HscDetector::knn();
         let _ = det.predict(&[&[0x60, 0x80][..]]);
+    }
+
+    #[test]
+    fn every_family_fits_and_scores_a_training_set_with_no_opcodes() {
+        // All-empty bytecodes (EOAs, say) give zero histogram columns.
+        let codes: Vec<&[u8]> = vec![&[][..]; 6];
+        let labels = vec![1, 0, 1, 0, 0, 1];
+        for mut det in registry_hscs(7) {
+            det.fit(&codes, &labels);
+            assert_eq!(det.n_features(), 0, "{}", det.name());
+            let probs = det.predict_proba(&det.featurize(&codes));
+            assert_eq!(probs.len(), codes.len(), "{}", det.name());
+            assert!(
+                probs.iter().all(|p| (0.0..=1.0).contains(p)),
+                "{}: {probs:?}",
+                det.name()
+            );
+        }
     }
 
     #[test]

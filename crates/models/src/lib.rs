@@ -19,7 +19,6 @@ pub mod escort_model;
 pub mod hsc;
 pub mod language;
 pub mod scanner;
-pub mod scoring;
 pub mod spec;
 pub mod vision;
 
@@ -31,8 +30,6 @@ pub use hsc::all_hscs;
 pub use hsc::{HscDetector, HscModel};
 pub use language::{LanguageConfig, ScsGuardDetector, TransformerLm};
 pub use scanner::{AnyDetector, ResolveError, ScanReport, ScanRequest, Scanner, Target, Verdict};
-#[allow(deprecated)]
-pub use scoring::ScoringEngine;
 pub use spec::{
     DetectorRegistry, DetectorSpec, FamilyInfo, FeatureSet, HscKind, HscSpec, SpecError, Vote,
     HSC_KINDS,

@@ -1,13 +1,15 @@
 //! The serving facade: typed scan requests over any spec-built detector.
 //!
-//! [`Scanner`] subsumes the earlier single-model `ScoringEngine`: it wraps
-//! any fitted [`AnyDetector`] — one HSC or a voting ensemble, built from a
+//! [`Scanner`] is the one scoring facade: it wraps any fitted
+//! [`AnyDetector`] — one HSC or a voting ensemble, built from a
 //! [`DetectorSpec`](crate::DetectorSpec) or restored from either snapshot
-//! kind through one front door — behind the same batched, scratch-matrix
-//! hot path. On top of the raw `score_batch` it adds the typed request
-//! shape the wire protocol carries: [`ScanRequest`] `{ id, target }` in,
-//! [`ScanReport`] `{ id, verdict, proba, per_model, model_version }` out,
-//! with per-member probabilities whenever the model is an ensemble.
+//! kind through one front door — behind a batched, scratch-matrix hot
+//! path. Tree models score through their quantized mirrors, the one engine
+//! `eval`, cross-validation and serving share. On top of the raw
+//! `score_batch` it adds the typed request shape the wire protocol
+//! carries: [`ScanRequest`] `{ id, target }` in, [`ScanReport`]
+//! `{ id, verdict, proba, per_model, model_version }` out, with per-member
+//! probabilities whenever the model is an ensemble.
 //!
 //! A request's [`Target`] is either raw bytecode or a 20-byte chain
 //! address; addresses resolve through a [`CodeSource`] (the simulated
@@ -15,10 +17,9 @@
 //! one place no matter which protocol — JSONL, HTTP, or a direct library
 //! call — carried the request.
 //!
-//! Like the engine it replaces, a scanner is cheap to fan out:
-//! [`Scanner::worker`] shares the immutable detector through an [`Arc`]
-//! (restored once per process, never per connection) while giving each
-//! worker its own scratch buffer.
+//! A scanner is cheap to fan out: [`Scanner::worker`] shares the immutable
+//! detector through an [`Arc`] (restored once per process, never per
+//! connection) while giving each worker its own scratch buffer.
 //!
 //! ```
 //! use phishinghook_models::{Detector, DetectorRegistry, Scanner, ScanRequest};
@@ -93,27 +94,9 @@ impl AnyDetector {
         }
     }
 
-    /// Sets whether tree models score through the quantized engine.
-    /// Runtime execution config — does not clear fitted state and is never
-    /// persisted.
-    #[must_use]
-    pub fn with_quantize(self, quantize: bool) -> Self {
-        match self {
-            AnyDetector::Hsc(d) => AnyDetector::Hsc(d.with_quantize(quantize)),
-            AnyDetector::Ensemble(d) => AnyDetector::Ensemble(d.with_quantize(quantize)),
-        }
-    }
-
-    /// `true` when tree models score through the quantized engine.
-    pub fn quantize(&self) -> bool {
-        match self {
-            AnyDetector::Hsc(d) => d.quantize(),
-            AnyDetector::Ensemble(d) => d.quantize(),
-        }
-    }
-
     /// Widest per-feature bin count across the fitted quantized mirrors,
-    /// when any underlying model carries one.
+    /// when any underlying model carries one (`None` means every model
+    /// scores through its per-row arena or is not a tree model).
     pub fn quant_bins(&self) -> Option<usize> {
         match self {
             AnyDetector::Hsc(d) => d.quant_bins(),
@@ -539,11 +522,6 @@ impl Scanner {
         &self.model_version
     }
 
-    /// `true` when tree models score through the quantized engine.
-    pub fn quantize(&self) -> bool {
-        self.model.quantize()
-    }
-
     /// Widest per-feature bin count across the model's fitted quantized
     /// mirrors, when it carries one.
     pub fn quant_bins(&self) -> Option<usize> {
@@ -571,8 +549,7 @@ impl Scanner {
         self.model.featurize_into(codes, &mut self.scratch);
     }
 
-    /// Combined class-1 probability per bytecode — the raw hot path, same
-    /// cost profile as the engine it replaces.
+    /// Combined class-1 probability per bytecode — the raw hot path.
     pub fn score_batch(&mut self, codes: &[&[u8]]) -> Vec<f64> {
         self.transform_batch(codes);
         self.model.predict_proba(&self.scratch)
@@ -768,6 +745,18 @@ mod tests {
                 .collect();
             assert_eq!(a, b, "{spec}: snapshot bytes diverge");
             assert_eq!(a, c, "{spec}: snapshot file diverges");
+
+            // Verdicts match one-shot `Detector::predict`, and the scratch
+            // matrix is reused across differently-sized batches, including
+            // an empty one, without changing a verdict.
+            let verdicts: Vec<usize> = a
+                .iter()
+                .map(|&p| usize::from(f64::from_bits(p) >= 0.5))
+                .collect();
+            assert_eq!(from_spec.model().predict(&probes), verdicts, "{spec}");
+            assert_eq!(from_spec.classify_batch(&probes[..7]), verdicts[..7]);
+            assert!(from_spec.score_batch(&[]).is_empty());
+            assert_eq!(from_spec.classify_batch(&probes), verdicts, "{spec}");
         }
     }
 

@@ -18,7 +18,6 @@
 //!            | "ensemble" ":" family ("+" family)+ [":" option]*
 //! option    := "seed=" u64
 //!            | "features=" ("hist" | "trace" | "hist+trace")
-//!            | "quantize=" ("on" | "off")
 //!            | "vote=" ("soft" | "hard" | "weighted")    ensembles only
 //!            | "weights=" f64 ("," f64)*                 vote=weighted only
 //! family    := "rf" | "knn" | "svm" | "lr" | "xgb" | "lgbm" | "catboost"
@@ -30,14 +29,6 @@
 //! execution-trace features from the dispatcher explorer), or `hist+trace`
 //! (both, column-concatenated). Any family or ensemble composes with any
 //! feature set.
-//!
-//! `quantize=` controls the execution engine for tree models, not the model
-//! itself: `on` (the default) scores through the quantized u16 node walk
-//! rebuilt after fit/restore, `off` forces the f64 reference arena. Both
-//! produce verdict-identical output; the toggle exists for benchmarking and
-//! for bisecting a suspected engine discrepancy. Because it does not change
-//! model identity, the default (`on`) is omitted from the canonical form and
-//! the flag never enters persisted snapshots.
 //!
 //! Family tokens are case-insensitive and accept spaces/underscores for
 //! dashes, so the paper's Table II spellings (`"Random Forest"`) parse too.
@@ -259,9 +250,6 @@ pub struct HscSpec {
     /// Which feature channels to train on (`features=…`; defaults to
     /// static histograms).
     pub features: FeatureSet,
-    /// Whether tree models score through the quantized engine
-    /// (`quantize=…`; defaults to `true`).
-    pub quantize: bool,
 }
 
 /// A parsed, validated detector description.
@@ -279,9 +267,6 @@ pub enum DetectorSpec {
         seed: Option<u64>,
         /// Feature channels shared by every member.
         features: FeatureSet,
-        /// Whether tree members score through the quantized engine
-        /// (defaults to `true`).
-        quantize: bool,
     },
 }
 
@@ -302,22 +287,18 @@ impl DetectorSpec {
 
 impl fmt::Display for DetectorSpec {
     /// Renders the canonical form: lowercase tokens, options in
-    /// `vote`, `weights`, `features`, `quantize`, `seed` order (defaults
-    /// omitted). `parse(to_string()) == self`.
+    /// `vote`, `weights`, `features`, `seed` order (defaults omitted).
+    /// `parse(to_string()) == self`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DetectorSpec::Hsc(HscSpec {
                 kind,
                 seed,
                 features,
-                quantize,
             }) => {
                 write!(f, "{}", kind.token())?;
                 if *features != FeatureSet::default() {
                     write!(f, ":features={}", features.token())?;
-                }
-                if !quantize {
-                    write!(f, ":quantize=off")?;
                 }
                 if let Some(seed) = seed {
                     write!(f, ":seed={seed}")?;
@@ -329,7 +310,6 @@ impl fmt::Display for DetectorSpec {
                 vote,
                 seed,
                 features,
-                quantize,
             } => {
                 write!(f, "ensemble:")?;
                 for (i, member) in members.iter().enumerate() {
@@ -352,9 +332,6 @@ impl fmt::Display for DetectorSpec {
                 }
                 if *features != FeatureSet::default() {
                     write!(f, ":features={}", features.token())?;
-                }
-                if !quantize {
-                    write!(f, ":quantize=off")?;
                 }
                 if let Some(seed) = seed {
                     write!(f, ":seed={seed}")?;
@@ -447,7 +424,6 @@ struct Options {
     vote: Option<&'static str>,
     weights: Option<Vec<f64>>,
     features: Option<FeatureSet>,
-    quantize: Option<bool>,
 }
 
 impl Options {
@@ -518,22 +494,6 @@ impl Options {
                 }
                 self.features = Some(FeatureSet::parse(value)?);
             }
-            "quantize" => {
-                if self.quantize.is_some() {
-                    return Err(SpecError::DuplicateOption("quantize"));
-                }
-                self.quantize = Some(match value.trim().to_ascii_lowercase().as_str() {
-                    "on" | "true" => true,
-                    "off" | "false" => false,
-                    _ => {
-                        return Err(SpecError::BadValue {
-                            option: "quantize",
-                            value: value.to_owned(),
-                            reason: "expected `on` or `off`".to_owned(),
-                        })
-                    }
-                });
-            }
             other => return Err(SpecError::UnknownOption(other.to_owned())),
         }
         Ok(())
@@ -595,7 +555,6 @@ impl FromStr for DetectorSpec {
                 vote,
                 seed: opts.seed,
                 features: opts.features.unwrap_or_default(),
-                quantize: opts.quantize.unwrap_or(true),
             })
         } else {
             let kind = HscKind::parse_token(head)?;
@@ -619,7 +578,6 @@ impl FromStr for DetectorSpec {
                 kind,
                 seed: opts.seed,
                 features: opts.features.unwrap_or_default(),
-                quantize: opts.quantize.unwrap_or(true),
             }))
         }
     }
@@ -687,7 +645,6 @@ impl DetectorRegistry {
                     kind,
                     seed: None,
                     features: FeatureSet::Histogram,
-                    quantize: true,
                 })
             })
             .collect()
@@ -718,21 +675,15 @@ impl DetectorRegistry {
                 kind,
                 seed,
                 features,
-                quantize,
             }) => {
                 let seed = seed.unwrap_or(default_seed ^ kind.seed_offset());
-                AnyDetector::Hsc(
-                    self.build_hsc(*kind, seed)
-                        .with_features(*features)
-                        .with_quantize(*quantize),
-                )
+                AnyDetector::Hsc(self.build_hsc(*kind, seed).with_features(*features))
             }
             DetectorSpec::Ensemble {
                 members,
                 vote,
                 seed,
                 features,
-                quantize,
             } => {
                 let base = seed.unwrap_or(default_seed);
                 let members: Vec<HscDetector> = members
@@ -740,7 +691,6 @@ impl DetectorRegistry {
                     .map(|&kind| {
                         self.build_hsc(kind, base ^ kind.seed_offset())
                             .with_features(*features)
-                            .with_quantize(*quantize)
                     })
                     .collect();
                 AnyDetector::Ensemble(
@@ -798,7 +748,6 @@ mod tests {
                 vote: Vote::Soft,
                 seed: None,
                 features: FeatureSet::Histogram,
-                quantize: true,
             }
         );
         assert_eq!(spec.to_string(), "ensemble:rf+lgbm+catboost:vote=soft");
@@ -849,74 +798,16 @@ mod tests {
     }
 
     #[test]
-    fn quantize_axis_parses_and_round_trips() {
-        // The default (on) is omitted from the canonical form.
-        assert_eq!(parse("rf:quantize=on").to_string(), "rf");
-        assert_eq!(parse("rf:quantize=true"), parse("rf"));
-        let DetectorSpec::Hsc(on) = parse("rf") else {
-            panic!("single spec")
-        };
-        assert!(on.quantize);
-        // Off renders, round-trips, and sits after features / before seed.
-        for (text, canonical) in [
-            ("rf:quantize=off", "rf:quantize=off"),
-            ("rf:quantize=OFF:seed=3", "rf:quantize=off:seed=3"),
-            ("rf:quantize=false", "rf:quantize=off"),
-            (
-                "rf:quantize=off:features=trace",
-                "rf:features=trace:quantize=off",
-            ),
-            (
-                "ensemble:rf+lgbm:quantize=off:vote=hard",
-                "ensemble:rf+lgbm:vote=hard:quantize=off",
-            ),
-            (
-                "ensemble:rf+lgbm:features=trace:quantize=off:seed=5",
-                "ensemble:rf+lgbm:vote=soft:features=trace:quantize=off:seed=5",
-            ),
-        ] {
-            let spec = parse(text);
-            assert_eq!(spec.to_string(), canonical, "{text}");
-            assert_eq!(parse(&spec.to_string()), spec, "{text}");
+    fn the_removed_quantize_option_is_rejected() {
+        // Tree families always score through the quantized engine; the
+        // old `quantize=` axis is an unknown option, not a silent no-op.
+        for spec in ["rf:quantize=off", "ensemble:rf+lgbm:quantize=on"] {
+            assert_eq!(
+                spec.parse::<DetectorSpec>().unwrap_err(),
+                SpecError::UnknownOption("quantize".to_owned()),
+                "{spec}"
+            );
         }
-        let DetectorSpec::Hsc(off) = parse("rf:quantize=off") else {
-            panic!("single spec")
-        };
-        assert!(!off.quantize);
-
-        // Bad values and duplicates are typed errors.
-        let err = |s: &str| s.parse::<DetectorSpec>().unwrap_err();
-        assert!(matches!(
-            err("rf:quantize=maybe"),
-            SpecError::BadValue {
-                option: "quantize",
-                ..
-            }
-        ));
-        assert!(matches!(
-            err("rf:quantize="),
-            SpecError::BadValue {
-                option: "quantize",
-                ..
-            }
-        ));
-        assert_eq!(
-            err("rf:quantize=on:quantize=off"),
-            SpecError::DuplicateOption("quantize")
-        );
-    }
-
-    #[test]
-    fn registry_applies_the_quantize_toggle() {
-        let registry = DetectorRegistry::global();
-        let on = registry.build_str("rf", 7).unwrap();
-        let off = registry.build_str("rf:quantize=off", 7).unwrap();
-        assert!(on.quantize());
-        assert!(!off.quantize());
-        let ens = registry
-            .build_str("ensemble:rf+lgbm:quantize=off", 7)
-            .unwrap();
-        assert!(!ens.quantize());
     }
 
     #[test]

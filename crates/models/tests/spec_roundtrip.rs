@@ -17,7 +17,6 @@ fn kind_from(raw: u64) -> HscKind {
 /// seed value.
 fn spec_from(shape: u8, members: &[u64], seed: u64) -> DetectorSpec {
     let with_seed = shape & 0x10 != 0;
-    let quantize = shape & 0x08 == 0;
     let features = match (shape >> 5) % 3 {
         0 => FeatureSet::Histogram,
         1 => FeatureSet::Trace,
@@ -28,7 +27,6 @@ fn spec_from(shape: u8, members: &[u64], seed: u64) -> DetectorSpec {
             kind: kind_from(members[0]),
             seed: with_seed.then_some(seed),
             features,
-            quantize,
         })
     } else {
         let kinds: Vec<HscKind> = members.iter().map(|&m| kind_from(m)).collect();
@@ -47,7 +45,6 @@ fn spec_from(shape: u8, members: &[u64], seed: u64) -> DetectorSpec {
             vote,
             seed: with_seed.then_some(seed),
             features,
-            quantize,
         }
     }
 }

@@ -407,7 +407,7 @@ pub fn render_prometheus(
     snap: &MetricsSnapshot,
     model_name: &str,
     model_version: &str,
-    engine: crate::proto::EngineInfo,
+    quant_bins: Option<usize>,
 ) -> String {
     let mut out = String::with_capacity(4096);
     let s = &snap.scheduler;
@@ -582,11 +582,10 @@ pub fn render_prometheus(
     out.push_str(&format!(
         "# HELP phishinghook_build_info The served model, as labels.\n\
          # TYPE phishinghook_build_info gauge\n\
-         phishinghook_build_info{{model=\"{}\",version=\"{}\",quantize=\"{}\",quant_bins=\"{}\"}} 1\n",
+         phishinghook_build_info{{model=\"{}\",version=\"{}\",quant_bins=\"{}\"}} 1\n",
         escape_label(model_name),
         escape_label(model_version),
-        if engine.quantize { "on" } else { "off" },
-        engine.quant_bins.unwrap_or(0),
+        quant_bins.unwrap_or(0),
     ));
     out
 }
@@ -796,11 +795,7 @@ mod tests {
             capacity_bytes: 8 << 20,
         };
         let snap = metrics.snapshot(0, 1024, Some(cache));
-        let engine = crate::proto::EngineInfo {
-            quantize: true,
-            quant_bins: Some(256),
-        };
-        let text = render_prometheus(&snap, "Random Forest", "hsc-detector/v1", engine);
+        let text = render_prometheus(&snap, "Random Forest", "hsc-detector/v1", Some(256));
 
         // Every line is a comment or `name[{labels}] value`.
         for line in text.lines() {
@@ -831,7 +826,7 @@ mod tests {
             "phishinghook_request_latency_seconds_count 1",
             "phishinghook_request_latency_p50_seconds 0.001024",
             "phishinghook_request_latency_p99_seconds 0.001024",
-            "phishinghook_build_info{model=\"Random Forest\",version=\"hsc-detector/v1\",quantize=\"on\",quant_bins=\"256\"} 1",
+            "phishinghook_build_info{model=\"Random Forest\",version=\"hsc-detector/v1\",quant_bins=\"256\"} 1",
         ] {
             assert!(text.contains(expected), "missing `{expected}` in:\n{text}");
         }

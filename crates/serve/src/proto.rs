@@ -343,19 +343,11 @@ pub fn render_internal_v1(out: &mut String) {
     out.push_str(INTERNAL_DETAIL);
 }
 
-/// Execution-engine facts the `stats` command reports alongside the
-/// counters: whether tree models score through the quantized engine and the
-/// widest per-feature bin count of the fitted quantized mirror.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineInfo {
-    /// `true` when the quantized scoring path is enabled.
-    pub quantize: bool,
-    /// Widest per-feature bin count (`None` for non-tree models).
-    pub quant_bins: Option<usize>,
-}
-
 /// Renders the v2 `stats` command response (without trailing newline).
-pub fn render_stats_v2(out: &mut String, stats: &StatsSnapshot, engine: EngineInfo) {
+/// `quant_bins` is the widest per-feature bin count of the served model's
+/// quantized mirrors, reported under `engine` (`null` when every model
+/// scores through its arena or is not a tree model).
+pub fn render_stats_v2(out: &mut String, stats: &StatsSnapshot, quant_bins: Option<usize>) {
     let s = &stats.scheduler;
     let _ = write!(
         out,
@@ -366,12 +358,8 @@ pub fn render_stats_v2(out: &mut String, stats: &StatsSnapshot, engine: EngineIn
         Some(c) => render_cache_stats_json(out, c),
         None => out.push_str("null"),
     }
-    let _ = write!(
-        out,
-        ",\"engine\":{{\"quantize\":{},\"quant_bins\":",
-        engine.quantize
-    );
-    match engine.quant_bins {
+    out.push_str(",\"engine\":{\"quant_bins\":");
+    match quant_bins {
         Some(bins) => {
             let _ = write!(out, "{bins}");
         }
@@ -390,14 +378,14 @@ fn render_cache_stats_json(out: &mut String, c: &CacheStats) {
 }
 
 /// Renders the v1 `stats` command response: one `stats\tkey=value\t…` line.
-/// Engine fields ride at the end so older clients that read a fixed prefix
-/// keep parsing.
-pub fn render_stats_v1(out: &mut String, stats: &StatsSnapshot, engine: EngineInfo) {
+/// The engine field (`quant_bins`, 0 for the arena) rides at the end so
+/// older clients that read a fixed prefix keep parsing.
+pub fn render_stats_v1(out: &mut String, stats: &StatsSnapshot, quant_bins: Option<usize>) {
     let s = &stats.scheduler;
     let c = stats.cache.unwrap_or_default();
     let _ = write!(
         out,
-        "stats\thits={}\tmisses={}\tevictions={}\tentries={}\tsubmitted={}\tscored={}\terrors={}\toverloads={}\tbatches={}\tquantize={}\tquant_bins={}",
+        "stats\thits={}\tmisses={}\tevictions={}\tentries={}\tsubmitted={}\tscored={}\terrors={}\toverloads={}\tbatches={}\tquant_bins={}",
         c.hits,
         c.misses,
         c.evictions,
@@ -407,8 +395,7 @@ pub fn render_stats_v1(out: &mut String, stats: &StatsSnapshot, engine: EngineIn
         s.errors,
         s.overloads,
         s.batches,
-        if engine.quantize { "on" } else { "off" },
-        engine.quant_bins.unwrap_or(0),
+        quant_bins.unwrap_or(0),
     );
 }
 
@@ -795,12 +782,8 @@ mod tests {
                 capacity_bytes: 1024,
             }),
         };
-        let engine = EngineInfo {
-            quantize: true,
-            quant_bins: Some(256),
-        };
         let mut v2 = String::new();
-        render_stats_v2(&mut v2, &snapshot, engine);
+        render_stats_v2(&mut v2, &snapshot, Some(256));
         assert!(
             v2.starts_with("{\"proto\":2,\"stats\":{\"scheduler\":{"),
             "{v2}"
@@ -808,15 +791,12 @@ mod tests {
         assert!(v2.contains("\"submitted\":10"), "{v2}");
         assert!(v2.contains("\"cache\":{\"hits\":4,\"misses\":6"), "{v2}");
         assert!(v2.contains("\"hit_rate\":0.400000"), "{v2}");
-        assert!(
-            v2.ends_with(",\"engine\":{\"quantize\":true,\"quant_bins\":256}}}"),
-            "{v2}"
-        );
+        assert!(v2.ends_with(",\"engine\":{\"quant_bins\":256}}}"), "{v2}");
         let mut v1 = String::new();
-        render_stats_v1(&mut v1, &snapshot, engine);
+        render_stats_v1(&mut v1, &snapshot, Some(256));
         assert!(v1.starts_with("stats\thits=4\tmisses=6"), "{v1}");
         assert!(v1.contains("scored=8"), "{v1}");
-        assert!(v1.ends_with("\tquantize=on\tquant_bins=256"), "{v1}");
+        assert!(v1.ends_with("\tbatches=3\tquant_bins=256"), "{v1}");
 
         // Cache disabled: v2 renders null, v1 renders zeros. A model with
         // no quantized mirror reports null/0 bins.
@@ -824,21 +804,14 @@ mod tests {
             cache: None,
             ..snapshot
         };
-        let no_mirror = EngineInfo {
-            quantize: false,
-            quant_bins: None,
-        };
         let mut v2 = String::new();
-        render_stats_v2(&mut v2, &disabled, no_mirror);
+        render_stats_v2(&mut v2, &disabled, None);
         assert!(v2.contains("\"cache\":null"), "{v2}");
-        assert!(
-            v2.ends_with(",\"engine\":{\"quantize\":false,\"quant_bins\":null}}}"),
-            "{v2}"
-        );
+        assert!(v2.ends_with(",\"engine\":{\"quant_bins\":null}}}"), "{v2}");
         let mut v1 = String::new();
-        render_stats_v1(&mut v1, &disabled, no_mirror);
+        render_stats_v1(&mut v1, &disabled, None);
         assert!(v1.contains("hits=0"), "{v1}");
-        assert!(v1.ends_with("\tquantize=off\tquant_bins=0"), "{v1}");
+        assert!(v1.ends_with("\tbatches=3\tquant_bins=0"), "{v1}");
     }
 
     proptest! {

@@ -340,10 +340,7 @@ fn answer(scheduler: &Scheduler, conn: &mut Connection, req: HttpRequest) -> Opt
                 &snap,
                 scheduler.model_name(),
                 scheduler.model_version(),
-                proto::EngineInfo {
-                    quantize: scheduler.quantize(),
-                    quant_bins: scheduler.quant_bins(),
-                },
+                scheduler.quant_bins(),
             );
             text.push_str(&metrics::render_prometheus_shards(&scheduler.shard_stats()));
             let outcome = conn.submit_rendered(text, false);

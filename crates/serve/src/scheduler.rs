@@ -542,10 +542,9 @@ struct Shared {
     names: Vec<String>,
     model_version: String,
     model_name: String,
-    /// Whether tree models score through the quantized engine.
-    quantize: bool,
     /// Widest per-feature bin count across the model's quantized mirrors
-    /// (`None` for non-tree models or `quantize=off` reporting no mirror).
+    /// (`None` when every model scores through its arena or is not a tree
+    /// model).
     quant_bins: Option<usize>,
     max_outstanding: usize,
     /// Every serving counter, behind one consistent snapshot path.
@@ -741,7 +740,6 @@ impl Scheduler {
             names: scanner.model_names(),
             model_version: scanner.model_version().to_owned(),
             model_name: scanner.model_name().to_owned(),
-            quantize: scanner.quantize(),
             quant_bins: scanner.quant_bins(),
             max_outstanding: opts.max_outstanding.max(1),
             metrics: Metrics::new(),
@@ -926,11 +924,6 @@ impl Scheduler {
         &self.shared.model_version
     }
 
-    /// `true` when tree models score through the quantized engine.
-    pub fn quantize(&self) -> bool {
-        self.shared.quantize
-    }
-
     /// Widest per-feature bin count across the served model's quantized
     /// mirrors (`None` for non-tree models).
     pub fn quant_bins(&self) -> Option<usize> {
@@ -1038,14 +1031,11 @@ impl Connection {
         };
         if trimmed == proto::STATS_COMMAND {
             let snapshot = self.shared.stats();
-            let engine = proto::EngineInfo {
-                quantize: self.shared.quantize,
-                quant_bins: self.shared.quant_bins,
-            };
+            let bins = self.shared.quant_bins;
             let mut out = String::new();
             match self.proto {
-                Protocol::V1 => proto::render_stats_v1(&mut out, &snapshot, engine),
-                Protocol::V2 => proto::render_stats_v2(&mut out, &snapshot, engine),
+                Protocol::V1 => proto::render_stats_v1(&mut out, &snapshot, bins),
+                Protocol::V2 => proto::render_stats_v2(&mut out, &snapshot, bins),
             }
             self.shared
                 .router

@@ -8,11 +8,13 @@
 //! and on property-generated adversarial bytecodes, and check that every
 //! way a snapshot can go bad surfaces as the right typed error.
 
-#![allow(deprecated)] // the legacy ScoringEngine contract stays covered until removal
+#![allow(deprecated)] // `all_hscs` builds the seven HSCs until it is removed
 
 use phishinghook::data::{Corpus, CorpusConfig};
 use phishinghook::models::hsc::SNAPSHOT_KIND;
-use phishinghook::models::{all_hscs, Detector, DetectorRegistry, EnsembleDetector, ScoringEngine};
+use phishinghook::models::{
+    all_hscs, AnyDetector, Detector, DetectorRegistry, EnsembleDetector, Scanner,
+};
 use phishinghook::persist::{open_envelope, PersistError};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -20,8 +22,8 @@ use std::sync::OnceLock;
 struct Fixture {
     /// Held-out bytecodes none of the detectors saw at fit time.
     probes: Vec<Vec<u8>>,
-    /// `(name, in-memory engine, snapshot-restored engine)` per HSC.
-    pairs: Vec<(String, ScoringEngine, ScoringEngine)>,
+    /// `(name, in-memory scanner, snapshot-restored scanner)` per HSC.
+    pairs: Vec<(String, Scanner, Scanner)>,
     /// One raw snapshot (the Random Forest's) for envelope-level tests.
     snapshot: Vec<u8>,
 }
@@ -53,9 +55,9 @@ fn fixture() -> &'static Fixture {
                 if name == "Random Forest" {
                     snapshot = bytes.clone();
                 }
-                let restored = ScoringEngine::from_snapshot_bytes(&bytes)
+                let restored = Scanner::from_snapshot_bytes(&bytes)
                     .unwrap_or_else(|e| panic!("{name} snapshot failed to restore: {e}"));
-                let original = ScoringEngine::new(det).expect("fitted");
+                let original = Scanner::new(AnyDetector::Hsc(det)).expect("fitted");
                 (name, original, restored)
             })
             .collect();
@@ -98,8 +100,8 @@ fn restored_metadata_matches() {
         assert_eq!(restored.model_name(), *name);
         assert_eq!(restored.n_features(), original.n_features(), "{name}");
         assert_eq!(
-            restored.detector().extractor().unwrap().columns(),
-            original.detector().extractor().unwrap().columns(),
+            restored.model().extractor().unwrap().columns(),
+            original.model().extractor().unwrap().columns(),
             "{name}"
         );
     }
@@ -132,7 +134,7 @@ fn corrupted_snapshot_is_rejected_with_checksum_error() {
     let mut corrupt = fx.snapshot.clone();
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0x10;
-    match ScoringEngine::from_snapshot_bytes(&corrupt).unwrap_err() {
+    match Scanner::from_snapshot_bytes(&corrupt).unwrap_err() {
         PersistError::ChecksumMismatch { stored, computed } => assert_ne!(stored, computed),
         other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
@@ -142,7 +144,7 @@ fn corrupted_snapshot_is_rejected_with_checksum_error() {
 fn truncated_snapshot_is_rejected() {
     let fx = fixture();
     for keep in [0, 7, 11, fx.snapshot.len() / 2, fx.snapshot.len() - 1] {
-        let err = ScoringEngine::from_snapshot_bytes(&fx.snapshot[..keep]).unwrap_err();
+        let err = Scanner::from_snapshot_bytes(&fx.snapshot[..keep]).unwrap_err();
         assert!(
             matches!(err, PersistError::Truncated { .. }),
             "keeping {keep} bytes: expected Truncated, got {err:?}"
@@ -157,7 +159,7 @@ fn version_mismatch_is_rejected() {
     // The format version is the u16 at offset 8 (after the 8-byte magic).
     future[8] = 0xFF;
     future[9] = 0x7F;
-    match ScoringEngine::from_snapshot_bytes(&future).unwrap_err() {
+    match Scanner::from_snapshot_bytes(&future).unwrap_err() {
         PersistError::UnsupportedVersion { found, supported } => {
             assert_eq!(found, 0x7FFF);
             assert_eq!(supported, phishinghook::persist::FORMAT_VERSION);
@@ -169,11 +171,11 @@ fn version_mismatch_is_rejected() {
 #[test]
 fn non_snapshot_bytes_are_rejected_as_bad_magic() {
     assert!(matches!(
-        ScoringEngine::from_snapshot_bytes(b"address,month,label,family,bytecode"),
+        Scanner::from_snapshot_bytes(b"address,month,label,family,bytecode"),
         Err(PersistError::BadMagic)
     ));
     assert!(matches!(
-        ScoringEngine::from_snapshot_bytes(&[]),
+        Scanner::from_snapshot_bytes(&[]),
         Err(PersistError::Truncated { .. })
     ));
 }
@@ -184,8 +186,8 @@ fn non_snapshot_bytes_are_rejected_as_bad_magic() {
 /// for a 3-member soft-vote ensemble, trained once.
 struct EnsembleFixture {
     probes: Vec<Vec<u8>>,
-    original: phishinghook::models::Scanner,
-    restored: phishinghook::models::Scanner,
+    original: Scanner,
+    restored: Scanner,
     snapshot: Vec<u8>,
 }
 
@@ -206,9 +208,8 @@ fn ensemble_fixture() -> &'static EnsembleFixture {
         det.fit(&refs[..60], &labels[..60]);
         let bytes = det.to_snapshot_bytes();
         assert_eq!(bytes, det.to_snapshot_bytes(), "deterministic snapshot");
-        let restored =
-            phishinghook::models::Scanner::from_snapshot_bytes(&bytes).expect("restores");
-        let original = phishinghook::models::Scanner::new(det).expect("fitted");
+        let restored = Scanner::from_snapshot_bytes(&bytes).expect("restores");
+        let original = Scanner::new(det).expect("fitted");
         EnsembleFixture {
             probes: codes[60..].to_vec(),
             original,
@@ -296,8 +297,8 @@ fn ensemble_snapshot_corruption_is_rejected_with_typed_errors() {
         }
         other => panic!("expected WrongKind, got {other:?}"),
     }
-    assert!(phishinghook::models::Scanner::from_snapshot_bytes(hsc_snapshot).is_ok());
-    assert!(phishinghook::models::Scanner::from_snapshot_bytes(snapshot).is_ok());
+    assert!(Scanner::from_snapshot_bytes(hsc_snapshot).is_ok());
+    assert!(Scanner::from_snapshot_bytes(snapshot).is_ok());
 }
 
 // --- Trace-channel snapshots ------------------------------------------------
@@ -307,12 +308,7 @@ fn ensemble_snapshot_corruption_is_rejected_with_typed_errors() {
 /// dynamic channel exists for).
 struct TraceFixture {
     probes: Vec<Vec<u8>>,
-    pairs: Vec<(
-        String,
-        phishinghook::models::Scanner,
-        phishinghook::models::Scanner,
-        Vec<u8>,
-    )>,
+    pairs: Vec<(String, Scanner, Scanner, Vec<u8>)>,
 }
 
 fn trace_fixture() -> &'static TraceFixture {
@@ -336,9 +332,9 @@ fn trace_fixture() -> &'static TraceFixture {
                 det.fit(&refs[..50], &labels[..50]);
                 let bytes = det.to_snapshot_bytes();
                 assert_eq!(bytes, det.to_snapshot_bytes(), "{spec}: deterministic");
-                let restored = phishinghook::models::Scanner::from_snapshot_bytes(&bytes)
+                let restored = Scanner::from_snapshot_bytes(&bytes)
                     .unwrap_or_else(|e| panic!("{spec} snapshot failed to restore: {e}"));
-                let original = phishinghook::models::Scanner::new(det).expect("fitted");
+                let original = Scanner::new(det).expect("fitted");
                 (spec.to_owned(), original, restored, bytes)
             })
             .collect();
@@ -394,15 +390,14 @@ fn trace_snapshot_corruption_is_rejected_with_typed_errors() {
         corrupt[at] ^= 0x20;
         assert!(
             matches!(
-                phishinghook::models::Scanner::from_snapshot_bytes(&corrupt),
+                Scanner::from_snapshot_bytes(&corrupt),
                 Err(PersistError::ChecksumMismatch { .. })
             ),
             "{spec}"
         );
         // Truncation anywhere, including inside the trailing trace fields.
         for keep in [snapshot.len() / 2, snapshot.len() - 4] {
-            let err =
-                phishinghook::models::Scanner::from_snapshot_bytes(&snapshot[..keep]).unwrap_err();
+            let err = Scanner::from_snapshot_bytes(&snapshot[..keep]).unwrap_err();
             assert!(
                 matches!(err, PersistError::Truncated { .. }),
                 "{spec} keeping {keep}: {err:?}"
