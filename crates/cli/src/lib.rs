@@ -6,7 +6,7 @@
 //! serving machinery (scheduler, verdict cache, wire protocols, firehose
 //! driver) lives in [`phishinghook_serve`].
 
-use phishinghook_core::cv::stratified_kfold;
+use phishinghook_core::cv::{check_folds, stratified_kfold};
 use phishinghook_core::metrics::BinaryMetrics;
 use phishinghook_data::csv::{from_csv, to_csv};
 use phishinghook_data::{
@@ -20,6 +20,7 @@ use phishinghook_models::{
 use phishinghook_persist::PersistError;
 use phishinghook_serve::{ConfigError, FaultConfig, Protocol, ServeConfig, WatchOptions};
 use std::fmt;
+use std::str::FromStr;
 
 /// CLI failure modes.
 #[derive(Debug)]
@@ -32,6 +33,8 @@ pub enum CliError {
     Io(std::io::Error),
     /// Dataset CSV parse problems.
     Csv(phishinghook_data::csv::CsvError),
+    /// A dataset file with a header but no contract rows (names the file).
+    EmptyDataset(String),
     /// Model snapshot problems (corrupt, truncated, wrong version/kind, …).
     Snapshot(PersistError),
     /// Malformed detector spec passed to `--model`.
@@ -45,6 +48,7 @@ impl fmt::Display for CliError {
             CliError::BadHex(s) => write!(f, "not valid hex bytecode: `{s}`"),
             CliError::Io(e) => write!(f, "{e}"),
             CliError::Csv(e) => write!(f, "{e}"),
+            CliError::EmptyDataset(path) => write!(f, "dataset `{path}` has no contract rows"),
             CliError::Snapshot(e) => write!(f, "{e}"),
             CliError::Spec(e) => write!(f, "{e}"),
         }
@@ -207,10 +211,9 @@ fn generate(args: &[String]) -> Result<String, CliError> {
     let n: usize = n
         .parse()
         .map_err(|_| CliError::Usage(format!("`{n}` is not a sample count\n\n{USAGE}")))?;
-    let seed: u64 = positional
+    let seed = positional
         .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC0FFEE);
+        .map_or(Ok(0xC0FFEE), |s| numeric(s, "seed"))?;
     let corpus = Corpus::generate(&CorpusConfig {
         n_contracts: n,
         seed,
@@ -232,19 +235,30 @@ fn generate(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
+/// Reads a labeled dataset CSV; one with no contract rows is refused,
+/// since nothing can be trained or cross-validated on it.
 fn load_dataset(path: &str) -> Result<Vec<ContractRecord>, CliError> {
     let text = std::fs::read_to_string(path)?;
-    Ok(from_csv(&text)?)
+    let records = from_csv(&text)?;
+    if records.is_empty() {
+        return Err(CliError::EmptyDataset(path.to_owned()));
+    }
+    Ok(records)
 }
 
 fn eval(args: &[String]) -> Result<String, CliError> {
     let path = args
         .first()
         .ok_or_else(|| CliError::Usage(USAGE.to_owned()))?;
-    let folds: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(5);
+    let folds = args.get(1).map_or(Ok(5), |v| numeric(v, "fold count"))?;
     let records = load_dataset(path)?;
     let codes: Vec<&[u8]> = records.iter().map(|r| r.bytecode.as_slice()).collect();
     let labels: Vec<usize> = records.iter().map(|r| r.label.as_index()).collect();
+    check_folds(&labels, folds).map_err(|e| {
+        CliError::Usage(format!(
+            "{e}: the fold count must be between 2 and the smallest class size\n\n{USAGE}"
+        ))
+    })?;
     let splits = stratified_kfold(&labels, folds, 7);
 
     let mut out = format!(
@@ -372,12 +386,11 @@ fn train(args: &[String]) -> Result<String, CliError> {
                     .clone();
             }
             "--seed" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| CliError::Usage(USAGE.to_owned()))?;
-                seed = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("`{v}` is not a seed\n\n{USAGE}")))?;
+                seed = numeric(
+                    iter.next()
+                        .ok_or_else(|| CliError::Usage(USAGE.to_owned()))?,
+                    "seed",
+                )?;
             }
             "--save" => {
                 save = Some(
@@ -509,7 +522,7 @@ fn preview(payload: &str) -> &str {
     }
 }
 
-fn numeric(v: &str, name: &str) -> Result<usize, CliError> {
+fn numeric<T: FromStr>(v: &str, name: &str) -> Result<T, CliError> {
     v.parse()
         .map_err(|_| CliError::Usage(format!("`{v}` is not a valid {name}\n\n{USAGE}")))
 }
@@ -542,31 +555,31 @@ fn serve_cmd(args: &[String]) -> Result<String, CliError> {
             "--max-conns" => builder = builder.max_conns(numeric(value()?, "connection limit")?),
             "--accept" => builder = builder.accept(numeric(value()?, "accept count")?),
             "--deadline-ms" => {
-                builder = builder.deadline_ms(numeric(value()?, "deadline")? as u64);
+                builder = builder.deadline_ms(numeric(value()?, "deadline")?);
             }
-            "--drain-ms" => builder = builder.drain_ms(numeric(value()?, "drain budget")? as u64),
+            "--drain-ms" => builder = builder.drain_ms(numeric(value()?, "drain budget")?),
             "--cache-first-pct" => {
-                builder = builder.cache_first_pct(numeric(value()?, "brownout percentage")? as u32);
+                builder = builder.cache_first_pct(numeric(value()?, "brownout percentage")?);
             }
             "--cache-only-pct" => {
-                builder = builder.cache_only_pct(numeric(value()?, "brownout percentage")? as u32);
+                builder = builder.cache_only_pct(numeric(value()?, "brownout percentage")?);
             }
             "--retry-attempts" => {
                 builder = builder.retry(RetryPolicy {
-                    max_attempts: numeric(value()?, "retry attempt count")? as u32,
+                    max_attempts: numeric(value()?, "retry attempt count")?,
                     ..RetryPolicy::default()
                 });
             }
             "--fault-panic-every" => {
-                fault.worker_panic_every = numeric(value()?, "fault batch interval")? as u64;
+                fault.worker_panic_every = numeric(value()?, "fault batch interval")?;
             }
             "--fault-panic-shard" => {
                 fault.worker_panic_shard = Some(numeric(value()?, "fault shard index")?);
             }
             "--fault-chain-permille" => {
-                fault.chain_fail_permille = numeric(value()?, "fault rate (permille)")? as u32;
+                fault.chain_fail_permille = numeric(value()?, "fault rate (permille)")?;
             }
-            "--fault-seed" => fault.seed = numeric(value()?, "fault seed")? as u64,
+            "--fault-seed" => fault.seed = numeric(value()?, "fault seed")?,
             "--proto" => {
                 let v = value()?;
                 let proto = Protocol::parse(v).ok_or_else(|| {
@@ -652,9 +665,9 @@ fn watch_cmd(args: &[String]) -> Result<String, CliError> {
             "--quick" => {} // applied above, before any overrides
             "--events" => opts.events = numeric(value()?, "event count")?,
             "--templates" => {
-                opts.firehose.templates = numeric(value()?, "template count")?.max(1);
+                opts.firehose.templates = numeric::<usize>(value()?, "template count")?.max(1);
             }
-            "--seed" => opts.firehose.seed = numeric(value()?, "seed")? as u64,
+            "--seed" => opts.firehose.seed = numeric(value()?, "seed")?,
             "--batch" => serve = serve.batch(numeric(value()?, "batch size")?),
             "--workers" => serve = serve.workers(numeric(value()?, "worker count")?),
             "--cache-bytes" => {
@@ -830,6 +843,14 @@ mod tests {
 
         let err = run(&args(&["serve", "--model", "rf", "--deadline-ms", "soon"])).unwrap_err();
         assert!(err.to_string().contains("not a valid deadline"), "{err}");
+
+        // 2^32 + 50 is refused, not truncated to 50.
+        let pct = ["serve", "--model", "rf", "--cache-first-pct", "4294967346"];
+        let err = run(&args(&pct)).unwrap_err();
+        assert!(
+            err.to_string().contains("not a valid brownout percentage"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1128,5 +1149,100 @@ mod tests {
         ]))
         .expect("scans");
         assert_eq!(out.matches('→').count(), 1, "{out}");
+    }
+
+    /// A 40-contract corpus (20 per class) in a per-test temp dir.
+    fn forty_contract_csv(test: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("phishinghook-cli-{test}"));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let csv = dir.join("c.csv");
+        let csv_str = csv.to_str().expect("utf8 path").to_owned();
+        let out = run(&args(&["generate", "40", &csv_str, "3"])).expect("generates");
+        assert!(out.contains("(20 phishing / 20 benign)"), "{out}");
+        csv_str
+    }
+
+    fn usage_message(result: Result<String, CliError>) -> String {
+        match result {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn eval_rejects_fewer_than_two_folds() {
+        let csv = forty_contract_csv("eval-few-folds");
+        for k in ["0", "1"] {
+            let msg = usage_message(run(&args(&["eval", &csv, k])));
+            assert!(
+                msg.starts_with(&format!("k-fold needs k >= 2, got {k}")),
+                "{msg}"
+            );
+            assert!(
+                msg.contains("between 2 and the smallest class size"),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn eval_rejects_more_folds_than_the_smallest_class() {
+        let csv = forty_contract_csv("eval-many-folds");
+        let msg = usage_message(run(&args(&["eval", &csv, "30"])));
+        assert!(
+            msg.starts_with("class with 20 samples cannot fill 30 folds"),
+            "{msg}"
+        );
+        // The largest fold count the classes allow still runs.
+        let out = run(&args(&["eval", &csv, "20"])).expect("evaluates");
+        assert!(
+            out.starts_with("20-fold cross-validation on 40 contracts"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn eval_rejects_a_non_numeric_fold_count() {
+        let csv = forty_contract_csv("eval-fold-text");
+        let msg = usage_message(run(&args(&["eval", &csv, "x"])));
+        assert!(msg.starts_with("`x` is not a valid fold count"), "{msg}");
+    }
+
+    #[test]
+    fn generate_rejects_a_non_numeric_seed() {
+        let dir = std::env::temp_dir().join("phishinghook-cli-generate-seed");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let csv = dir.join("out.csv");
+        let _ = std::fs::remove_file(&csv);
+        let csv_str = csv.to_str().expect("utf8 path");
+        let msg = usage_message(run(&args(&["generate", "10", csv_str, "notaseed"])));
+        assert!(msg.starts_with("`notaseed` is not a valid seed"), "{msg}");
+        assert!(!csv.exists(), "nothing is written for a bad seed");
+    }
+
+    #[test]
+    fn a_header_only_dataset_is_a_typed_error() {
+        let dir = std::env::temp_dir().join("phishinghook-cli-header-only");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let csv = dir.join("empty.csv");
+        std::fs::write(&csv, to_csv(&[])).expect("write");
+        let csv_str = csv.to_str().expect("utf8 path");
+        for invocation in [
+            vec!["train", csv_str],
+            vec!["eval", csv_str],
+            vec!["scan", csv_str, "0x6080604052"],
+            vec!["scan", "--model", "rf", "--train", csv_str, "0x6080604052"],
+            vec!["serve", "--model", "rf", "--train", csv_str],
+            vec!["watch", "--model", "rf", "--train", csv_str, "--quick"],
+        ] {
+            match run(&args(&invocation)) {
+                Err(err @ CliError::EmptyDataset(_)) => assert_eq!(
+                    err.to_string(),
+                    format!("dataset `{csv_str}` has no contract rows"),
+                    "{invocation:?}"
+                ),
+                other => panic!("{invocation:?}: expected EmptyDataset, got {other:?}"),
+            }
+        }
     }
 }

@@ -2,6 +2,7 @@
 //! evaluation protocol).
 
 use phishinghook_ml::SplitMix;
+use std::fmt;
 
 /// One train/test index split.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -12,13 +13,61 @@ pub struct Fold {
     pub test: Vec<usize>,
 }
 
+/// Why `k` stratified folds cannot be cut from a label set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FoldError {
+    /// Fewer than two folds were asked for.
+    TooFew(usize),
+    /// A class has fewer members than there are folds.
+    ClassTooSmall {
+        /// The size of the smallest non-empty class.
+        samples: usize,
+        /// The requested fold count.
+        k: usize,
+    },
+}
+
+impl fmt::Display for FoldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FoldError::TooFew(k) => write!(f, "k-fold needs k >= 2, got {k}"),
+            FoldError::ClassTooSmall { samples, k } => {
+                write!(f, "class with {samples} samples cannot fill {k} folds")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FoldError {}
+
+/// The fold-count rule of [`stratified_kfold`]: `k` must be at least 2 and
+/// at most the size of the smallest non-empty class of `labels`.
+///
+/// # Errors
+/// The [`FoldError`] naming which bound `k` breaks.
+pub fn check_folds(labels: &[usize], k: usize) -> Result<(), FoldError> {
+    if k < 2 {
+        return Err(FoldError::TooFew(k));
+    }
+    let mut sizes = vec![0usize; labels.iter().max().map_or(0, |&y| y + 1)];
+    for &y in labels {
+        sizes[y] += 1;
+    }
+    match sizes.into_iter().filter(|&n| n > 0).min() {
+        Some(samples) if samples < k => Err(FoldError::ClassTooSmall { samples, k }),
+        _ => Ok(()),
+    }
+}
+
 /// Produces `k` stratified folds: each fold's test set preserves the class
 /// balance of `labels`.
 ///
 /// # Panics
-/// Panics when `k < 2` or `k` exceeds the size of the smallest class.
+/// Panics when [`check_folds`] refuses `k`.
 pub fn stratified_kfold(labels: &[usize], k: usize, seed: u64) -> Vec<Fold> {
-    assert!(k >= 2, "k-fold needs k >= 2");
+    if let Err(e) = check_folds(labels, k) {
+        panic!("{e}");
+    }
     let mut rng = SplitMix::new(seed);
     // Shuffle within each class, then deal class members round-robin.
     let mut per_class: Vec<Vec<usize>> = Vec::new();
@@ -27,13 +76,6 @@ pub fn stratified_kfold(labels: &[usize], k: usize, seed: u64) -> Vec<Fold> {
             per_class.resize_with(y + 1, Vec::new);
         }
         per_class[y].push(i);
-    }
-    for class in &per_class {
-        assert!(
-            class.is_empty() || class.len() >= k,
-            "class with {} samples cannot fill {k} folds",
-            class.len()
-        );
     }
     let mut fold_of = vec![0usize; labels.len()];
     for class in &mut per_class {
@@ -102,6 +144,25 @@ mod tests {
     fn too_many_folds_panics() {
         let y = vec![0, 0, 0, 1, 1, 1];
         let _ = stratified_kfold(&y, 4, 1);
+    }
+
+    #[test]
+    fn check_folds_names_the_broken_bound() {
+        let y = vec![0, 0, 0, 0, 1, 1, 1];
+        assert_eq!(check_folds(&y, 0), Err(FoldError::TooFew(0)));
+        assert_eq!(check_folds(&y, 1), Err(FoldError::TooFew(1)));
+        assert_eq!(check_folds(&y, 2), Ok(()));
+        assert_eq!(check_folds(&y, 3), Ok(()));
+        assert_eq!(
+            check_folds(&y, 4),
+            Err(FoldError::ClassTooSmall { samples: 3, k: 4 })
+        );
+        assert_eq!(
+            FoldError::ClassTooSmall { samples: 3, k: 4 }.to_string(),
+            "class with 3 samples cannot fill 4 folds"
+        );
+        // Classes absent from the labels do not count.
+        assert_eq!(check_folds(&[0, 0, 2, 2], 2), Ok(()));
     }
 
     #[test]

@@ -600,47 +600,20 @@ impl HscDetector {
     }
 }
 
-/// All seven HSC detectors in the paper's Table II order.
-///
-/// Kept for compatibility; new code should build from specs:
-/// `DetectorRegistry::global().hsc_specs()` produces the same seven
-/// detectors (bit-identically, given the same seed).
-#[deprecated(
-    since = "0.1.0",
-    note = "build from specs via `DetectorRegistry::global()` — \
-            `hsc_specs()` reproduces this list bit-for-bit"
-)]
-pub fn all_hscs(seed: u64) -> Vec<HscDetector> {
-    let registry = crate::spec::DetectorRegistry::global();
-    registry
-        .hsc_specs()
-        .iter()
-        .map(|spec| match registry.build(spec, seed) {
-            crate::scanner::AnyDetector::Hsc(det) => det,
-            crate::scanner::AnyDetector::Ensemble(_) => unreachable!("hsc_specs are singles"),
-        })
-        .collect()
-}
-
-/// Test helper shared across this crate's test modules: all seven HSCs via
-/// the registry (the non-deprecated spelling of the old `all_hscs`).
-#[cfg(test)]
-pub(crate) fn registry_hscs(seed: u64) -> Vec<HscDetector> {
-    let registry = crate::spec::DetectorRegistry::global();
-    registry
-        .hsc_specs()
-        .iter()
-        .map(|spec| match registry.build(spec, seed) {
-            crate::scanner::AnyDetector::Hsc(det) => det,
-            crate::scanner::AnyDetector::Ensemble(_) => unreachable!("hsc_specs are singles"),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{DetectorRegistry, HSC_KINDS};
     use phishinghook_data::{Corpus, CorpusConfig};
+
+    /// The seven HSCs in Table II order, seeded as `hsc_specs()` builds them.
+    fn registry_hscs(seed: u64) -> Vec<HscDetector> {
+        let registry = DetectorRegistry::global();
+        HSC_KINDS
+            .into_iter()
+            .map(|kind| registry.build_hsc(kind, seed ^ kind.seed_offset()))
+            .collect()
+    }
 
     fn tiny_corpus() -> (Vec<Vec<u8>>, Vec<usize>) {
         let corpus = Corpus::generate(&CorpusConfig {

@@ -25,8 +25,6 @@ pub mod vision;
 pub use detector::{Category, Detector, FoldFeatures, HistogramFeatures, TraceFeatures};
 pub use ensemble::EnsembleDetector;
 pub use escort_model::{EscortConfig, EscortDetector};
-#[allow(deprecated)]
-pub use hsc::all_hscs;
 pub use hsc::{HscDetector, HscModel};
 pub use language::{LanguageConfig, ScsGuardDetector, TransformerLm};
 pub use scanner::{AnyDetector, ResolveError, ScanReport, ScanRequest, Scanner, Target, Verdict};
@@ -156,18 +154,6 @@ pub fn all_detectors(preset: Preset, seed: u64) -> Vec<Box<dyn Detector>> {
     out
 }
 
-/// Builds one detector by its Table II name (`None` for unknown names).
-#[deprecated(
-    since = "0.1.0",
-    note = "parse a `DetectorSpec` and build it via `DetectorRegistry::global().build` \
-            (deep models remain reachable through `all_detectors`)"
-)]
-pub fn detector_by_name(name: &str, preset: Preset, seed: u64) -> Option<Box<dyn Detector>> {
-    all_detectors(preset, seed)
-        .into_iter()
-        .find(|d| d.name() == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,8 +198,7 @@ mod tests {
 
     #[test]
     fn lookup_by_name() {
-        // The non-deprecated spelling of the old `detector_by_name`: find a
-        // model in the Table II roster by its display name.
+        // Find a model in the Table II roster by its display name.
         let find = |name: &str| {
             all_detectors(Preset::Fast, 1)
                 .into_iter()
@@ -225,9 +210,8 @@ mod tests {
 
     #[test]
     fn registry_hsc_specs_give_table2_names() {
-        // The registry's hsc_specs() is the canonical source of the seven
-        // HSCs (the deprecated all_hscs is a shim over it); its names must
-        // stay in Table II order.
+        // The registry's hsc_specs() is the one source of the seven HSCs;
+        // its names must stay in Table II order.
         let registry = DetectorRegistry::global();
         let names: Vec<String> = registry
             .hsc_specs()

@@ -7,9 +7,8 @@
 //! [`DetectorRegistry`] turns any spec into a ready-to-fit
 //! [`crate::AnyDetector`]. Everything downstream — the CLI's
 //! `--model` flag, the [`Scanner`](crate::Scanner) facade, the wire
-//! protocol's `model` field — speaks this grammar instead of the previous
-//! scatter of bespoke constructors (`all_hscs`, `detector_by_name`,
-//! per-family `HscDetector::…` calls).
+//! protocol's `model` field — speaks this grammar instead of per-family
+//! `HscDetector::…` calls.
 //!
 //! # Grammar
 //!
@@ -112,8 +111,8 @@ impl HscKind {
     }
 
     /// Seed decorrelation offset, XORed into a shared base seed when one
-    /// seed drives several members (matches the historical `all_hscs`
-    /// assignment, so registry-built detectors reproduce it bit-for-bit).
+    /// seed drives several members, so the seven HSCs built from one seed
+    /// never share a random stream.
     pub fn seed_offset(self) -> u64 {
         match self {
             HscKind::RandomForest => 0,
@@ -607,9 +606,9 @@ pub struct FamilyInfo {
 /// The registry is the single construction path for every deployable
 /// detector: the CLI, the [`Scanner`](crate::Scanner), the benchmarks and
 /// the evaluation pipeline all go through [`DetectorRegistry::build`]
-/// (directly or via a spec string), replacing the former `all_hscs` /
-/// `detector_by_name` scatter. Building is deterministic: the same spec and
-/// default seed always produce an identically-initialized detector.
+/// (directly or via a spec string). Building is deterministic: the same
+/// spec and default seed always produce an identically-initialized
+/// detector.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DetectorRegistry;
 
@@ -634,9 +633,10 @@ impl DetectorRegistry {
             .collect()
     }
 
-    /// The seven single-HSC specs in Table II order (no explicit seeds, so
-    /// building with default seed `s` reproduces the historical
-    /// `all_hscs(s)` bit-for-bit).
+    /// The seven single-HSC specs in Table II order, with no explicit
+    /// seeds: building one with default seed `s` seeds it with
+    /// `s ^ kind.seed_offset()`, the same detector as
+    /// [`DetectorRegistry::build_hsc`]`(kind, s ^ kind.seed_offset())`.
     pub fn hsc_specs(&self) -> Vec<DetectorSpec> {
         HSC_KINDS
             .into_iter()

@@ -1,16 +1,18 @@
 //! The typed serving configuration: one validated [`ServeConfig`] feeds
 //! every front-end (stdin, TCP JSONL, HTTP).
 //!
-//! The old surface grew a knob at a time — [`SchedulerOptions`] here, a
-//! `TcpLimits` there, a protocol flag on the side — and every caller
-//! (CLI, bench, watch, tests) assembled them by hand with its own
-//! defaults. [`ServeConfig`] centralises that: construct through
+//! A [`ServeConfig`] bundles the three pieces a serving process needs —
+//! [`SchedulerOptions`], the wire [`Protocol`] and the listeners with
+//! their [`TcpLimits`] — behind one validated shape: construct through
 //! [`ServeConfig::builder`], which validates sizes (`batch`, `workers`,
 //! `queue_depth` must be ≥ 1) and cross-field coherence (`max_conns` /
 //! `accept` without a listener is a configuration bug, not a silent
 //! no-op), and hand the result to [`run`](crate::serve::run). The CLI is
 //! a thin parser over this builder; embedding callers skip the strings
-//! entirely.
+//! entirely. A caller that builds its own [`Scheduler`](crate::Scheduler)
+//! and binds its own sockets passes the same pieces to the transports
+//! directly: [`serve_lines`](crate::serve_lines),
+//! [`serve_tcp`](crate::serve_tcp) and [`serve_http`](crate::serve_http).
 //!
 //! ```
 //! use phishinghook_serve::{Protocol, ServeConfig};

@@ -14,12 +14,12 @@
 //! | [`metrics`] | Lock-free counters + latency histograms, consistent snapshots, Prometheus text |
 //! | [`scheduler`] | Sharded micro-batching scheduler + ordered response routing |
 //! | [`affinity`] | Best-effort core pinning for shard workers (Linux; no-op elsewhere) |
-//! | [`proto`] | Wire framings v1/v2, hardened against adversarial input |
+//! | [`proto`] | Wire framings v1/v2 and the capped line framer, hardened against adversarial input |
 //! | [`http`] | std-only HTTP/1.1 parsing and response writing |
 //! | [`router`] | The HTTP gateway: `/predict`, `/healthz`, `/metrics` over the scheduler |
 //! | [`config`] | The typed [`ServeConfig`] builder — one config for every front-end |
-//! | [`serve`] | stdin/TCP/HTTP session loops, overload shedding, graceful drain |
-//! | [`nbio`] | Nonblocking-readiness JSONL transport: one thread for all connections |
+//! | [`serve`] | The stdin session loop, [`ServeReport`], and [`run`]: one process from one [`ServeConfig`] |
+//! | [`nbio`] | [`serve_tcp`]: the nonblocking JSONL transport, one thread for all connections |
 //! | [`fault`] | Deterministic fault injection: worker panics, chain faults, slow clients |
 //! | [`watch`] | The chain-watch firehose scenario, end to end |
 //! | [`fixture`] | Shared train-once test fixtures (scanners, probe corpora) |
@@ -64,17 +64,15 @@ pub use cache::{entry_bytes, CacheStats, CachedVerdict, VerdictCache};
 pub use config::{ConfigError, ServeConfig, ServeConfigBuilder};
 pub use fault::{FaultConfig, FaultPlan};
 pub use metrics::{HttpSnapshot, LatencySnapshot, Metrics, MetricsSnapshot};
+pub use nbio::serve_tcp;
 pub use proto::{Protocol, MAX_LINE_BYTES, STATS_COMMAND};
 pub use queue::BoundedQueue;
 pub use router::serve_http;
 pub use scheduler::{
-    shard_of, Admission, ConnReport, Connection, DegradationTier, Lifecycle, PolledResponse,
-    ResponseKind, Responses, Scheduler, SchedulerOptions, SchedulerStats, ShardStats,
-    StatsSnapshot, SubmitOutcome,
+    shard_of, Admission, Connection, DegradationTier, Lifecycle, PolledResponse, ResponseKind,
+    Responses, Scheduler, SchedulerOptions, SchedulerStats, ShardStats, SubmitOutcome,
 };
 pub use serve::{run, serve_lines, ServeReport, TcpLimits};
-#[allow(deprecated)]
-pub use serve::{serve_tcp, ServeOptions};
 pub use watch::{run_watch, WatchOptions, WatchReport};
 
 /// Thin aliases over [`fixture`] for this crate's unit tests (the

@@ -163,7 +163,7 @@ pub struct RobustnessStats {
 /// Everything `/metrics` (and the JSONL `stats` command) reports, captured
 /// by one [`Metrics::snapshot`] call — the single consistent read path for
 /// every serving counter.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Scheduler counters (submitted/scored/errors/overloads/batches/
     /// connections + current queue depth).

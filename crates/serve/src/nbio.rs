@@ -1,17 +1,18 @@
-//! Nonblocking-readiness JSONL transport: one event-loop thread for every
-//! TCP connection.
+//! Nonblocking-readiness JSONL transport: [`serve_tcp`], one event-loop
+//! thread for every TCP connection — the JSONL twin of
+//! [`serve_http`](crate::router::serve_http).
 //!
-//! The thread-per-connection accept loop costs one parked reader thread
-//! per socket — 10k mostly-idle chain watchers would cost 10k threads
-//! before the first request arrives. This module replaces it with a single
-//! loop over `std` nonblocking sockets: the listener and every accepted
-//! stream run with `set_nonblocking(true)`, `poll(2)` (a raw declaration —
-//! std already links libc) reports which sockets turned ready, and the
-//! loop sweeps write → route-responses → read over **only** the ready
-//! connections plus those still awaiting in-process responses (which poll
-//! cannot see). Each iteration is therefore O(ready + awaiting) socket
-//! work, not O(connections), and serving threads are O(shards +
-//! listeners) — both asserted by `tests/idle_conns.rs`.
+//! A parked reader thread per socket would make 10k mostly-idle chain
+//! watchers cost 10k threads before the first request arrives. This
+//! module runs a single loop over `std` nonblocking sockets instead: the
+//! listener and every accepted stream run with `set_nonblocking(true)`,
+//! `poll(2)` (a raw declaration — std already links libc) reports which
+//! sockets turned ready, and the loop sweeps write → route-responses →
+//! read over **only** the ready connections plus those still awaiting
+//! in-process responses (which poll cannot see). Each iteration is
+//! therefore O(ready + awaiting) socket work, not O(connections), and
+//! serving threads are O(shards + listeners) — both asserted by
+//! `tests/idle_conns.rs`.
 //!
 //! Two invariants keep a single-threaded loop safe against the scheduler's
 //! blocking seams:
@@ -25,10 +26,13 @@
 //! * **Writes never buffer without bound.** Response bytes wait in a
 //!   per-connection buffer with a soft cap; past it the loop stops
 //!   draining that connection's responses and stops reading it — the
-//!   scheduler's window then backpressures the socket exactly like the
-//!   threaded transport did.
+//!   scheduler's window then backpressures the socket.
+//!
+//! Request lines are cut by the same `proto::LineFramer` as the stdin
+//! transport, so an oversized or unterminated last line is answered
+//! exactly as it is there.
 
-use crate::proto::{self, Protocol};
+use crate::proto::{self, Framed, LineFramer, Protocol};
 use crate::scheduler::{
     Admission, Connection, PolledResponse, Responses, Scheduler, SubmitOutcome,
 };
@@ -54,11 +58,8 @@ struct Conn {
     peer: std::net::SocketAddr,
     submit: Connection,
     responses: Responses,
-    /// Partial request line (capped at `MAX_LINE_BYTES + 1` bytes).
-    rbuf: Vec<u8>,
-    /// True byte length of the line being accumulated (keeps counting past
-    /// the cap so the oversized rejection reports the real size).
-    line_len: usize,
+    /// Cuts the request bytes into capped lines.
+    framer: LineFramer,
     /// Pending response bytes not yet accepted by the socket.
     wbuf: Vec<u8>,
     /// Consumed prefix of `wbuf` (compacted lazily).
@@ -158,7 +159,13 @@ impl Conn {
                 }
                 Ok(n) => {
                     got += n;
-                    self.ingest(&scratch[..n]);
+                    let submit = |framed: Framed<'_>| {
+                        submit_shed(&mut self.submit, &mut self.inflight, framed)
+                    };
+                    if !self.framer.push(&scratch[..n], submit) {
+                        self.dead = true;
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -169,57 +176,34 @@ impl Conn {
             }
         }
         if self.eof && !self.finished {
-            // Trailing unterminated line: the capped reader semantics
-            // treat EOF as end-of-line when any bytes arrived.
-            if self.line_len > 0 {
-                self.end_line();
-            }
+            // EOF ends a non-empty unterminated last line.
+            let submit =
+                |framed: Framed<'_>| submit_shed(&mut self.submit, &mut self.inflight, framed);
+            self.dead |= !self.framer.finish(submit);
             self.submit.finish();
             self.finished = true;
         }
         got
     }
 
-    /// Splits a chunk into request lines, keeping at most
-    /// `MAX_LINE_BYTES + 1` buffered bytes per line (the `+ 1` proves the
-    /// overflow; the oversized tail is discarded, framing preserved).
-    fn ingest(&mut self, mut chunk: &[u8]) {
-        while let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
-            let (head, tail) = chunk.split_at(pos);
-            self.buffer_line_bytes(head);
-            self.end_line();
-            chunk = &tail[1..];
-        }
-        self.buffer_line_bytes(chunk);
-    }
-
-    fn buffer_line_bytes(&mut self, part: &[u8]) {
-        self.line_len += part.len();
-        let room = (proto::MAX_LINE_BYTES + 1).saturating_sub(self.rbuf.len());
-        self.rbuf.extend_from_slice(&part[..part.len().min(room)]);
-    }
-
-    /// Submits the accumulated line (or rejects it as oversized).
-    fn end_line(&mut self) {
-        let outcome = if self.line_len > proto::MAX_LINE_BYTES {
-            self.submit.reject_oversized(self.line_len)
-        } else {
-            let line = String::from_utf8_lossy(&self.rbuf).into_owned();
-            self.submit.submit(&line, Admission::Shed)
-        };
-        self.rbuf.clear();
-        self.line_len = 0;
-        match outcome {
-            SubmitOutcome::Ignored => {}
-            SubmitOutcome::Disconnected => self.dead = true,
-            _ => self.inflight += 1,
-        }
-    }
-
     /// Finished serving: either torn down, or EOF reached with every
     /// response routed and written.
     fn complete(&self) -> bool {
         self.dead || (self.eof && self.drained && self.pending_write() == 0)
+    }
+}
+
+/// Submits one framed line with shed admission, counting it in flight
+/// when it will produce a response; `false` once the response stream is
+/// gone.
+fn submit_shed(submit: &mut Connection, inflight: &mut usize, framed: Framed<'_>) -> bool {
+    match submit.submit_framed(framed, Admission::Shed) {
+        SubmitOutcome::Ignored => true,
+        SubmitOutcome::Disconnected => false,
+        _ => {
+            *inflight += 1;
+            true
+        }
     }
 }
 
@@ -321,13 +305,28 @@ mod park {
     }
 }
 
-/// The nonblocking JSONL accept-and-serve loop: every connection is
-/// multiplexed onto the calling thread. Semantics match the old
-/// thread-per-connection loop — shed admission per request, `max_conns`
-/// refusals with one typed overload line, per-connection reports on
-/// stderr, aggregate report returned once `accept_total` connections have
-/// been accepted and drained (`None` serves forever).
-pub(crate) fn serve_nonblocking(
+/// Accepts TCP connections on `listener` and serves the JSONL line
+/// protocol on each over the one shared scheduler, multiplexing every
+/// connection onto the calling thread — connections contribute rows to
+/// the same batches and share the same verdict cache. Admission control:
+///
+/// * per request: shed-mode submission (typed overload response when the
+///   scheduler queue is full);
+/// * per connection: `limits.max_conns` concurrent sessions; surplus
+///   accepts receive one overload line and are closed.
+///
+/// `limits.accept_total` bounds how many connections are accepted before
+/// returning the aggregate report — `None` serves forever (the daemon
+/// case). Each connection's report is written to stderr as it closes.
+///
+/// [`run`](crate::serve::run) calls this for a `tcp` listener it binds
+/// itself; call it directly when the caller owns the scheduler and the
+/// socket.
+///
+/// # Errors
+/// Propagates accept errors; per-connection I/O errors tear down that
+/// connection only.
+pub fn serve_tcp(
     listener: &TcpListener,
     scheduler: &Scheduler,
     proto: Protocol,
@@ -398,8 +397,7 @@ pub(crate) fn serve_nonblocking(
                         peer,
                         submit,
                         responses,
-                        rbuf: Vec::new(),
-                        line_len: 0,
+                        framer: LineFramer::default(),
                         wbuf: Vec::new(),
                         wpos: 0,
                         inflight: 0,
@@ -457,7 +455,8 @@ pub(crate) fn serve_nonblocking(
             // Drop the submit/response halves first: dropping `submit`
             // finishes the connection, so the report below is final.
             drop(conn);
-            let report = ServeReport::from_conn(scheduler.take_report(id), secs);
+            let mut report = scheduler.take_report(id);
+            report.secs = secs;
             eprint!("[{peer}] {}", report.render(&model));
             total.absorb(&report);
             progress += 1;
@@ -467,5 +466,173 @@ pub(crate) fn serve_nonblocking(
             return Ok(total);
         }
         last_progress = progress;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheduler::SchedulerOptions;
+    use crate::testutil::{probe_lines, scanner};
+
+    fn spawn_client(addr: std::net::SocketAddr, input: String) -> std::thread::JoinHandle<String> {
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(input.as_bytes()).expect("send requests");
+            stream
+                .shutdown(std::net::Shutdown::Write)
+                .expect("half-close");
+            let mut response = String::new();
+            stream
+                .read_to_string(&mut response)
+                .expect("read responses");
+            response
+        })
+    }
+
+    #[test]
+    fn tcp_connections_share_one_scheduler_and_one_cache() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let addr = listener.local_addr().expect("addr");
+        let (input, codes) = probe_lines(5);
+
+        // Client A scores 5 codes; once its responses are back, client B
+        // sends the same codes plus a stats probe — B's requests must hit
+        // the process-wide cache A populated.
+        let input_b = format!("{input}stats\n");
+        let scheduler = Scheduler::new(scanner(), &SchedulerOptions::default());
+        let server = std::thread::scope(|scope| {
+            let scheduler = &scheduler;
+            let handle = scope.spawn(move || {
+                serve_tcp(
+                    &listener,
+                    scheduler,
+                    Protocol::V2,
+                    TcpLimits {
+                        max_conns: Some(4),
+                        accept_total: Some(2),
+                    },
+                )
+                .expect("serves two conns")
+            });
+            let a = spawn_client(addr, input.clone());
+            let response_a = a.join().expect("client a");
+            assert_eq!(response_a.lines().count(), codes.len());
+            let b = spawn_client(addr, input_b.clone());
+            let response_b = b.join().expect("client b");
+            let lines_b: Vec<&str> = response_b.lines().collect();
+            assert_eq!(lines_b.len(), codes.len() + 1);
+            // A's and B's verdict lines are identical (same ids, same bits).
+            assert_eq!(
+                response_a.lines().collect::<Vec<_>>(),
+                &lines_b[..codes.len()]
+            );
+            let stats_line = lines_b.last().expect("stats");
+            assert!(
+                stats_line.contains(&format!("\"cache\":{{\"hits\":{}", codes.len())),
+                "{stats_line}"
+            );
+            handle.join().expect("server thread")
+        });
+        assert_eq!(server.contracts, 2 * codes.len() as u64);
+        assert_eq!(server.cache_hits, codes.len() as u64);
+        let stats = scheduler.shutdown();
+        assert_eq!(stats.scheduler.connections, 2);
+        assert_eq!(stats.scheduler.scored, codes.len() as u64);
+    }
+
+    #[test]
+    fn tcp_connection_limit_answers_typed_overload() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let addr = listener.local_addr().expect("addr");
+        let scheduler = Scheduler::new(scanner(), &SchedulerOptions::default());
+        let report = std::thread::scope(|scope| {
+            let scheduler = &scheduler;
+            let server = scope.spawn(move || {
+                serve_tcp(
+                    &listener,
+                    scheduler,
+                    Protocol::V2,
+                    TcpLimits {
+                        // No concurrent sessions allowed at all: every
+                        // accept is refused with the typed overload line —
+                        // deterministic, no timing involved.
+                        max_conns: Some(0),
+                        accept_total: Some(2),
+                    },
+                )
+                .expect("serves")
+            });
+            for _ in 0..2 {
+                let client = spawn_client(addr, String::new());
+                let response = client.join().expect("client");
+                assert_eq!(response.lines().count(), 1, "{response}");
+                assert!(response.contains("\"code\":\"overloaded\""), "{response}");
+            }
+            server.join().expect("server thread")
+        });
+        assert_eq!(report.overloads, 2);
+        assert_eq!(report.contracts, 0);
+    }
+
+    #[test]
+    fn tcp_oversized_line_is_typed_and_framing_survives() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let addr = listener.local_addr().expect("addr");
+        let (input, codes) = probe_lines(2);
+        let mut lines = input.lines();
+        let (first, second) = (lines.next().expect("probe"), lines.next().expect("probe"));
+        let scheduler = Scheduler::new(scanner(), &SchedulerOptions::default());
+        let (response, report) = std::thread::scope(|scope| {
+            let scheduler = &scheduler;
+            let server = scope.spawn(move || {
+                serve_tcp(
+                    &listener,
+                    scheduler,
+                    Protocol::V2,
+                    TcpLimits {
+                        max_conns: None,
+                        accept_total: Some(1),
+                    },
+                )
+                .expect("serves")
+            });
+            // The oversized line arrives over several writes, then a valid
+            // line, then a valid line with no trailing newline.
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let piece = vec![b'6'; proto::MAX_LINE_BYTES / 2 + 1];
+            for _ in 0..3 {
+                stream.write_all(&piece).expect("send oversized piece");
+            }
+            stream
+                .write_all(format!("\n{first}\n{second}").as_bytes())
+                .expect("send valid lines");
+            stream
+                .shutdown(std::net::Shutdown::Write)
+                .expect("half-close");
+            let mut response = String::new();
+            stream
+                .read_to_string(&mut response)
+                .expect("read responses");
+            (response, server.join().expect("server thread"))
+        });
+        let lines: Vec<&str> = response.lines().collect();
+        assert_eq!(lines.len(), 3, "{response}");
+        let oversized = 3 * (proto::MAX_LINE_BYTES / 2 + 1);
+        assert_eq!(
+            lines[0],
+            format!(
+                "{{\"proto\":2,\"id\":\"0\",\"error\":\"{}\"}}",
+                proto::oversized_line_message(oversized)
+            )
+        );
+        for (i, line) in lines[1..].iter().enumerate() {
+            assert!(
+                line.starts_with(&format!("{{\"proto\":2,\"id\":\"{}\",\"verdict\":", i + 1)),
+                "{line}"
+            );
+        }
+        assert_eq!(report.errors, 1);
+        assert_eq!(report.contracts, codes.len() as u64);
     }
 }

@@ -58,7 +58,8 @@
 //! Decoding adversarial input never panics and never disconnects:
 //!
 //! * request lines longer than [`MAX_LINE_BYTES`] are refused with a typed
-//!   error before any parsing;
+//!   error before any parsing — on the stdin and TCP transports already
+//!   while reading, by the one capped line framer both of them share;
 //! * malformed JSON, nested values, unknown fields and unknown `proto`
 //!   versions all produce descriptive per-line error responses;
 //! * blank lines are ignored (no response, no sequence number);
@@ -67,7 +68,7 @@
 //!   the documented convenience form.
 
 use crate::cache::CacheStats;
-use crate::scheduler::StatsSnapshot;
+use crate::metrics::MetricsSnapshot;
 use phishinghook_models::Verdict;
 use std::fmt::Write as _;
 
@@ -108,13 +109,82 @@ impl Protocol {
 /// The typed error message to send back on the matching response line.
 pub fn check_line_len(line: &str) -> Result<(), String> {
     if line.len() > MAX_LINE_BYTES {
-        return Err(format!(
-            "request line of {} bytes exceeds the {} byte limit",
-            line.len(),
-            MAX_LINE_BYTES
-        ));
+        return Err(oversized_line_message(line.len()));
     }
     Ok(())
+}
+
+/// The typed error for a request line of `line_bytes` bytes, past
+/// [`MAX_LINE_BYTES`].
+pub(crate) fn oversized_line_message(line_bytes: usize) -> String {
+    format!("request line of {line_bytes} bytes exceeds the {MAX_LINE_BYTES} byte limit")
+}
+
+/// One request line cut by a [`LineFramer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Framed<'a> {
+    /// A line of at most [`MAX_LINE_BYTES`] bytes, without its newline.
+    Line(&'a [u8]),
+    /// A longer line, by its true byte length; its bytes were discarded.
+    Oversized(usize),
+}
+
+/// Cuts a request byte stream into lines under the [`MAX_LINE_BYTES`] cap,
+/// for the stdin and TCP transports alike: it buffers at most
+/// `MAX_LINE_BYTES` bytes of a line, discards an oversized line's bytes up
+/// to the next newline while still counting them, and lets EOF
+/// ([`LineFramer::finish`]) end a non-empty last line.
+#[derive(Debug, Default)]
+pub(crate) struct LineFramer {
+    /// The current line's bytes, while it still fits the cap.
+    buf: Vec<u8>,
+    /// The current line's true length, counted past the cap.
+    len: usize,
+}
+
+impl LineFramer {
+    /// Feeds the next bytes of the stream, handing each line they complete
+    /// to `emit` in order. Stops at the first `false` from `emit` (the
+    /// consumer is gone) and returns `false`, dropping the rest of `chunk`.
+    pub(crate) fn push(
+        &mut self,
+        mut chunk: &[u8],
+        mut emit: impl FnMut(Framed<'_>) -> bool,
+    ) -> bool {
+        while let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
+            let (line, rest) = chunk.split_at(pos);
+            chunk = &rest[1..];
+            if !self.end_line(line, &mut emit) {
+                return false;
+            }
+        }
+        self.len += chunk.len();
+        let room = MAX_LINE_BYTES.saturating_sub(self.buf.len());
+        self.buf.extend_from_slice(&chunk[..chunk.len().min(room)]);
+        true
+    }
+
+    /// Ends the stream: a non-empty unterminated last line still counts.
+    /// Returns what `emit` returned, or `true` when there was no such line.
+    pub(crate) fn finish(&mut self, mut emit: impl FnMut(Framed<'_>) -> bool) -> bool {
+        self.len == 0 || self.end_line(&[], &mut emit)
+    }
+
+    /// Emits the current line, completed by `tail`, and starts a new one.
+    fn end_line(&mut self, tail: &[u8], emit: &mut impl FnMut(Framed<'_>) -> bool) -> bool {
+        let len = self.len + tail.len();
+        let more = if len > MAX_LINE_BYTES {
+            emit(Framed::Oversized(len))
+        } else if self.buf.is_empty() {
+            emit(Framed::Line(tail))
+        } else {
+            self.buf.extend_from_slice(tail);
+            emit(Framed::Line(&self.buf))
+        };
+        self.buf.clear();
+        self.len = 0;
+        more
+    }
 }
 
 /// The still-hex payload of one decoded request line: what the client sent
@@ -347,7 +417,7 @@ pub fn render_internal_v1(out: &mut String) {
 /// `quant_bins` is the widest per-feature bin count of the served model's
 /// quantized mirrors, reported under `engine` (`null` when every model
 /// scores through its arena or is not a tree model).
-pub fn render_stats_v2(out: &mut String, stats: &StatsSnapshot, quant_bins: Option<usize>) {
+pub fn render_stats_v2(out: &mut String, stats: &MetricsSnapshot, quant_bins: Option<usize>) {
     let s = &stats.scheduler;
     let _ = write!(
         out,
@@ -380,7 +450,7 @@ fn render_cache_stats_json(out: &mut String, c: &CacheStats) {
 /// Renders the v1 `stats` command response: one `stats\tkey=value\t…` line.
 /// The engine field (`quant_bins`, 0 for the arena) rides at the end so
 /// older clients that read a fixed prefix keep parsing.
-pub fn render_stats_v1(out: &mut String, stats: &StatsSnapshot, quant_bins: Option<usize>) {
+pub fn render_stats_v1(out: &mut String, stats: &MetricsSnapshot, quant_bins: Option<usize>) {
     let s = &stats.scheduler;
     let c = stats.cache.unwrap_or_default();
     let _ = write!(
@@ -657,6 +727,62 @@ mod tests {
         assert!(err.contains("byte limit"), "{err}");
         assert!(check_line_len(&line).is_err());
         assert!(check_line_len(&"6".repeat(MAX_LINE_BYTES)).is_ok());
+        assert_eq!(err, oversized_line_message(MAX_LINE_BYTES + 2));
+    }
+
+    /// Frames `input` fed in `chunk`-byte pieces: `Ok(line)` per line,
+    /// `Err(true length)` per oversized line.
+    fn frame_in_chunks(input: &[u8], chunk: usize) -> Vec<Result<Vec<u8>, usize>> {
+        let mut framer = LineFramer::default();
+        let mut out = Vec::new();
+        let mut collect = |framed: Framed<'_>| {
+            out.push(match framed {
+                Framed::Line(line) => Ok(line.to_vec()),
+                Framed::Oversized(len) => Err(len),
+            });
+            true
+        };
+        for piece in input.chunks(chunk) {
+            assert!(framer.push(piece, &mut collect));
+        }
+        assert!(framer.finish(&mut collect));
+        out
+    }
+
+    #[test]
+    fn line_framer_output_does_not_depend_on_chunking() {
+        let exact = vec![b'6'; MAX_LINE_BYTES];
+        let one_over = vec![b'0'; MAX_LINE_BYTES + 1];
+        let multi_mib = vec![b'f'; 3 * MAX_LINE_BYTES + 5];
+        let mut input = b"\n".to_vec();
+        for line in [&exact, &one_over, &multi_mib] {
+            input.extend_from_slice(line);
+            input.push(b'\n');
+        }
+        input.extend_from_slice(b"6080604052");
+        let expected = vec![
+            Ok(Vec::new()),
+            Ok(exact),
+            Err(MAX_LINE_BYTES + 1),
+            Err(3 * MAX_LINE_BYTES + 5),
+            Ok(b"6080604052".to_vec()),
+        ];
+        for chunk in [input.len(), 1, 7, 4096] {
+            assert!(
+                frame_in_chunks(&input, chunk) == expected,
+                "chunks of {chunk} bytes"
+            );
+        }
+
+        // The first `false` from `emit` stops the push mid-chunk.
+        let mut framer = LineFramer::default();
+        let mut seen = 0;
+        let more = framer.push(b"a\nb\nc\n", |_| {
+            seen += 1;
+            seen < 2
+        });
+        assert!(!more);
+        assert_eq!(seen, 2);
     }
 
     #[test]
@@ -762,7 +888,7 @@ mod tests {
 
     #[test]
     fn stats_rendering_covers_both_framings() {
-        let snapshot = StatsSnapshot {
+        let snapshot = MetricsSnapshot {
             scheduler: SchedulerStats {
                 submitted: 10,
                 scored: 8,
@@ -781,6 +907,7 @@ mod tests {
                 bytes: 680,
                 capacity_bytes: 1024,
             }),
+            ..MetricsSnapshot::default()
         };
         let mut v2 = String::new();
         render_stats_v2(&mut v2, &snapshot, Some(256));
@@ -800,7 +927,7 @@ mod tests {
 
         // Cache disabled: v2 renders null, v1 renders zeros. A model with
         // no quantized mirror reports null/0 bins.
-        let disabled = StatsSnapshot {
+        let disabled = MetricsSnapshot {
             cache: None,
             ..snapshot
         };

@@ -77,7 +77,7 @@ fn error_body(detail: &str) -> String {
 }
 
 /// Serves the HTTP gateway on `listener` against the shared scheduler.
-/// Admission mirrors [`serve_tcp`](crate::serve::serve_tcp): shed-mode
+/// Admission mirrors [`serve_tcp`](crate::nbio::serve_tcp): shed-mode
 /// per request (`503` + `Retry-After`), `limits.max_conns` concurrent
 /// connections (surplus accepts answer `503` and close), and
 /// `limits.accept_total` bounds the accepted connections before the
@@ -259,12 +259,13 @@ fn http_session(scheduler: &Scheduler, stream: &TcpStream) -> io::Result<ServeRe
         )
     });
 
-    let report = scheduler.take_report(conn_id);
+    let mut report = scheduler.take_report(conn_id);
     writer_result?;
     if let Some(e) = read_error {
         return Err(e);
     }
-    Ok(ServeReport::from_conn(report, t0.elapsed().as_secs_f64()))
+    report.secs = t0.elapsed().as_secs_f64();
+    Ok(report)
 }
 
 /// Routes one parsed request: exactly one body is routed through the

@@ -78,7 +78,8 @@
 use crate::cache::{CacheStats, CachedVerdict, VerdictCache};
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::proto::{self, Protocol};
+use crate::proto::{self, Framed, Protocol};
+use crate::serve::ServeReport;
 use phishinghook_data::{Address, CodeSource, RetryPolicy, SharedChain};
 use phishinghook_evm::keccak::Digest;
 use phishinghook_models::{ResolveError, Scanner, Target};
@@ -235,33 +236,6 @@ pub struct SchedulerStats {
     pub queue_depth: u64,
 }
 
-/// Everything the `stats` wire command reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StatsSnapshot {
-    /// Scheduler counters.
-    pub scheduler: SchedulerStats,
-    /// Cache counters (`None` when the cache is disabled).
-    pub cache: Option<CacheStats>,
-}
-
-/// Per-connection tallies, returned by [`Scheduler::take_report`] once a
-/// connection's responses have all been written.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ConnReport {
-    /// Scored requests (cold and cached).
-    pub contracts: u64,
-    /// Malformed lines answered with an error response.
-    pub errors: u64,
-    /// Requests shed with an overload response.
-    pub overloads: u64,
-    /// Requests answered from the verdict cache.
-    pub cache_hits: u64,
-    /// Requests that missed the cache (or ran with the cache disabled).
-    pub cache_misses: u64,
-    /// Total bytecode bytes scored.
-    pub bytes: u64,
-}
-
 /// One queued scoring job.
 struct Job {
     conn: u64,
@@ -323,7 +297,8 @@ struct ConnState {
     submitted_seqs: u64,
     pending: BTreeMap<u64, (String, ResponseKind)>,
     eof: bool,
-    report: ConnReport,
+    /// Tallied as responses route; `secs` is left to the transport.
+    report: ServeReport,
 }
 
 /// Per-connection flow-control window: counts responses allocated but not
@@ -674,14 +649,6 @@ impl Shared {
                 .expect("drain lock")
                 .is_some_and(|deadline| Instant::now() >= deadline)
     }
-
-    fn stats(&self) -> StatsSnapshot {
-        let snap = self.metrics_snapshot();
-        StatsSnapshot {
-            scheduler: snap.scheduler,
-            cache: snap.cache,
-        }
-    }
 }
 
 /// The shared serving core: one scheduler per process, many connections.
@@ -695,7 +662,7 @@ impl std::fmt::Debug for Scheduler {
         f.debug_struct("Scheduler")
             .field("model", &self.shared.model_name)
             .field("workers", &self.workers.len())
-            .field("stats", &self.shared.stats())
+            .field("metrics", &self.shared.metrics_snapshot())
             .finish()
     }
 }
@@ -810,7 +777,7 @@ impl Scheduler {
                     submitted_seqs: 0,
                     pending: BTreeMap::new(),
                     eof: false,
-                    report: ConnReport::default(),
+                    report: ServeReport::default(),
                 },
             );
         (
@@ -826,9 +793,10 @@ impl Scheduler {
         )
     }
 
-    /// Removes a finished connection's state and returns its tallies. Call
-    /// after the writer has drained (the response channel closed).
-    pub fn take_report(&self, conn_id: u64) -> ConnReport {
+    /// Removes a finished connection's state and returns its tallies, with
+    /// `secs` left at zero for the transport to fill in. Call after the
+    /// writer has drained (the response channel closed).
+    pub fn take_report(&self, conn_id: u64) -> ServeReport {
         self.shared
             .router
             .conns
@@ -839,14 +807,10 @@ impl Scheduler {
             .unwrap_or_default()
     }
 
-    /// Counter snapshot (what the `stats` wire command reports).
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats()
-    }
-
-    /// The full metrics snapshot (what `/metrics` exports): scheduler and
-    /// cache counters plus HTTP tallies and the latency histogram, all
-    /// captured through one consistent read path.
+    /// The full metrics snapshot (what `/metrics` exports and the `stats`
+    /// wire command renders): scheduler and cache counters plus HTTP
+    /// tallies and the latency histogram, all captured through one
+    /// consistent read path.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.shared.metrics_snapshot()
     }
@@ -934,9 +898,9 @@ impl Scheduler {
     /// the workers drain and score every already-admitted job, joins them,
     /// and returns the final counters. In-flight requests are never
     /// dropped — their responses are routed before the workers exit.
-    pub fn shutdown(mut self) -> StatsSnapshot {
+    pub fn shutdown(mut self) -> MetricsSnapshot {
         self.shutdown_in_place();
-        self.shared.stats()
+        self.shared.metrics_snapshot()
     }
 
     fn shutdown_in_place(&mut self) {
@@ -1030,7 +994,7 @@ impl Connection {
             return SubmitOutcome::Disconnected;
         };
         if trimmed == proto::STATS_COMMAND {
-            let snapshot = self.shared.stats();
+            let snapshot = self.shared.metrics_snapshot();
             let bins = self.shared.quant_bins;
             let mut out = String::new();
             match self.proto {
@@ -1075,20 +1039,25 @@ impl Connection {
         }
     }
 
-    /// Submits one already-decoded [`Target`] (the HTTP `/predict` path
-    /// and embedding drivers — no wire framing to parse). Semantics match
-    /// [`Connection::submit`]: cache hits and resolution failures answer
-    /// inline, everything else is admitted under `admission`.
-    pub fn submit_target(
+    /// Submits one line cut by a [`LineFramer`](proto::LineFramer): a line
+    /// within the cap goes through [`Connection::submit`] (invalid UTF-8
+    /// replaced, never fatal). An oversized line, which the framer cut off
+    /// while reading, takes a request slot answered with the typed
+    /// byte-limit error.
+    pub(crate) fn submit_framed(
         &mut self,
-        id: impl Into<String>,
-        target: Target,
+        framed: Framed<'_>,
         admission: Admission,
     ) -> SubmitOutcome {
+        let line_bytes = match framed {
+            Framed::Line(line) => return self.submit(&String::from_utf8_lossy(line), admission),
+            Framed::Oversized(line_bytes) => line_bytes,
+        };
         let Some(seq) = self.allocate_seq() else {
             return SubmitOutcome::Disconnected;
         };
-        self.route_target(seq, id.into(), target, admission)
+        let msg = proto::oversized_line_message(line_bytes);
+        self.route_error(seq, &seq.to_string(), &msg)
     }
 
     /// Routes one already-rendered response body through the connection's
@@ -1277,30 +1246,6 @@ impl Connection {
                 SubmitOutcome::Overloaded
             }
         }
-    }
-
-    /// Answers one request slot with the typed oversized-line error —
-    /// called by the transport layer when a line blew past
-    /// [`proto::MAX_LINE_BYTES`] *during reading* (the tail was discarded,
-    /// so the protocol layer never sees the line at all).
-    pub fn reject_oversized(&mut self, line_bytes: usize) -> SubmitOutcome {
-        let Some(seq) = self.allocate_seq() else {
-            return SubmitOutcome::Disconnected;
-        };
-        let msg = format!(
-            "request line of {line_bytes} bytes exceeds the {} byte limit",
-            proto::MAX_LINE_BYTES
-        );
-        self.shared.metrics.inc_errors();
-        let mut out = String::new();
-        match self.proto {
-            Protocol::V1 => proto::render_error_v1(&mut out, &msg),
-            Protocol::V2 => proto::render_error_v2(&mut out, &seq.to_string(), &msg),
-        }
-        self.shared
-            .router
-            .complete(self.id, seq, out, Settle::Error);
-        SubmitOutcome::Error
     }
 
     /// Marks the request stream as ended. Once every outstanding response
@@ -1620,7 +1565,7 @@ mod tests {
         // cache-hit paths (ids are positional, so lines match exactly).
         assert_eq!(cold_lines, first_pass);
         assert_eq!(cold_lines, second_pass);
-        let stats = cached.stats();
+        let stats = cached.metrics_snapshot();
         assert_eq!(stats.cache.expect("enabled").hits, codes.len() as u64);
 
         // And below the rendering: the cached f64s are the scanner's own
@@ -1796,11 +1741,14 @@ mod tests {
             conn.submit(line, Admission::Block),
             SubmitOutcome::Disconnected
         );
-        assert_eq!(conn.reject_oversized(1 << 30), SubmitOutcome::Disconnected);
+        assert_eq!(
+            conn.submit_framed(Framed::Oversized(1 << 30), Admission::Block),
+            SubmitOutcome::Disconnected
+        );
         // Nothing was routed or counted for the dead connection.
         conn.finish();
         let report = scheduler.take_report(conn.id());
-        assert_eq!(report, ConnReport::default());
+        assert_eq!(report, ServeReport::default());
     }
 
     #[test]
@@ -1871,26 +1819,6 @@ mod tests {
         conn.finish();
         let out: Vec<String> = rx.iter().collect();
         assert!(out[0].contains("no chain source attached"), "{}", out[0]);
-    }
-
-    #[test]
-    fn submit_target_bypasses_wire_framing() {
-        let (_, codes) = probe_lines(1);
-        let scheduler = Scheduler::new(scanner(), &opts());
-        let (mut conn, rx) = scheduler.connect(Protocol::V2);
-        let outcome = conn.submit_target(
-            "direct",
-            Target::Bytecode(codes[0].clone()),
-            Admission::Shed,
-        );
-        assert_eq!(outcome, SubmitOutcome::Queued);
-        conn.finish();
-        let out: Vec<String> = rx.iter().collect();
-        assert!(
-            out[0].starts_with("{\"proto\":2,\"id\":\"direct\","),
-            "{}",
-            out[0]
-        );
     }
 
     #[test]

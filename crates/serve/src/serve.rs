@@ -1,52 +1,43 @@
-//! Serving loops: one request stream (stdin or TCP socket) against the
-//! shared [`Scheduler`].
+//! Serving loops over the shared [`Scheduler`]: the stdin session
+//! ([`serve_lines`]) and [`run`], which serves a whole process from one
+//! validated [`ServeConfig`].
 //!
-//! The old per-connection design (one unbounded thread + private engine
-//! per socket) is gone: every session registers with one process-wide
-//! scheduler, so batches form *across* connections and the keccak-keyed
-//! verdict cache is shared by all of them. A session is two thin threads —
-//! a reader that decodes/submits lines and a writer that drains the
-//! connection's in-order response channel — plus the scheduler doing the
-//! actual work.
+//! Every session registers with one process-wide scheduler, so batches
+//! form *across* connections and the keccak-keyed verdict cache is shared
+//! by all of them. A stdin session is two thin threads — a reader that
+//! frames and submits lines and a writer that drains the connection's
+//! in-order response channel — plus the scheduler doing the actual work.
 //!
 //! Admission differs by transport, deliberately:
 //!
 //! * **stdin** ([`serve_lines`]) submits with [`Admission::Block`]: a bulk
 //!   scoring run (`serve < corpus.hex`) wants lossless backpressure, not
 //!   shed requests.
-//! * **TCP** ([`serve_tcp`]) submits with [`Admission::Shed`]: a saturated
-//!   daemon answers queue-full with a typed overload response
-//!   (`"code":"overloaded"` / `ERR` line) instead of buffering without
-//!   bound, and `max_conns` refuses surplus *connections* the same way.
+//! * **TCP** ([`serve_tcp`](crate::nbio::serve_tcp)) and **HTTP**
+//!   ([`serve_http`](crate::router::serve_http)) submit with
+//!   [`Admission::Shed`]: a saturated daemon answers queue-full with a
+//!   typed overload response (`"code":"overloaded"` / `ERR` line) instead
+//!   of buffering without bound, and `max_conns` refuses surplus
+//!   *connections* the same way.
 //!
-//! Oversized request lines are handled below the protocol layer: the
-//! reader never buffers more than [`MAX_LINE_BYTES`](crate::proto::MAX_LINE_BYTES)
-//! per line — the long tail is discarded to the next newline and the
-//! request answered with a typed error, keeping framing intact.
+//! Oversized request lines are handled below the protocol layer: stdin and
+//! TCP cut lines with the same `proto::LineFramer`, which never buffers
+//! more than [`MAX_LINE_BYTES`](crate::proto::MAX_LINE_BYTES) per line —
+//! the long tail is discarded to the next newline and the request
+//! answered with a typed error, keeping framing intact.
 
 use crate::config::ServeConfig;
-use crate::proto::{self, Protocol};
-use crate::scheduler::{Admission, ConnReport, Scheduler, SchedulerOptions};
+use crate::proto::{Framed, LineFramer, Protocol};
+use crate::scheduler::{Admission, Scheduler, SubmitOutcome};
 use phishinghook_data::SharedChain;
 use phishinghook_models::Scanner;
 use std::io::{self, BufRead, Write};
 use std::net::TcpListener;
 use std::time::Instant;
 
-/// Options of one serving process: scheduler tuning plus wire framing.
-#[deprecated(
-    since = "0.6.0",
-    note = "build a validated ServeConfig via ServeConfig::builder() and pass it to serve::run"
-)]
-#[derive(Debug, Clone, Default)]
-pub struct ServeOptions {
-    /// Shared scheduler tuning (batching, workers, queue, cache).
-    pub scheduler: SchedulerOptions,
-    /// Wire framing (v2 JSONL by default; v1 for legacy clients).
-    pub proto: Protocol,
-}
-
-/// Connection-acceptance limits for [`serve_tcp`].
+/// Connection-acceptance limits for the listener loops
+/// ([`serve_tcp`](crate::nbio::serve_tcp) and
+/// [`serve_http`](crate::router::serve_http)).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TcpLimits {
     /// Maximum *concurrent* connections; surplus accepts are answered with
@@ -57,8 +48,10 @@ pub struct TcpLimits {
     pub accept_total: Option<usize>,
 }
 
-/// Aggregate statistics of one serving session (one stdin run or one TCP
-/// connection), or of a whole bounded TCP run.
+/// The tallies of one connection (one stdin run, TCP connection or HTTP
+/// connection), or their sum over a bounded listener run. The scheduler's
+/// router counts every response as it routes; the transport fills in
+/// `secs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServeReport {
     /// Scored requests (cold and cached).
@@ -78,18 +71,6 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    pub(crate) fn from_conn(report: ConnReport, secs: f64) -> Self {
-        ServeReport {
-            contracts: report.contracts,
-            errors: report.errors,
-            overloads: report.overloads,
-            cache_hits: report.cache_hits,
-            cache_misses: report.cache_misses,
-            bytes: report.bytes,
-            secs,
-        }
-    }
-
     /// Human-readable multi-line summary.
     pub fn render(&self, model: &str) -> String {
         let per_sec = if self.secs > 0.0 {
@@ -128,78 +109,19 @@ impl ServeReport {
     }
 }
 
-/// Outcome of one capped line read.
-enum LineRead {
-    Eof,
-    Line,
-    /// The line exceeded the cap; `usize` is its true byte length (tail
-    /// discarded up to the next newline, framing preserved).
-    Oversized(usize),
-}
-
-/// Reads one `\n`-terminated line into `buf` without ever buffering more
-/// than the protocol cap; invalid UTF-8 is replaced, never fatal.
-fn read_line_capped(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<LineRead> {
-    buf.clear();
-    let mut total = 0usize;
-    let mut saw_any = false;
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            return Ok(if saw_any {
-                if total > proto::MAX_LINE_BYTES {
-                    LineRead::Oversized(total)
-                } else {
-                    LineRead::Line
-                }
-            } else {
-                LineRead::Eof
-            });
-        }
-        saw_any = true;
-        let (chunk, done) = match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => (&available[..pos], true),
-            None => (available, false),
-        };
-        total += chunk.len();
-        // Buffer only up to the cap (+1 so the check can prove overflow);
-        // the rest of an oversized line is consumed and discarded.
-        let room = (proto::MAX_LINE_BYTES + 1).saturating_sub(buf.len());
-        buf.extend_from_slice(&chunk[..chunk.len().min(room)]);
-        let consumed = chunk.len() + usize::from(done);
-        reader.consume(consumed);
-        if done {
-            return Ok(if total > proto::MAX_LINE_BYTES {
-                LineRead::Oversized(total)
-            } else {
-                LineRead::Line
-            });
-        }
-    }
-}
-
 /// Serves one request stream to completion against the shared scheduler:
 /// reads lines from `input`, writes one response line per request to
 /// `output` (in request order), and returns the session's report.
 ///
-/// Used directly for the stdin transport (lossless, blocking admission);
-/// TCP sessions go through [`serve_tcp`], which sheds on overload instead.
+/// This is the stdin transport: admission is lossless
+/// ([`Admission::Block`]). TCP sessions go through
+/// [`serve_tcp`](crate::nbio::serve_tcp), which sheds on overload instead.
 ///
 /// # Errors
 /// Propagates I/O errors from either side of the stream.
 pub fn serve_lines(
     scheduler: &Scheduler,
     proto: Protocol,
-    input: impl BufRead,
-    output: impl Write + Send,
-) -> io::Result<ServeReport> {
-    serve_session(scheduler, proto, Admission::Block, input, output)
-}
-
-fn serve_session(
-    scheduler: &Scheduler,
-    proto: Protocol,
-    admission: Admission,
     mut input: impl BufRead,
     mut output: impl Write + Send,
 ) -> io::Result<ServeReport> {
@@ -227,77 +149,38 @@ fn serve_session(
             Ok(())
         });
 
-        let mut read_error: Option<io::Error> = None;
-        let mut buf: Vec<u8> = Vec::new();
-        loop {
-            let outcome = match read_line_capped(&mut input, &mut buf) {
-                Err(e) => {
-                    read_error = Some(e);
-                    break;
-                }
-                Ok(LineRead::Eof) => break,
-                Ok(LineRead::Oversized(len)) => conn.reject_oversized(len),
-                Ok(LineRead::Line) => {
-                    let line = String::from_utf8_lossy(&buf);
-                    conn.submit(&line, admission)
-                }
+        // Stop consuming the input once the writer died.
+        let mut submit = |framed: Framed<'_>| {
+            conn.submit_framed(framed, Admission::Block) != SubmitOutcome::Disconnected
+        };
+        let mut framer = LineFramer::default();
+        let read_error = loop {
+            let chunk = match input.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) => break Some(e),
             };
-            if outcome == crate::scheduler::SubmitOutcome::Disconnected {
-                break; // writer died: stop consuming the input stream
+            if chunk.is_empty() {
+                framer.finish(&mut submit);
+                break None;
             }
-        }
+            let n = chunk.len();
+            let more = framer.push(chunk, &mut submit);
+            input.consume(n);
+            if !more {
+                break None;
+            }
+        };
         conn.finish();
         (writer.join().expect("writer thread"), read_error)
     });
 
-    let report = scheduler.take_report(conn_id);
+    let mut report = scheduler.take_report(conn_id);
     writer_result?;
     if let Some(e) = read_error {
         return Err(e);
     }
-    Ok(ServeReport::from_conn(report, t0.elapsed().as_secs_f64()))
-}
-
-/// Accepts TCP connections and serves the line protocol on each over the
-/// one shared scheduler — connections contribute rows to the same batches
-/// and share the same verdict cache. Admission control:
-///
-/// * per request: shed-mode submission (typed overload response when the
-///   scheduler queue is full);
-/// * per connection: `limits.max_conns` concurrent sessions; surplus
-///   accepts receive one overload line and are closed.
-///
-/// `limits.accept_total` bounds how many connections are accepted before
-/// returning the aggregate report — `None` serves forever (the daemon
-/// case). Each connection's report is written to stderr as it closes.
-///
-/// # Errors
-/// Propagates accept errors; per-connection I/O errors are reported to
-/// stderr and do not stop the daemon.
-#[deprecated(
-    since = "0.6.0",
-    note = "configure a tcp listener on ServeConfig and call serve::run instead"
-)]
-pub fn serve_tcp(
-    listener: &TcpListener,
-    scheduler: &Scheduler,
-    proto: Protocol,
-    limits: TcpLimits,
-) -> io::Result<ServeReport> {
-    tcp_listener_loop(listener, scheduler, proto, limits)
-}
-
-/// The JSONL TCP accept loop behind [`serve_tcp`] and [`run`]. Since PR 8
-/// this is the nonblocking event loop in [`crate::nbio`]: every
-/// connection is multiplexed onto this one thread, so serving threads are
-/// O(shards + listeners) rather than O(connections).
-pub(crate) fn tcp_listener_loop(
-    listener: &TcpListener,
-    scheduler: &Scheduler,
-    proto: Protocol,
-    limits: TcpLimits,
-) -> io::Result<ServeReport> {
-    crate::nbio::serve_nonblocking(listener, scheduler, proto, limits)
+    report.secs = t0.elapsed().as_secs_f64();
+    Ok(report)
 }
 
 /// Runs a whole serving process from one validated [`ServeConfig`]: spawn
@@ -367,7 +250,7 @@ pub fn run(
     std::thread::scope(|scope| -> io::Result<()> {
         let scheduler = &scheduler;
         let tcp_handle = tcp_listener.as_ref().map(|listener| {
-            scope.spawn(move || tcp_listener_loop(listener, scheduler, proto, limits))
+            scope.spawn(move || crate::nbio::serve_tcp(listener, scheduler, proto, limits))
         });
         if let Some(listener) = &http_listener {
             total.absorb(&crate::router::serve_http(listener, scheduler, limits)?);
@@ -390,47 +273,45 @@ pub fn run(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the ServeOptions/serve_tcp shims keep their coverage
 mod tests {
     use super::*;
+    use crate::proto;
+    use crate::scheduler::SchedulerOptions;
     use crate::testutil::{ensemble_scanner, probe_lines, scanner};
     use phishinghook_evm::keccak::to_hex;
-    use std::net::TcpStream;
 
-    fn serve_with(scanner: &Scanner, input: &str, opts: &ServeOptions) -> (String, ServeReport) {
-        let scheduler = Scheduler::new(scanner, &opts.scheduler);
+    fn serve_with(
+        scanner: &Scanner,
+        input: &str,
+        opts: &SchedulerOptions,
+        proto: Protocol,
+    ) -> (String, ServeReport) {
+        let scheduler = Scheduler::new(scanner, opts);
         let mut out = Vec::new();
-        let report =
-            serve_lines(&scheduler, opts.proto, input.as_bytes(), &mut out).expect("serves");
+        let report = serve_lines(&scheduler, proto, input.as_bytes(), &mut out).expect("serves");
         (String::from_utf8(out).expect("utf8 output"), report)
     }
 
-    fn serve_to_string(input: &str, opts: &ServeOptions) -> (String, ServeReport) {
-        serve_with(scanner(), input, opts)
-    }
-
-    fn v1() -> ServeOptions {
-        ServeOptions {
-            proto: Protocol::V1,
-            ..ServeOptions::default()
-        }
+    fn serve_to_string(
+        input: &str,
+        opts: &SchedulerOptions,
+        proto: Protocol,
+    ) -> (String, ServeReport) {
+        serve_with(scanner(), input, opts, proto)
     }
 
     /// Cache off so repeated runs measure the cold path deterministically.
-    fn no_cache(proto: Protocol) -> ServeOptions {
-        ServeOptions {
-            proto,
-            scheduler: SchedulerOptions {
-                cache_bytes: 0,
-                ..SchedulerOptions::default()
-            },
+    fn no_cache() -> SchedulerOptions {
+        SchedulerOptions {
+            cache_bytes: 0,
+            ..SchedulerOptions::default()
         }
     }
 
     #[test]
     fn v1_one_response_line_per_request_in_order() {
         let (input, codes) = probe_lines(10);
-        let (out, report) = serve_to_string(&input, &v1());
+        let (out, report) = serve_to_string(&input, &SchedulerOptions::default(), Protocol::V1);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), codes.len());
         assert_eq!(report.contracts, codes.len() as u64);
@@ -452,7 +333,7 @@ mod tests {
     #[test]
     fn v2_responses_carry_ids_and_parse_as_jsonl() {
         let (input, codes) = probe_lines(6);
-        let (out, report) = serve_to_string(&input, &ServeOptions::default());
+        let (out, report) = serve_to_string(&input, &SchedulerOptions::default(), Protocol::V2);
         assert_eq!(report.contracts, codes.len() as u64);
         let refs: Vec<&[u8]> = codes.iter().map(Vec::as_slice).collect();
         let probs = scanner().worker().score_batch(&refs);
@@ -488,7 +369,7 @@ mod tests {
             to_hex(&codes[0]),
             to_hex(&codes[1]),
         );
-        let (out, report) = serve_to_string(&input, &ServeOptions::default());
+        let (out, report) = serve_to_string(&input, &SchedulerOptions::default(), Protocol::V2);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(
@@ -510,7 +391,12 @@ mod tests {
     #[test]
     fn v2_ensembles_expose_per_member_probabilities() {
         let (input, codes) = probe_lines(4);
-        let (out, _) = serve_with(ensemble_scanner(), &input, &ServeOptions::default());
+        let (out, _) = serve_with(
+            ensemble_scanner(),
+            &input,
+            &SchedulerOptions::default(),
+            Protocol::V2,
+        );
         let refs: Vec<&[u8]> = codes.iter().map(Vec::as_slice).collect();
         let combined = ensemble_scanner().worker().score_batch(&refs);
         for (line, p) in out.lines().zip(&combined) {
@@ -532,19 +418,16 @@ mod tests {
     fn output_order_is_stable_for_any_batch_size_and_worker_count() {
         let (input, _) = probe_lines(23);
         for proto in [Protocol::V1, Protocol::V2] {
-            let (reference, _) = serve_to_string(&input, &no_cache(proto));
+            let (reference, _) = serve_to_string(&input, &no_cache(), proto);
             for (batch, workers) in [(1, 1), (4, 3), (5, 2), (64, 4)] {
                 for cache_bytes in [0usize, 8 << 20] {
-                    let opts = ServeOptions {
-                        proto,
-                        scheduler: SchedulerOptions {
-                            batch,
-                            workers,
-                            cache_bytes,
-                            ..SchedulerOptions::default()
-                        },
+                    let opts = SchedulerOptions {
+                        batch,
+                        workers,
+                        cache_bytes,
+                        ..SchedulerOptions::default()
                     };
-                    let (out, report) = serve_to_string(&input, &opts);
+                    let (out, report) = serve_to_string(&input, &opts, proto);
                     assert_eq!(
                         out, reference,
                         "batch={batch} workers={workers} cache={cache_bytes} {proto:?}"
@@ -561,14 +444,12 @@ mod tests {
         input.push_str("zznothex\n\n   \n0x60\n");
         let (out, report) = serve_to_string(
             &input,
-            &ServeOptions {
-                proto: Protocol::V1,
-                scheduler: SchedulerOptions {
-                    batch: 2,
-                    workers: 2,
-                    ..SchedulerOptions::default()
-                },
+            &SchedulerOptions {
+                batch: 2,
+                workers: 2,
+                ..SchedulerOptions::default()
             },
+            Protocol::V1,
         );
         let lines: Vec<&str> = out.lines().collect();
         // 3 contracts + 1 malformed + 1 tiny-but-valid; blanks are skipped.
@@ -589,7 +470,7 @@ mod tests {
         let (input, codes) = probe_lines(1);
         let huge = "60".repeat(proto::MAX_LINE_BYTES / 2 + 77);
         let session = format!("{huge}\n{input}");
-        let (out, report) = serve_to_string(&session, &ServeOptions::default());
+        let (out, report) = serve_to_string(&session, &SchedulerOptions::default(), Protocol::V2);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 1 + codes.len());
         assert!(lines[0].contains("byte limit"), "{}", lines[0]);
@@ -601,111 +482,10 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_report() {
-        let (out, report) = serve_to_string("", &ServeOptions::default());
+        let (out, report) = serve_to_string("", &SchedulerOptions::default(), Protocol::V2);
         assert!(out.is_empty());
         assert_eq!(report.contracts, 0);
         let rendered = report.render("Random Forest");
         assert!(rendered.contains("0 contract(s)"), "{rendered}");
-    }
-
-    fn spawn_client(addr: std::net::SocketAddr, input: String) -> std::thread::JoinHandle<String> {
-        std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            stream.write_all(input.as_bytes()).expect("send requests");
-            stream
-                .shutdown(std::net::Shutdown::Write)
-                .expect("half-close");
-            let mut response = String::new();
-            use std::io::Read;
-            stream
-                .read_to_string(&mut response)
-                .expect("read responses");
-            response
-        })
-    }
-
-    #[test]
-    fn tcp_connections_share_one_scheduler_and_one_cache() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-        let addr = listener.local_addr().expect("addr");
-        let (input, codes) = probe_lines(5);
-
-        // Client A scores 5 codes; once its responses are back, client B
-        // sends the same codes plus a stats probe — B's requests must hit
-        // the process-wide cache A populated.
-        let input_b = format!("{input}stats\n");
-        let scheduler = Scheduler::new(scanner(), &SchedulerOptions::default());
-        let server = std::thread::scope(|scope| {
-            let scheduler = &scheduler;
-            let handle = scope.spawn(move || {
-                serve_tcp(
-                    &listener,
-                    scheduler,
-                    Protocol::V2,
-                    TcpLimits {
-                        max_conns: Some(4),
-                        accept_total: Some(2),
-                    },
-                )
-                .expect("serves two conns")
-            });
-            let a = spawn_client(addr, input.clone());
-            let response_a = a.join().expect("client a");
-            assert_eq!(response_a.lines().count(), codes.len());
-            let b = spawn_client(addr, input_b.clone());
-            let response_b = b.join().expect("client b");
-            let lines_b: Vec<&str> = response_b.lines().collect();
-            assert_eq!(lines_b.len(), codes.len() + 1);
-            // A's and B's verdict lines are identical (same ids, same bits).
-            assert_eq!(
-                response_a.lines().collect::<Vec<_>>(),
-                &lines_b[..codes.len()]
-            );
-            let stats_line = lines_b.last().expect("stats");
-            assert!(
-                stats_line.contains(&format!("\"cache\":{{\"hits\":{}", codes.len())),
-                "{stats_line}"
-            );
-            handle.join().expect("server thread")
-        });
-        assert_eq!(server.contracts, 2 * codes.len() as u64);
-        assert_eq!(server.cache_hits, codes.len() as u64);
-        let stats = scheduler.shutdown();
-        assert_eq!(stats.scheduler.connections, 2);
-        assert_eq!(stats.scheduler.scored, codes.len() as u64);
-    }
-
-    #[test]
-    fn tcp_connection_limit_answers_typed_overload() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-        let addr = listener.local_addr().expect("addr");
-        let scheduler = Scheduler::new(scanner(), &SchedulerOptions::default());
-        let report = std::thread::scope(|scope| {
-            let scheduler = &scheduler;
-            let server = scope.spawn(move || {
-                serve_tcp(
-                    &listener,
-                    scheduler,
-                    Protocol::V2,
-                    TcpLimits {
-                        // No concurrent sessions allowed at all: every
-                        // accept is refused with the typed overload line —
-                        // deterministic, no timing involved.
-                        max_conns: Some(0),
-                        accept_total: Some(2),
-                    },
-                )
-                .expect("serves")
-            });
-            for _ in 0..2 {
-                let client = spawn_client(addr, String::new());
-                let response = client.join().expect("client");
-                assert_eq!(response.lines().count(), 1, "{response}");
-                assert!(response.contains("\"code\":\"overloaded\""), "{response}");
-            }
-            server.join().expect("server thread")
-        });
-        assert_eq!(report.overloads, 2);
-        assert_eq!(report.contracts, 0);
     }
 }

@@ -5,7 +5,6 @@
 //! `/proc/self/status` and the fd budget from `setrlimit(2)`.
 
 #![cfg(target_os = "linux")]
-#![allow(deprecated)] // serve_tcp: the config-less seam the harness needs
 
 use phishinghook_evm::keccak::to_hex;
 use phishinghook_serve::{fixture, serve_tcp, Protocol, Scheduler, SchedulerOptions, TcpLimits};

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // legacy `all_hscs` stays covered until removal
-
 //! Cross-crate integration tests: the full PhishingHook pipeline from
 //! simulated chain to model verdicts and post hoc statistics.
 
@@ -9,7 +7,7 @@ use phishinghook_core::pipeline::{evaluate, summarize};
 use phishinghook_data::{
     extract_labeled_bytecodes, Corpus, CorpusConfig, Label, LabelOracle, SimulatedChain,
 };
-use phishinghook_models::{all_hscs, Detector, HscDetector};
+use phishinghook_models::{Detector, DetectorRegistry, HscDetector};
 
 fn corpus(n: usize, seed: u64) -> Corpus {
     Corpus::generate(&CorpusConfig {
@@ -64,9 +62,11 @@ fn full_hsc_cross_validation_beats_chance_everywhere() {
     let c = corpus(300, 3);
     let (codes, labels) = c.as_dataset();
     let factory = |seed: u64| -> Vec<Box<dyn Detector>> {
-        all_hscs(seed)
-            .into_iter()
-            .map(|d| Box::new(d) as Box<dyn Detector>)
+        let registry = DetectorRegistry::global();
+        registry
+            .hsc_specs()
+            .iter()
+            .map(|spec| Box::new(registry.build(spec, seed)) as Box<dyn Detector>)
             .collect()
     };
     let trials = evaluate(&codes, &labels, &factory, 3, 1, 11);

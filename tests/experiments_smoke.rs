@@ -1,5 +1,3 @@
-#![allow(deprecated)] // legacy `all_hscs` stays covered until removal
-
 //! Smoke tests for every experiment driver: each paper table/figure
 //! regenerates at reduced scale with the expected output shape.
 
@@ -7,7 +5,7 @@ use phishinghook_core::experiments::{
     dataset_stats, posthoc, scalability, shap_analysis, time_resistance, ExperimentScale,
 };
 use phishinghook_core::pipeline::evaluate;
-use phishinghook_models::{all_hscs, Detector};
+use phishinghook_models::{Detector, DetectorRegistry};
 
 fn tiny() -> ExperimentScale {
     ExperimentScale {
@@ -38,9 +36,11 @@ fn table3_and_fig4_shapes() {
     });
     let (codes, labels) = corpus.as_dataset();
     let factory = |seed: u64| -> Vec<Box<dyn Detector>> {
-        all_hscs(seed)
-            .into_iter()
-            .map(|d| Box::new(d) as Box<dyn Detector>)
+        let registry = DetectorRegistry::global();
+        registry
+            .hsc_specs()
+            .iter()
+            .map(|spec| Box::new(registry.build(spec, seed)) as Box<dyn Detector>)
             .collect()
     };
     let trials = evaluate(&codes, &labels, &factory, 4, 2, 3);

@@ -8,13 +8,9 @@
 //! and on property-generated adversarial bytecodes, and check that every
 //! way a snapshot can go bad surfaces as the right typed error.
 
-#![allow(deprecated)] // `all_hscs` builds the seven HSCs until it is removed
-
 use phishinghook::data::{Corpus, CorpusConfig};
 use phishinghook::models::hsc::SNAPSHOT_KIND;
-use phishinghook::models::{
-    all_hscs, AnyDetector, Detector, DetectorRegistry, EnsembleDetector, Scanner,
-};
+use phishinghook::models::{Detector, DetectorRegistry, EnsembleDetector, Scanner};
 use phishinghook::persist::{open_envelope, PersistError};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -43,9 +39,12 @@ fn fixture() -> &'static Fixture {
         let (train_y, _) = labels.split_at(60);
 
         let mut snapshot = Vec::new();
-        let pairs = all_hscs(7)
-            .into_iter()
-            .map(|mut det| {
+        let registry = DetectorRegistry::global();
+        let pairs = registry
+            .hsc_specs()
+            .iter()
+            .map(|spec| {
+                let mut det = registry.build(spec, 7);
                 let name = det.name().to_owned();
                 det.fit(train_x, train_y);
                 let bytes = det.to_snapshot_bytes();
@@ -57,7 +56,7 @@ fn fixture() -> &'static Fixture {
                 }
                 let restored = Scanner::from_snapshot_bytes(&bytes)
                     .unwrap_or_else(|e| panic!("{name} snapshot failed to restore: {e}"));
-                let original = Scanner::new(AnyDetector::Hsc(det)).expect("fitted");
+                let original = Scanner::new(det).expect("fitted");
                 (name, original, restored)
             })
             .collect();
