@@ -9,10 +9,25 @@
 //! `poll(2)` (a raw declaration — std already links libc) reports which
 //! sockets turned ready, and the loop sweeps write → route-responses →
 //! read over **only** the ready connections plus those still awaiting
-//! in-process responses (which poll cannot see). Each iteration is
-//! therefore O(ready + awaiting) socket work, not O(connections), and
-//! serving threads are O(shards + listeners) — both asserted by
-//! `tests/idle_conns.rs`.
+//! in-process responses. Each iteration is therefore O(ready + awaiting)
+//! socket work, not O(connections), and serving threads are
+//! O(shards + listeners) — both asserted by `tests/idle_conns.rs`.
+//!
+//! A response leaves as soon as it exists:
+//!
+//! * **Nagle is off.** Every accepted socket sets `TCP_NODELAY`, so a
+//!   small response never waits for the ACK that the client's next
+//!   request would carry.
+//! * **A waker, not a tick.** Routed responses arrive over in-process
+//!   channels that `poll(2)` cannot see. Each connection registers a wake
+//!   hook with the scheduler, and the router runs it when it routes into,
+//!   or closes, that connection's channel. The hook writes one byte to a
+//!   self-pipe (`UnixStream::pair`) whose read end sits in the poll set —
+//!   but only while the loop is parked, and once per park, so a burst of
+//!   routed lines costs one write and an awake loop costs none. The loop
+//!   therefore parks with no timeout, and an idle loop makes no system
+//!   calls. The one channel change that runs no hook, `finish` closing the
+//!   channel at the loop's own EOF, counts as loop progress instead.
 //!
 //! Two invariants keep a single-threaded loop safe against the scheduler's
 //! blocking seams:
@@ -31,14 +46,23 @@
 //! Request lines are cut by the same `proto::LineFramer` as the stdin
 //! transport, so an oversized or unterminated last line is answered
 //! exactly as it is there.
+//!
+//! Two things at accept end neither a client's answer nor the listener.
+//! A connection refused under `max_conns` gets its overload line and a
+//! half-close, then stays in the poll set with its input discarded until
+//! the client closes, so request bytes it already sent never turn the
+//! close into a reset. An accept that fails for want of descriptors,
+//! buffers or memory stops accepting for a fixed 100 ms pause, logged
+//! once per episode, while the live connections keep being served.
 
 use crate::proto::{self, Framed, LineFramer, Protocol};
 use crate::scheduler::{
-    Admission, Connection, PolledResponse, Responses, Scheduler, SubmitOutcome,
+    Admission, Connection, PolledResponse, Responses, Scheduler, SubmitOutcome, WakeHook,
 };
-use crate::serve::{ServeReport, TcpLimits};
+use crate::serve::{self, ServeReport, TcpLimits};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Stop draining responses into a connection's write buffer past this many
@@ -51,6 +75,10 @@ const READ_CHUNK: usize = 16 << 10;
 /// Never let one connection's in-flight count reach the scheduler window
 /// (where submit would block the loop), and keep a global fairness bound.
 const INFLIGHT_CAP: usize = 512;
+
+/// Refused connections held open at once while their input drains to the
+/// client's EOF; past this many, a refusal closes right after its line.
+const MAX_LINGERING_REFUSALS: usize = 64;
 
 /// One tracked connection in the event loop.
 struct Conn {
@@ -147,7 +175,7 @@ impl Conn {
     }
 
     /// Reads request bytes and submits complete lines (shed admission);
-    /// returns bytes read.
+    /// returns bytes read, plus one for finishing the request stream.
     fn pump_read(&mut self) -> usize {
         let mut scratch = [0u8; READ_CHUNK];
         let mut got = 0;
@@ -182,6 +210,11 @@ impl Conn {
             self.dead |= !self.framer.finish(submit);
             self.submit.finish();
             self.finished = true;
+            // `finish` may close the response channel right here, on the
+            // loop's own thread, where no wake hook runs. Count it as
+            // progress so the loop sweeps again and retires the connection
+            // instead of parking.
+            got += 1;
         }
         got
     }
@@ -207,13 +240,43 @@ fn submit_shed(submit: &mut Connection, inflight: &mut usize, framed: Framed<'_>
     }
 }
 
+/// Reads and discards a refused connection's input; `true` once the client
+/// has closed (or the socket failed) and the socket can be dropped. Reads
+/// a bounded amount per call, so a client that keeps sending cannot hold
+/// the loop.
+fn drain_refusal(stream: &mut TcpStream) -> bool {
+    let mut sink = [0u8; READ_CHUNK];
+    for _ in 0..4 {
+        match stream.read(&mut sink) {
+            Ok(0) => return true,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return true,
+        }
+    }
+    false
+}
+
+/// The indices [`park::wait`] reports ready.
+struct Ready {
+    /// Into the connections.
+    conns: Vec<usize>,
+    /// Into the lingering refusals.
+    refusals: Vec<usize>,
+}
+
 #[cfg(unix)]
 mod park {
-    //! Readiness parking via a raw `poll(2)` declaration (std links libc).
+    //! Readiness parking via a raw `poll(2)` declaration (std links libc),
+    //! and the self-pipe [`Waker`] that routed responses poke.
 
-    use super::Conn;
-    use std::net::TcpListener;
+    use super::{Conn, Ready};
+    use std::io::{self, Read, Write};
+    use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicU8, Ordering};
 
     #[repr(C)]
     struct PollFd {
@@ -229,26 +292,74 @@ mod park {
         fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
     }
 
-    /// Waits until a tracked socket is ready or `timeout_ms` elapses, and
-    /// returns the indices of the connections poll reported ready (any
-    /// revents, so errors and hangups surface too). In-process response
-    /// channels cannot wake `poll`, so callers keep the timeout short
-    /// whenever responses are still in flight.
+    /// The loop is running: a wake only marks [`NOTIFIED`].
+    const AWAKE: u8 = 0;
+    /// A wake arrived while the loop was running, so it must not park.
+    const NOTIFIED: u8 = 1;
+    /// The loop is in a blocking `poll(2)`: a wake writes the pipe.
+    const PARKED: u8 = 2;
+
+    /// A self-pipe in the loop's poll set. Both ends live here, so a wake
+    /// can never write into a closed pipe.
+    pub(super) struct Waker {
+        state: AtomicU8,
+        tx: UnixStream,
+        rx: UnixStream,
+    }
+
+    impl Waker {
+        pub(super) fn new() -> io::Result<Waker> {
+            let (tx, rx) = UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            Ok(Waker {
+                state: AtomicU8::new(AWAKE),
+                tx,
+                rx,
+            })
+        }
+
+        /// Makes the loop's current or next park return. Writes the pipe
+        /// only when the loop is parked, once per park; a full pipe already
+        /// holds a wake, so a failed write loses nothing.
+        pub(super) fn wake(&self) {
+            if self.state.swap(NOTIFIED, Ordering::AcqRel) == PARKED {
+                let _ = (&self.tx).write(&[1]);
+            }
+        }
+    }
+
+    /// Waits until a tracked socket is ready, the waker fires, or
+    /// `timeout_ms` elapses (`-1`: no timeout), and returns the connections
+    /// and refusals poll reported ready (any revents, so errors and hangups
+    /// surface too). A nonzero timeout parks only when no wake arrived
+    /// since the previous call; before returning, the waker is drained and
+    /// re-armed, so every wake after that reaches the next call.
     pub(super) fn wait(
+        waker: &Waker,
         listener: Option<&TcpListener>,
         conns: &[Conn],
+        refusals: &[TcpStream],
         timeout_ms: i32,
-    ) -> Vec<usize> {
-        let mut fds: Vec<PollFd> = Vec::with_capacity(conns.len() + 1);
-        let mut owner: Vec<usize> = Vec::with_capacity(conns.len());
+    ) -> Ready {
+        let mut fds: Vec<PollFd> = Vec::with_capacity(conns.len() + refusals.len() + 2);
+        // Slot 0 is the waker; the listener is the accept pass's business.
+        fds.push(PollFd {
+            fd: waker.rx.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        });
         if let Some(listener) = listener {
             fds.push(PollFd {
                 fd: listener.as_raw_fd(),
                 events: POLLIN,
                 revents: 0,
             });
-            owner.push(usize::MAX); // sentinel: the accept pass handles it
         }
+        // Past the fixed slots, `owner` maps each slot to a connection, or
+        // to a refusal offset by `conns.len()`.
+        let fixed = fds.len();
+        let mut owner: Vec<usize> = Vec::with_capacity(fds.capacity());
         for (index, conn) in conns.iter().enumerate() {
             let mut events = 0i16;
             if conn.wants_read() {
@@ -266,42 +377,85 @@ mod park {
                 owner.push(index);
             }
         }
-        if fds.is_empty() {
-            if timeout_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(timeout_ms as u64));
+        for (index, stream) in refusals.iter().enumerate() {
+            fds.push(PollFd {
+                fd: stream.as_raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            });
+            owner.push(conns.len() + index);
+        }
+
+        let parks = timeout_ms != 0
+            && waker
+                .state
+                .compare_exchange(AWAKE, PARKED, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok();
+        let timeout_ms = if parks { timeout_ms } else { 0 };
+        let polled = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
+        // Re-arm before the caller sweeps: every wake from here on is
+        // either seen by that sweep or stops the next park.
+        waker.state.swap(AWAKE, Ordering::AcqRel);
+        let mut ready = Ready {
+            conns: Vec::new(),
+            refusals: Vec::new(),
+        };
+        if polled <= 0 {
+            return ready;
+        }
+        if fds[0].revents != 0 {
+            let mut sink = [0u8; 64];
+            while matches!((&waker.rx).read(&mut sink), Ok(n) if n > 0) {}
+        }
+        for (fd, &index) in fds[fixed..].iter().zip(&owner) {
+            if fd.revents == 0 {
+                continue;
             }
-            return Vec::new();
+            if index < conns.len() {
+                ready.conns.push(index);
+            } else {
+                ready.refusals.push(index - conns.len());
+            }
         }
-        let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-        if ready <= 0 {
-            return Vec::new();
-        }
-        fds.iter()
-            .zip(&owner)
-            .filter(|(fd, &index)| fd.revents != 0 && index != usize::MAX)
-            .map(|(_, &index)| index)
-            .collect()
+        ready
     }
 }
 
 #[cfg(not(unix))]
 mod park {
-    //! Portable fallback: a short sleep, then sweep every connection.
+    //! Portable fallback with no waker: a short sleep, then sweep every
+    //! connection and refusal.
 
-    use super::Conn;
-    use std::net::TcpListener;
+    use super::{Conn, Ready};
+    use std::net::{TcpListener, TcpStream};
+
+    pub(super) struct Waker;
+
+    impl Waker {
+        pub(super) fn new() -> std::io::Result<Waker> {
+            Ok(Waker)
+        }
+
+        pub(super) fn wake(&self) {}
+    }
 
     pub(super) fn wait(
+        _waker: &Waker,
         _listener: Option<&TcpListener>,
         conns: &[Conn],
+        refusals: &[TcpStream],
         timeout_ms: i32,
-    ) -> Vec<usize> {
-        if timeout_ms > 0 {
+    ) -> Ready {
+        // No timeout (`-1`) sleeps the shortest tick.
+        if timeout_ms != 0 {
             std::thread::sleep(std::time::Duration::from_millis(
                 timeout_ms.clamp(1, 20) as u64
             ));
         }
-        (0..conns.len()).collect()
+        Ready {
+            conns: (0..conns.len()).collect(),
+            refusals: (0..refusals.len()).collect(),
+        }
     }
 }
 
@@ -312,20 +466,24 @@ mod park {
 ///
 /// * per request: shed-mode submission (typed overload response when the
 ///   scheduler queue is full);
-/// * per connection: `limits.max_conns` concurrent sessions; surplus
-///   accepts receive one overload line and are closed.
+/// * per connection: `limits.max_conns` concurrent sessions; a surplus
+///   accept receives one overload line and a half-close, and its input is
+///   discarded until the client closes.
 ///
 /// `limits.accept_total` bounds how many connections are accepted before
 /// returning the aggregate report — `None` serves forever (the daemon
-/// case). Each connection's report is written to stderr as it closes.
+/// case). A bounded run returns once every accepted connection, refused
+/// ones included, has closed. Each connection's report is written to
+/// stderr as it closes.
 ///
 /// [`run`](crate::serve::run) calls this for a `tcp` listener it binds
 /// itself; call it directly when the caller owns the scheduler and the
 /// socket.
 ///
 /// # Errors
-/// Propagates accept errors; per-connection I/O errors tear down that
-/// connection only.
+/// Propagates accept errors other than running out of descriptors,
+/// buffers or memory, which pause accepting instead; per-connection I/O
+/// errors tear down that connection only.
 pub fn serve_tcp(
     listener: &TcpListener,
     scheduler: &Scheduler,
@@ -333,85 +491,110 @@ pub fn serve_tcp(
     limits: TcpLimits,
 ) -> io::Result<ServeReport> {
     listener.set_nonblocking(true)?;
+    let waker = Arc::new(park::Waker::new()?);
+    let wake: WakeHook = {
+        let waker = Arc::clone(&waker);
+        Arc::new(move || waker.wake())
+    };
     let model = scheduler.model_name().to_owned();
     let mut total = ServeReport::default();
     let mut conns: Vec<Conn> = Vec::new();
+    let mut refusals: Vec<TcpStream> = Vec::new();
     let mut accepted = 0usize;
+    let mut accept_pause = serve::AcceptPause::default();
 
     let mut last_progress = 1usize;
     loop {
-        let accepting = limits.accept_total.is_none_or(|m| accepted < m);
         let mut progress = 0usize;
+        let paused_for = accept_pause.remaining();
+        let accepting = paused_for.is_none() && limits.accept_total.is_none_or(|m| accepted < m);
 
         // Readiness first: a zero timeout just collects what is already
         // ready while work is flowing; once an iteration moves nothing,
-        // park until a socket wakes us. Responses arrive over in-process
-        // channels that cannot wake poll(2), so tick fast while any are
-        // expected and slowly when fully idle (the 10k-idle-watchers case).
-        let awaiting: usize = conns
-            .iter()
-            .map(|c| c.inflight + usize::from(c.finished && !c.drained))
-            .sum();
+        // park until a socket or the waker fires — or, while accepting is
+        // paused, until the pause ends.
         let timeout_ms = if last_progress > 0 {
             0
-        } else if awaiting > 0 {
-            1
         } else {
-            250
+            paused_for.map_or(-1, |left| left.as_millis() as i32 + 1)
         };
-        let woken = park::wait(accepting.then_some(listener), &conns, timeout_ms);
+        let ready = park::wait(
+            &waker,
+            accepting.then_some(listener),
+            &conns,
+            &refusals,
+            timeout_ms,
+        );
 
         // Accept every pending connection (or refuse it, typed).
         let mut newly_accepted = 0usize;
         while accepting && limits.accept_total.is_none_or(|m| accepted < m) {
-            match listener.accept() {
-                Ok((mut stream, peer)) => {
-                    accepted += 1;
-                    progress += 1;
-                    if limits.max_conns.is_some_and(|m| conns.len() >= m) {
-                        // Connection-level admission control: one typed
-                        // overload line, then close. The just-accepted
-                        // socket is still blocking (accept does not
-                        // inherit O_NONBLOCK), so the one-line write is
-                        // safe without buffering.
-                        let mut line = String::new();
-                        match proto {
-                            Protocol::V1 => proto::render_overload_v1(&mut line),
-                            Protocol::V2 => proto::render_overload_v2(&mut line, "connect"),
-                        }
-                        line.push('\n');
-                        let _ = stream.write_all(line.as_bytes());
-                        eprintln!(
-                            "[{peer}] refused: {} concurrent connection(s) reached",
-                            conns.len()
-                        );
-                        total.overloads += 1;
-                        scheduler.metrics().inc_overloads();
-                        continue;
-                    }
-                    stream.set_nonblocking(true)?;
-                    let (submit, responses) = scheduler.connect(proto);
-                    newly_accepted += 1;
-                    conns.push(Conn {
-                        stream,
-                        peer,
-                        submit,
-                        responses,
-                        framer: LineFramer::default(),
-                        wbuf: Vec::new(),
-                        wpos: 0,
-                        inflight: 0,
-                        eof: false,
-                        finished: false,
-                        drained: false,
-                        dead: false,
-                        t0: Instant::now(),
-                    });
-                }
+            let (mut stream, peer) = match listener.accept() {
+                Ok(pair) => pair,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if serve::accept_error_is_transient(&e) => {
+                    accept_pause.start(&e);
+                    break;
+                }
                 Err(e) => return Err(e),
+            };
+            accept_pause.end();
+            accepted += 1;
+            progress += 1;
+            if limits.max_conns.is_some_and(|m| conns.len() >= m) {
+                // Connection-level admission control: one typed overload
+                // line, then a half-close. The just-accepted socket is
+                // still blocking (accept does not inherit O_NONBLOCK), so
+                // the one-line write is safe without buffering. Request
+                // bytes the client already sent are still unread, and
+                // closing over them would reset the connection and destroy
+                // the line, so the socket lingers until the client closes.
+                let mut line = String::new();
+                match proto {
+                    Protocol::V1 => proto::render_overload_v1(&mut line),
+                    Protocol::V2 => proto::render_overload_v2(&mut line, "connect"),
+                }
+                line.push('\n');
+                let _ = stream.write_all(line.as_bytes());
+                eprintln!(
+                    "[{peer}] refused: {} concurrent connection(s) reached",
+                    conns.len()
+                );
+                total.overloads += 1;
+                scheduler.metrics().inc_overloads();
+                if refusals.len() < MAX_LINGERING_REFUSALS
+                    && stream.shutdown(std::net::Shutdown::Write).is_ok()
+                    && stream.set_nonblocking(true).is_ok()
+                {
+                    refusals.push(stream);
+                }
+                continue;
             }
+            if let Err(e) = stream
+                .set_nonblocking(true)
+                .and_then(|()| stream.set_nodelay(true))
+            {
+                eprintln!("[{peer}] dropped: {e}");
+                continue;
+            }
+            let (submit, responses) = scheduler.connect_with_wake(proto, Some(Arc::clone(&wake)));
+            newly_accepted += 1;
+            conns.push(Conn {
+                stream,
+                peer,
+                submit,
+                responses,
+                framer: LineFramer::default(),
+                wbuf: Vec::new(),
+                wpos: 0,
+                inflight: 0,
+                eof: false,
+                finished: false,
+                drained: false,
+                dead: false,
+                t0: Instant::now(),
+            });
         }
 
         // Sweep only the connections with something to do — poll-ready
@@ -419,7 +602,7 @@ pub fn serve_tcp(
         // and the just-accepted batch: write → route responses → write →
         // read. Idle watchers cost nothing here.
         let first_new = conns.len() - newly_accepted;
-        let mut sweep = woken;
+        let mut sweep = ready.conns;
         for (index, conn) in conns.iter().enumerate() {
             if index >= first_new
                 || conn.inflight > 0
@@ -439,6 +622,15 @@ pub fn serve_tcp(
                 progress += conn.pump_write();
             }
             progress += conn.pump_read();
+        }
+
+        // Drop the refusals whose clients have closed. Descending order
+        // keeps the lower indices valid across `swap_remove`.
+        for index in ready.refusals.into_iter().rev() {
+            if drain_refusal(&mut refusals[index]) {
+                refusals.swap_remove(index);
+                progress += 1;
+            }
         }
 
         // Retire completed connections.
@@ -462,7 +654,10 @@ pub fn serve_tcp(
             progress += 1;
         }
 
-        if conns.is_empty() && limits.accept_total.is_some_and(|m| accepted >= m) {
+        if conns.is_empty()
+            && refusals.is_empty()
+            && limits.accept_total.is_some_and(|m| accepted >= m)
+        {
             return Ok(total);
         }
         last_progress = progress;
@@ -474,10 +669,51 @@ mod tests {
     use super::*;
     use crate::scheduler::SchedulerOptions;
     use crate::testutil::{probe_lines, scanner};
+    use std::io::{BufRead, BufReader};
+    use std::net::SocketAddr;
+    use std::thread::JoinHandle;
+    use std::time::Duration;
 
-    fn spawn_client(addr: std::net::SocketAddr, input: String) -> std::thread::JoinHandle<String> {
+    /// How long a test waits on a socket read or on `serve_tcp` returning
+    /// before it fails: a lost wake-up fails a test instead of hanging it.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    /// Runs a bounded v2 `serve_tcp` on a thread of its own. The thread is
+    /// not scoped, so a stalled loop cannot hold a failing test open.
+    fn spawn_server(
+        scheduler: &Arc<Scheduler>,
+        limits: TcpLimits,
+    ) -> (SocketAddr, JoinHandle<ServeReport>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let addr = listener.local_addr().expect("addr");
+        let scheduler = Arc::clone(scheduler);
+        let server = std::thread::spawn(move || {
+            serve_tcp(&listener, &scheduler, Protocol::V2, limits).expect("serves")
+        });
+        (addr, server)
+    }
+
+    /// The bounded run's report, once `serve_tcp` has returned.
+    fn join_server(server: JoinHandle<ServeReport>) -> ServeReport {
+        let deadline = Instant::now() + PATIENCE;
+        while !server.is_finished() {
+            assert!(Instant::now() < deadline, "serve_tcp did not return");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        server.join().expect("server thread")
+    }
+
+    fn connect(addr: SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(PATIENCE))
+            .expect("read timeout");
+        stream
+    }
+
+    fn spawn_client(addr: SocketAddr, input: String) -> JoinHandle<String> {
         std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut stream = connect(addr);
             stream.write_all(input.as_bytes()).expect("send requests");
             stream
                 .shutdown(std::net::Shutdown::Write)
@@ -492,130 +728,185 @@ mod tests {
 
     #[test]
     fn tcp_connections_share_one_scheduler_and_one_cache() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-        let addr = listener.local_addr().expect("addr");
         let (input, codes) = probe_lines(5);
 
         // Client A scores 5 codes; once its responses are back, client B
         // sends the same codes plus a stats probe — B's requests must hit
         // the process-wide cache A populated.
         let input_b = format!("{input}stats\n");
-        let scheduler = Scheduler::new(scanner(), &SchedulerOptions::default());
-        let server = std::thread::scope(|scope| {
-            let scheduler = &scheduler;
-            let handle = scope.spawn(move || {
-                serve_tcp(
-                    &listener,
-                    scheduler,
-                    Protocol::V2,
-                    TcpLimits {
-                        max_conns: Some(4),
-                        accept_total: Some(2),
-                    },
-                )
-                .expect("serves two conns")
-            });
-            let a = spawn_client(addr, input.clone());
-            let response_a = a.join().expect("client a");
-            assert_eq!(response_a.lines().count(), codes.len());
-            let b = spawn_client(addr, input_b.clone());
-            let response_b = b.join().expect("client b");
-            let lines_b: Vec<&str> = response_b.lines().collect();
-            assert_eq!(lines_b.len(), codes.len() + 1);
-            // A's and B's verdict lines are identical (same ids, same bits).
-            assert_eq!(
-                response_a.lines().collect::<Vec<_>>(),
-                &lines_b[..codes.len()]
-            );
-            let stats_line = lines_b.last().expect("stats");
-            assert!(
-                stats_line.contains(&format!("\"cache\":{{\"hits\":{}", codes.len())),
-                "{stats_line}"
-            );
-            handle.join().expect("server thread")
-        });
+        let scheduler = Arc::new(Scheduler::new(scanner(), &SchedulerOptions::default()));
+        let (addr, server) = spawn_server(
+            &scheduler,
+            TcpLimits {
+                max_conns: Some(4),
+                accept_total: Some(2),
+            },
+        );
+        let a = spawn_client(addr, input.clone());
+        let response_a = a.join().expect("client a");
+        assert_eq!(response_a.lines().count(), codes.len());
+        let b = spawn_client(addr, input_b.clone());
+        let response_b = b.join().expect("client b");
+        let lines_b: Vec<&str> = response_b.lines().collect();
+        assert_eq!(lines_b.len(), codes.len() + 1);
+        // A's and B's verdict lines are identical (same ids, same bits).
+        assert_eq!(
+            response_a.lines().collect::<Vec<_>>(),
+            &lines_b[..codes.len()]
+        );
+        let stats_line = lines_b.last().expect("stats");
+        assert!(
+            stats_line.contains(&format!("\"cache\":{{\"hits\":{}", codes.len())),
+            "{stats_line}"
+        );
+        let server = join_server(server);
         assert_eq!(server.contracts, 2 * codes.len() as u64);
         assert_eq!(server.cache_hits, codes.len() as u64);
-        let stats = scheduler.shutdown();
+        let stats = Arc::into_inner(scheduler)
+            .expect("the server thread released the scheduler")
+            .shutdown();
         assert_eq!(stats.scheduler.connections, 2);
         assert_eq!(stats.scheduler.scored, codes.len() as u64);
     }
 
     #[test]
     fn tcp_connection_limit_answers_typed_overload() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-        let addr = listener.local_addr().expect("addr");
-        let scheduler = Scheduler::new(scanner(), &SchedulerOptions::default());
-        let report = std::thread::scope(|scope| {
-            let scheduler = &scheduler;
-            let server = scope.spawn(move || {
-                serve_tcp(
-                    &listener,
-                    scheduler,
-                    Protocol::V2,
-                    TcpLimits {
-                        // No concurrent sessions allowed at all: every
-                        // accept is refused with the typed overload line —
-                        // deterministic, no timing involved.
-                        max_conns: Some(0),
-                        accept_total: Some(2),
-                    },
-                )
-                .expect("serves")
-            });
-            for _ in 0..2 {
-                let client = spawn_client(addr, String::new());
-                let response = client.join().expect("client");
-                assert_eq!(response.lines().count(), 1, "{response}");
-                assert!(response.contains("\"code\":\"overloaded\""), "{response}");
-            }
-            server.join().expect("server thread")
-        });
+        let scheduler = Arc::new(Scheduler::new(scanner(), &SchedulerOptions::default()));
+        let (addr, server) = spawn_server(
+            &scheduler,
+            TcpLimits {
+                // No concurrent sessions allowed at all: every accept is
+                // refused with the typed overload line — deterministic, no
+                // timing involved.
+                max_conns: Some(0),
+                accept_total: Some(2),
+            },
+        );
+        for _ in 0..2 {
+            let client = spawn_client(addr, String::new());
+            let response = client.join().expect("client");
+            assert_eq!(response.lines().count(), 1, "{response}");
+            assert!(response.contains("\"code\":\"overloaded\""), "{response}");
+        }
+        let report = join_server(server);
         assert_eq!(report.overloads, 2);
         assert_eq!(report.contracts, 0);
     }
 
     #[test]
+    fn tcp_refused_clients_that_already_sent_requests_still_read_the_overload_line() {
+        // Unread request bytes at close would make the kernel reset the
+        // connection, and a reset destroys the overload line in flight.
+        const CLIENTS: usize = 8;
+        let (input, _) = probe_lines(4);
+        let scheduler = Arc::new(Scheduler::new(scanner(), &SchedulerOptions::default()));
+        let (addr, server) = spawn_server(
+            &scheduler,
+            TcpLimits {
+                max_conns: Some(0),
+                accept_total: Some(CLIENTS),
+            },
+        );
+        let clients: Vec<JoinHandle<String>> = (0..CLIENTS)
+            .map(|_| {
+                let input = input.clone();
+                std::thread::spawn(move || {
+                    let mut stream = connect(addr);
+                    stream.write_all(input.as_bytes()).expect("send requests");
+                    // Read to EOF without half-closing first: the server
+                    // ends the exchange, not the client.
+                    let mut response = String::new();
+                    stream
+                        .read_to_string(&mut response)
+                        .expect("the overload line, then EOF — not a reset");
+                    response
+                })
+            })
+            .collect();
+        let mut overload_line = String::new();
+        proto::render_overload_v2(&mut overload_line, "connect");
+        overload_line.push('\n');
+        for client in clients {
+            assert_eq!(client.join().expect("client"), overload_line);
+        }
+        let report = join_server(server);
+        assert_eq!(report.overloads, CLIENTS as u64);
+        assert_eq!(report.contracts, 0);
+    }
+
+    #[test]
+    fn tcp_half_close_after_the_last_answer_retires_the_connection() {
+        // One request at a time: a worker routes each answer while the
+        // loop is parked, so each one needs a wake. Then EOF arrives in a
+        // read of its own, after every answer has routed: `finish` closes
+        // the response channel on the loop's thread, where no wake hook
+        // runs, and the loop must still retire the connection rather than
+        // park for good.
+        let (input, codes) = probe_lines(8);
+        let scheduler = Arc::new(Scheduler::new(scanner(), &SchedulerOptions::default()));
+        let (addr, server) = spawn_server(
+            &scheduler,
+            TcpLimits {
+                max_conns: None,
+                accept_total: Some(1),
+            },
+        );
+        let stream = connect(addr);
+        let mut reader = BufReader::new(&stream);
+        for (i, line) in input.lines().enumerate() {
+            (&stream)
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("send request");
+            let mut answer = String::new();
+            reader.read_line(&mut answer).expect("read the answer");
+            assert!(
+                answer.starts_with(&format!("{{\"proto\":2,\"id\":\"{i}\",\"verdict\":")),
+                "{answer}"
+            );
+        }
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut rest = String::new();
+        reader
+            .read_to_string(&mut rest)
+            .expect("the server closes the connection");
+        assert_eq!(rest, "");
+        let report = join_server(server);
+        assert_eq!(report.contracts, codes.len() as u64);
+    }
+
+    #[test]
     fn tcp_oversized_line_is_typed_and_framing_survives() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-        let addr = listener.local_addr().expect("addr");
         let (input, codes) = probe_lines(2);
         let mut lines = input.lines();
         let (first, second) = (lines.next().expect("probe"), lines.next().expect("probe"));
-        let scheduler = Scheduler::new(scanner(), &SchedulerOptions::default());
-        let (response, report) = std::thread::scope(|scope| {
-            let scheduler = &scheduler;
-            let server = scope.spawn(move || {
-                serve_tcp(
-                    &listener,
-                    scheduler,
-                    Protocol::V2,
-                    TcpLimits {
-                        max_conns: None,
-                        accept_total: Some(1),
-                    },
-                )
-                .expect("serves")
-            });
-            // The oversized line arrives over several writes, then a valid
-            // line, then a valid line with no trailing newline.
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            let piece = vec![b'6'; proto::MAX_LINE_BYTES / 2 + 1];
-            for _ in 0..3 {
-                stream.write_all(&piece).expect("send oversized piece");
-            }
-            stream
-                .write_all(format!("\n{first}\n{second}").as_bytes())
-                .expect("send valid lines");
-            stream
-                .shutdown(std::net::Shutdown::Write)
-                .expect("half-close");
-            let mut response = String::new();
-            stream
-                .read_to_string(&mut response)
-                .expect("read responses");
-            (response, server.join().expect("server thread"))
-        });
+        let scheduler = Arc::new(Scheduler::new(scanner(), &SchedulerOptions::default()));
+        let (addr, server) = spawn_server(
+            &scheduler,
+            TcpLimits {
+                max_conns: None,
+                accept_total: Some(1),
+            },
+        );
+        // The oversized line arrives over several writes, then a valid
+        // line, then a valid line with no trailing newline.
+        let mut stream = connect(addr);
+        let piece = vec![b'6'; proto::MAX_LINE_BYTES / 2 + 1];
+        for _ in 0..3 {
+            stream.write_all(&piece).expect("send oversized piece");
+        }
+        stream
+            .write_all(format!("\n{first}\n{second}").as_bytes())
+            .expect("send valid lines");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut response = String::new();
+        stream
+            .read_to_string(&mut response)
+            .expect("read responses");
+        let report = join_server(server);
         let lines: Vec<&str> = response.lines().collect();
         assert_eq!(lines.len(), 3, "{response}");
         let oversized = 3 * (proto::MAX_LINE_BYTES / 2 + 1);

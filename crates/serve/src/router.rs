@@ -44,7 +44,7 @@ use crate::proto::{self, Protocol};
 use crate::scheduler::{
     Admission, Connection, DegradationTier, Lifecycle, ResponseKind, Scheduler, SubmitOutcome,
 };
-use crate::serve::{ServeReport, TcpLimits};
+use crate::serve::{self, ServeReport, TcpLimits};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,8 +84,9 @@ fn error_body(detail: &str) -> String {
 /// aggregate report is returned (`None` = serve forever).
 ///
 /// # Errors
-/// Propagates accept errors; per-connection I/O errors are reported to
-/// stderr and do not stop the gateway.
+/// Propagates accept errors other than running out of descriptors,
+/// buffers or memory, which pause accepting instead; per-connection I/O
+/// errors are reported to stderr and do not stop the gateway.
 pub fn serve_http(
     listener: &TcpListener,
     scheduler: &Scheduler,
@@ -95,11 +96,23 @@ pub fn serve_http(
     let mut total = ServeReport::default();
     let live = AtomicUsize::new(0);
     let mut accepted = 0usize;
+    let mut accept_pause = serve::AcceptPause::default();
     std::thread::scope(|scope| -> io::Result<()> {
         let channel = limits.accept_total.map(|_| mpsc::channel::<ServeReport>());
         let report_tx = channel.as_ref().map(|(tx, _)| tx);
         while limits.accept_total.is_none_or(|m| accepted < m) {
-            let (mut stream, peer) = listener.accept()?;
+            let (mut stream, peer) = match listener.accept() {
+                Ok(pair) => pair,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if serve::accept_error_is_transient(&e) => {
+                    // The session threads keep serving meanwhile.
+                    accept_pause.start(&e);
+                    std::thread::sleep(serve::ACCEPT_PAUSE);
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
+            accept_pause.end();
             accepted += 1;
             if limits
                 .max_conns
@@ -132,6 +145,10 @@ pub fn serve_http(
                     live.load(Ordering::SeqCst)
                 );
                 total.overloads += 1;
+                continue;
+            }
+            if let Err(e) = stream.set_nodelay(true) {
+                eprintln!("[http {peer}] dropped: {e}");
                 continue;
             }
             live.fetch_add(1, Ordering::SeqCst);

@@ -289,10 +289,17 @@ pub enum ResponseKind {
     Internal,
 }
 
+/// Called after the router moves lines into, or closes, a connection's
+/// response channel — how an event loop that polls sockets learns that an
+/// in-process channel changed (see [`Scheduler::connect_with_wake`]).
+pub(crate) type WakeHook = Arc<dyn Fn() + Send + Sync>;
+
 struct ConnState {
     /// `Some` while the writer is attached; dropped (closing the writer's
     /// channel) once the connection is finished and fully drained.
     tx: Option<mpsc::Sender<(String, ResponseKind)>>,
+    /// Poked after routing into or closing `tx`, outside the router lock.
+    wake: Option<WakeHook>,
     next_seq: u64,
     submitted_seqs: u64,
     pending: BTreeMap<u64, (String, ResponseKind)>,
@@ -434,6 +441,8 @@ struct Router {
 impl Router {
     /// Routes one response line, releasing every line that is now in
     /// per-connection order, and tallies it into the connection's report.
+    /// When that moved lines into the connection's channel or closed it,
+    /// the connection's wake hook runs once the router lock is released.
     fn complete(&self, conn: u64, seq: u64, line: String, settle: Settle) {
         let kind = match &settle {
             Settle::Scored { .. } => ResponseKind::Verdict,
@@ -462,6 +471,7 @@ impl Router {
             Settle::Stats => {}
         }
         state.pending.insert(seq, (line, kind));
+        let routed_from = state.next_seq;
         while let Some(ready) = state.pending.remove(&state.next_seq) {
             if let Some(tx) = &state.tx {
                 // A dead writer only means the lines go nowhere; ordering
@@ -472,6 +482,15 @@ impl Router {
         }
         if state.eof && state.next_seq == state.submitted_seqs {
             state.tx = None; // closes the writer's channel
+        }
+        // Closing only ever follows routing the last line, so a moved line
+        // covers both.
+        let wake = (state.next_seq != routed_from)
+            .then(|| state.wake.clone())
+            .flatten();
+        drop(conns);
+        if let Some(wake) = wake {
+            wake();
         }
     }
 }
@@ -760,6 +779,20 @@ impl Scheduler {
     /// [`SchedulerOptions::max_outstanding`]: a writer that stops draining
     /// eventually blocks the submit side instead of growing memory.
     pub fn connect(&self, proto: Protocol) -> (Connection, Responses) {
+        self.connect_with_wake(proto, None)
+    }
+
+    /// [`Scheduler::connect`] for a transport that parks in `poll(2)`:
+    /// `wake` runs whenever the router moves lines into, or closes, this
+    /// connection's response channel — from a worker, a deadline or drain
+    /// answer, or an inline answer — so the transport never has to tick to
+    /// notice a routed response. It runs outside the router lock and must
+    /// not block.
+    pub(crate) fn connect_with_wake(
+        &self,
+        proto: Protocol,
+        wake: Option<WakeHook>,
+    ) -> (Connection, Responses) {
         let (tx, rx) = mpsc::channel();
         let window = Arc::new(Window::new());
         let id = self.shared.router.next_id.fetch_add(1, Ordering::Relaxed);
@@ -773,6 +806,7 @@ impl Scheduler {
                 id,
                 ConnState {
                     tx: Some(tx),
+                    wake,
                     next_seq: 0,
                     submitted_seqs: 0,
                     pending: BTreeMap::new(),

@@ -33,7 +33,7 @@ use phishinghook_data::SharedChain;
 use phishinghook_models::Scanner;
 use std::io::{self, BufRead, Write};
 use std::net::TcpListener;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Connection-acceptance limits for the listener loops
 /// ([`serve_tcp`](crate::nbio::serve_tcp) and
@@ -46,6 +46,71 @@ pub struct TcpLimits {
     /// Total connections to accept before draining and returning (test/CI
     /// runs). `None` = serve forever (the daemon case).
     pub accept_total: Option<usize>,
+}
+
+/// How long a listener stops accepting after an accept fails for want of
+/// descriptors, buffers or memory; its live connections keep being served.
+pub(crate) const ACCEPT_PAUSE: Duration = Duration::from_millis(100);
+
+/// Whether a listener should outlive this `accept` error: out of file
+/// descriptors (`EMFILE`, `ENFILE`), socket buffers (`ENOBUFS`) or memory
+/// (`ENOMEM`), or a peer that gave up before its connection was accepted.
+/// These pass once connections close or the peer is gone; every other
+/// accept error still ends the listener.
+pub(crate) fn accept_error_is_transient(e: &io::Error) -> bool {
+    #[cfg(unix)]
+    let out_of_resources = {
+        const ENOMEM: i32 = 12;
+        const ENFILE: i32 = 23;
+        const EMFILE: i32 = 24;
+        #[cfg(any(target_os = "linux", target_os = "android"))]
+        const ENOBUFS: i32 = 105;
+        #[cfg(not(any(target_os = "linux", target_os = "android")))]
+        const ENOBUFS: i32 = 55;
+        matches!(e.raw_os_error(), Some(ENOMEM | ENFILE | EMFILE | ENOBUFS))
+    };
+    #[cfg(not(unix))]
+    let out_of_resources = e.kind() == io::ErrorKind::OutOfMemory;
+    out_of_resources || e.kind() == io::ErrorKind::ConnectionAborted
+}
+
+/// One listener's accept pauses. An episode runs from the first transient
+/// accept error to the next accepted connection and is logged once.
+#[derive(Debug, Default)]
+pub(crate) struct AcceptPause {
+    /// When accepting resumes; `None` while not paused.
+    until: Option<Instant>,
+    /// This episode has been logged.
+    logged: bool,
+}
+
+impl AcceptPause {
+    /// Stops accepting for [`ACCEPT_PAUSE`] after a transient error.
+    pub(crate) fn start(&mut self, err: &io::Error) {
+        if !self.logged {
+            eprintln!(
+                "accept failed ({err}); pausing accepts in {} ms steps, live connections keep serving",
+                ACCEPT_PAUSE.as_millis()
+            );
+            self.logged = true;
+        }
+        self.until = Some(Instant::now() + ACCEPT_PAUSE);
+    }
+
+    /// A connection was accepted: the episode, if any, is over.
+    pub(crate) fn end(&mut self) {
+        self.logged = false;
+    }
+
+    /// Time left in the current pause; `None` once accepting may resume.
+    pub(crate) fn remaining(&mut self) -> Option<Duration> {
+        let left = self.until?.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            self.until = None;
+            return None;
+        }
+        Some(left)
+    }
 }
 
 /// The tallies of one connection (one stdin run, TCP connection or HTTP

@@ -1,8 +1,10 @@
 //! The O(connections) death test: ten thousand mostly-idle JSONL
 //! connections must cost O(shards + listeners) serving threads, not ten
-//! thousand parked readers — and an active client must still round-trip
-//! through the crowd. Linux-only: the thread count comes from
-//! `/proc/self/status` and the fd budget from `setrlimit(2)`.
+//! thousand parked readers — an active client must still round-trip
+//! through the crowd, and the event loop must then sleep while the crowd
+//! idles instead of waking on a timer. Linux-only: thread counts and
+//! context switches come from `/proc/self`, and the fd budget from
+//! `setrlimit(2)`.
 
 #![cfg(target_os = "linux")]
 
@@ -56,6 +58,27 @@ fn raise_nofile(want: u64) -> u64 {
     limit.cur
 }
 
+/// The name the event-loop thread runs under (`comm` keeps 15 bytes).
+const LOOP_THREAD: &str = "idle-conns-loop";
+
+/// Voluntary context switches of the first thread in this process named
+/// `name`: each one is the thread going to sleep.
+fn voluntary_switches(name: &str) -> u64 {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("proc tasks");
+    let task = tasks
+        .map(|entry| entry.expect("task entry").path())
+        .find(|task| {
+            std::fs::read_to_string(task.join("comm")).is_ok_and(|comm| comm.trim_end() == name)
+        })
+        .unwrap_or_else(|| panic!("no thread named {name}"));
+    let status = std::fs::read_to_string(task.join("status")).expect("task status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("voluntary_ctxt_switches: line")
+}
+
 fn thread_count() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("proc status");
     status
@@ -91,18 +114,21 @@ fn ten_thousand_idle_connections_cost_constant_threads() {
 
     let report = std::thread::scope(|scope| {
         let scheduler = &scheduler;
-        let server = scope.spawn(move || {
-            serve_tcp(
-                &listener,
-                scheduler,
-                Protocol::V1,
-                TcpLimits {
-                    max_conns: None,
-                    accept_total: Some(idle + 1),
-                },
-            )
-            .expect("serves")
-        });
+        let server = std::thread::Builder::new()
+            .name(LOOP_THREAD.to_owned())
+            .spawn_scoped(scope, move || {
+                serve_tcp(
+                    &listener,
+                    scheduler,
+                    Protocol::V1,
+                    TcpLimits {
+                        max_conns: None,
+                        accept_total: Some(idle + 1),
+                    },
+                )
+                .expect("serves")
+            })
+            .expect("spawn the event loop");
 
         // The idle crowd: connected, never sending, never read from.
         // Pace the ramp against the server's accept counter so the
@@ -150,6 +176,17 @@ fn ten_thousand_idle_connections_cost_constant_threads() {
             threads <= baseline_threads + 32,
             "{threads} threads for {idle} idle connections \
              (baseline {baseline_threads}) — thread-per-connection regression"
+        );
+
+        // With the active client retired and the crowd idle, the loop has
+        // nothing to do and must stay parked: a loop that ticks wakes, and
+        // so sleeps again, several times a second.
+        let before = voluntary_switches(LOOP_THREAD);
+        std::thread::sleep(std::time::Duration::from_secs(1));
+        let slept = voluntary_switches(LOOP_THREAD) - before;
+        assert!(
+            slept <= 1,
+            "the event loop went to sleep {slept} times in an idle second"
         );
 
         drop(active);
