@@ -20,7 +20,7 @@ use phishinghook_evm::disasm::disasm_iter;
 use phishinghook_evm::keccak::{from_hex, to_hex, Digest};
 use phishinghook_features::{HistogramExtractor, TraceExtractor};
 use phishinghook_ml::classical::forest::ForestConfig;
-use phishinghook_ml::{Classifier, RandomForest};
+use phishinghook_ml::{Classifier, Matrix, RandomForest};
 use phishinghook_models::{Detector, DetectorRegistry, Scanner};
 use phishinghook_serve::{
     serve_http, Admission, CachedVerdict, Protocol, Scheduler, SchedulerOptions, TcpLimits,
@@ -301,16 +301,35 @@ fn main() {
     let quant_bins = forest
         .quant_bins()
         .expect("a fitted forest carries its quantized mirror");
-    assert!(
-        forest
-            .predict_proba_batch(&x)
+    // Batch of one: the same forest over the same rows, one
+    // `predict_proba_batch` call per row — the shape an interactive
+    // `/predict` request scores in, where the walk's lanes are trees. A
+    // one-row call runs on one thread, like the seed walk, so their ratio
+    // does not depend on the host's core count.
+    let singles: Vec<Matrix> = (0..x.rows()).map(|i| x.select_rows(&[i])).collect();
+    let reference = seed_paths::forest_predict_proba(&forest, &x);
+    let bit_identical = forest
+        .predict_proba_batch(&x)
+        .iter()
+        .zip(&reference)
+        .all(|(a, b)| a.to_bits() == b.to_bits())
+        && singles
             .iter()
-            .zip(&seed_paths::forest_predict_proba(&forest, &x))
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
+            .zip(&reference)
+            .all(|(row, b)| forest.predict_proba_batch(row)[0].to_bits() == b.to_bits());
+    assert!(
+        bit_identical,
         "the batch engine must reproduce the per-row arena walk bit-for-bit"
     );
     let seed_infer_secs = measure(reps, || seed_paths::forest_predict_proba(&forest, &x));
     let batch_infer_secs = measure(reps, || forest.predict_proba_batch(&x));
+    let batch1_secs = measure(reps, || {
+        singles
+            .iter()
+            .map(|row| forest.predict_proba_batch(row)[0])
+            .sum::<f64>()
+    });
+    let batch1_us_per_row = batch1_secs * 1e6 / x.rows() as f64;
     println!(
         "inference  per-row {:>10.3} ms   batch  {:>10.3} ms   speedup {:>6.2}x   {:.0} rows/s batch   {} bins/feature, bit-identical",
         seed_infer_secs * 1e3,
@@ -318,6 +337,13 @@ fn main() {
         seed_infer_secs / batch_infer_secs,
         x.rows() as f64 / batch_infer_secs,
         quant_bins,
+    );
+    println!(
+        "inference  batch-1 {:>10.3} ms   {:.2} us/row over {} one-row calls   speedup {:>6.2}x, bit-identical",
+        batch1_secs * 1e3,
+        batch1_us_per_row,
+        x.rows(),
+        seed_infer_secs / batch1_secs,
     );
 
     // --- End-to-end serving path: raw bytecode -> probabilities. ---
@@ -836,7 +862,9 @@ fn main() {
     "speedup": {infer_speedup},
     "batch_rows_per_sec": {batch_rps},
     "bins_per_feature": {quant_bins},
-    "bit_identical": true,
+    "batch1_us_per_row": {batch1_us_per_row},
+    "batch1_speedup": {batch1_speedup},
+    "bit_identical": {bit_identical},
     "n_trees": 100
   }},
   "pipeline": {{
@@ -943,6 +971,8 @@ fn main() {
         infer_speedup = json_f(seed_infer_secs / batch_infer_secs),
         batch_rps = json_f(x.rows() as f64 / batch_infer_secs),
         quant_bins = quant_bins,
+        batch1_us_per_row = json_f(batch1_us_per_row),
+        batch1_speedup = json_f(seed_infer_secs / batch1_secs),
         pipeline = json_f(pipeline_secs),
         cps = json_f(contracts_per_sec),
         mbps = json_f(mb_per_sec),

@@ -11,11 +11,12 @@
 //! bit-identical to the per-row [`Node`](crate::classical::tree::Node)
 //! arena walk it falls back to when a feature exceeds the bin budget.
 
-use crate::classical::quant::{FeatureBins, NanRoute, QuantNodes};
+use crate::classical::quant::{accumulate_trees, FeatureBins, NanRoute, QuantNodes};
 use crate::classical::tree::{DecisionTree, TreeConfig};
 use crate::classical::SplitMix;
 use crate::matrix::Matrix;
 use crate::Classifier;
+use std::sync::OnceLock;
 
 /// Hyperparameters for a [`RandomForest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -119,6 +120,9 @@ impl RandomForest {
     /// no mirror (a feature with more than 65,534 distinct thresholds)
     /// takes that arena walk instead.
     ///
+    /// The thread count is clamped by the cores the process may use, read
+    /// once per process.
+    ///
     /// # Panics
     /// Panics when called before [`Classifier::fit`].
     pub fn predict_proba_batch(&self, x: &Matrix) -> Vec<f64> {
@@ -136,8 +140,12 @@ impl RandomForest {
         let mut out = vec![0.0; n];
         // Sharding never changes the result, so the thread count is free to
         // clamp by the cores actually present — configured counts above
-        // that are pure spawn overhead.
-        let hw = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
+        // that are pure spawn overhead. On Linux the query re-reads the
+        // cgroup CPU quota on every call, which costs more than the whole
+        // walk of a one-row batch, so it runs once per process.
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let hw = *CORES
+            .get_or_init(|| std::thread::available_parallelism().map_or(usize::MAX, usize::from));
         let threads = self
             .config
             .threads
@@ -173,9 +181,7 @@ impl RandomForest {
         for (b, block) in out.chunks_mut(Self::BLOCK).enumerate() {
             let start = lo + b * Self::BLOCK;
             let q = quant.bins.quantize_row_range(x, start, start + block.len());
-            for tree in &quant.trees {
-                tree.accumulate_rows(&q, 0, block.len(), block);
-            }
+            accumulate_trees(&quant.trees, &q, 0, block.len(), block);
         }
     }
 
@@ -537,6 +543,89 @@ mod tests {
         assert_eq!(probs.len(), 5);
         assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)));
         assert_eq!(bits(&probs), bits(&predict_proba_per_row(&rf, &x)));
+    }
+
+    #[test]
+    fn every_small_block_size_matches_the_per_row_reference() {
+        // 37 trees: two full 16-tree groups plus a 5-tree remainder. Block
+        // sizes 1–40 cover leftover rows alone (1–15), one full row group
+        // with and without leftovers (16–31), and two (32–40).
+        let (x, y) = blobs(200, 15);
+        let mut rf = RandomForest::new(ForestConfig {
+            n_trees: 37,
+            seed: 6,
+            ..ForestConfig::default()
+        });
+        rf.fit(&x, &y);
+        assert!(rf.quant_bins().is_some());
+        let (eval, _) = blobs(80, 16);
+        let mut rows: Vec<Vec<f64>> = eval.iter_rows().map(<[f64]>::to_vec).collect();
+        for (i, row) in rows.iter_mut().enumerate() {
+            if i % 7 == 0 {
+                row[i % 3] = f64::NAN;
+            }
+            if i % 5 == 0 {
+                row[(i + 1) % 3] = if i % 2 == 0 { 1e9 } else { -1e9 };
+            }
+        }
+        for b in 1..=40 {
+            let block = Matrix::from_rows(&rows[b..2 * b]);
+            assert_eq!(
+                bits(&rf.predict_proba_batch(&block)),
+                bits(&predict_proba_per_row(&rf, &block)),
+                "block of {b} rows"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_split_threshold_is_rejected_at_restore() {
+        use phishinghook_persist::{from_envelope, open_envelope, to_envelope, Writer};
+        /// Reseals an edited payload under a valid length and CRC.
+        struct Raw(Vec<u8>);
+        impl Snapshot for Raw {
+            fn snapshot(&self, w: &mut Writer) {
+                w.put_raw(&self.0);
+            }
+        }
+        let (x, y) = blobs(40, 22);
+        let mut rf = RandomForest::new(ForestConfig {
+            n_trees: 3,
+            ..ForestConfig::default()
+        });
+        rf.fit(&x, &y);
+        let (feature, threshold) = rf.trees()[1]
+            .nodes()
+            .iter()
+            .find_map(|node| match *node {
+                crate::classical::tree::Node::Split {
+                    feature, threshold, ..
+                } => Some((feature, threshold)),
+                crate::classical::tree::Node::Leaf { .. } => None,
+            })
+            .expect("a split");
+        let bytes = to_envelope("forest", &rf);
+        let payload = open_envelope("forest", &bytes).expect("valid").to_vec();
+        // A split node on the wire: tag 1, the feature, then the threshold.
+        let mut needle = vec![1u8];
+        needle.extend_from_slice(&(feature as u64).to_le_bytes());
+        needle.extend_from_slice(&threshold.to_bits().to_le_bytes());
+        let at = payload
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("the split is in the payload")
+            + 9;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut edited = payload.clone();
+            edited[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+            let resealed = to_envelope("forest", &Raw(edited));
+            match from_envelope::<RandomForest>("forest", &resealed) {
+                Err(PersistError::Malformed(msg)) => {
+                    assert!(msg.contains("non-finite threshold"), "{bad}: {msg}")
+                }
+                other => panic!("{bad}: expected a typed Malformed error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

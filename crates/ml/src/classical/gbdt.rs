@@ -18,7 +18,9 @@
 //! [`crate::classical::quant`]), bit-identical to the per-row walk it falls
 //! back to when there is no mirror.
 
-use crate::classical::quant::{FeatureBins, NanRoute, QuantNodeDesc, QuantNodes, QuantOblivious};
+use crate::classical::quant::{
+    accumulate_trees, FeatureBins, NanRoute, QuantNodeDesc, QuantNodes, QuantOblivious,
+};
 use crate::classical::SplitMix;
 use crate::matrix::Matrix;
 use crate::Classifier;
@@ -180,11 +182,12 @@ impl BoostTree {
     }
 }
 
-/// Quantized mirror of one boosted tree.
+/// The repacked trees of a booster's quantized mirror. A fitted booster
+/// grows one family only, so the mirror holds one family only.
 #[derive(Debug, Clone)]
-enum QuantBoostTree {
-    Reg(QuantNodes),
-    Oblivious(QuantOblivious),
+enum QuantTrees {
+    Reg(Vec<QuantNodes>),
+    Oblivious(Vec<QuantOblivious>),
 }
 
 /// Quantized mirror of the whole booster: shared bins over every tree's
@@ -193,7 +196,7 @@ enum QuantBoostTree {
 #[derive(Debug, Clone)]
 struct GbdtQuant {
     bins: FeatureBins,
-    trees: Vec<QuantBoostTree>,
+    trees: QuantTrees,
 }
 
 /// A fitted gradient-boosting classifier.
@@ -283,10 +286,12 @@ impl GradientBoosting {
         let mut lo = 0;
         for block in acc.chunks_mut(BLOCK) {
             let hi = lo + block.len();
-            for tree in &quant.trees {
-                match tree {
-                    QuantBoostTree::Reg(t) => t.accumulate_rows(&q, lo, hi, block),
-                    QuantBoostTree::Oblivious(t) => t.accumulate_rows(&q, lo, hi, block),
+            match &quant.trees {
+                QuantTrees::Reg(trees) => accumulate_trees(trees, &q, lo, hi, block),
+                QuantTrees::Oblivious(trees) => {
+                    for tree in trees {
+                        tree.accumulate_rows(&q, lo, hi, block);
+                    }
                 }
             }
             lo = hi;
@@ -307,23 +312,21 @@ impl GradientBoosting {
     /// Rebuilds the quantized mirror from the fitted trees (fit + restore).
     fn rebuild_quant(&mut self) {
         self.quant = None;
+        let mut reg = Vec::new();
+        let mut oblivious = Vec::new();
+        for tree in &self.trees {
+            match tree {
+                BoostTree::Reg(t) => reg.push(t),
+                BoostTree::Oblivious(t) => oblivious.push(t),
+            }
+        }
         // NaN routing differs by family: `v <= t` trees send NaN right,
         // oblivious `v > t` conditions send it left. One booster only ever
         // fits one family; a crafted snapshot mixing them stays on the
         // per-row walk rather than sharing a wrongly-routed matrix.
-        let all_reg = self.trees.iter().all(|t| matches!(t, BoostTree::Reg(_)));
-        let all_oblivious = self
-            .trees
-            .iter()
-            .all(|t| matches!(t, BoostTree::Oblivious(_)));
-        if !all_reg && !all_oblivious {
+        if !reg.is_empty() && !oblivious.is_empty() {
             return;
         }
-        let nan_route = if all_reg {
-            NanRoute::Right
-        } else {
-            NanRoute::Left
-        };
         // The packed layout stores feature ids as u16 (trees never store a
         // feature count, so a crafted snapshot could exceed that).
         if self
@@ -334,40 +337,49 @@ impl GradientBoosting {
         }
         let d = self.max_feature_index().map_or(0, |m| m + 1);
         let mut per_feature = vec![Vec::new(); d];
-        for tree in &self.trees {
-            match tree {
-                BoostTree::Reg(t) => {
-                    for node in &t.nodes {
-                        if let RegNode::Split {
-                            feature, threshold, ..
-                        } = *node
-                        {
-                            per_feature[feature].push(threshold);
-                        }
-                    }
-                }
-                BoostTree::Oblivious(t) => {
-                    for &(feature, threshold) in &t.conditions {
-                        per_feature[feature].push(threshold);
-                    }
+        for t in &reg {
+            for node in &t.nodes {
+                if let RegNode::Split {
+                    feature, threshold, ..
+                } = *node
+                {
+                    per_feature[feature].push(threshold);
                 }
             }
         }
+        for t in &oblivious {
+            for &(feature, threshold) in &t.conditions {
+                per_feature[feature].push(threshold);
+            }
+        }
+        let nan_route = if oblivious.is_empty() {
+            NanRoute::Right
+        } else {
+            NanRoute::Left
+        };
         let Some(bins) = FeatureBins::from_split_thresholds(per_feature, nan_route) else {
             return;
         };
-        let trees = self
-            .trees
-            .iter()
-            .map(|tree| match tree {
-                BoostTree::Reg(t) => {
-                    QuantBoostTree::Reg(QuantNodes::from_arena(&t.quant_desc(), &bins))
-                }
-                BoostTree::Oblivious(t) => QuantBoostTree::Oblivious(
-                    QuantOblivious::from_conditions(&t.conditions, t.leaf_weights.clone(), &bins),
-                ),
-            })
-            .collect();
+        let trees = if oblivious.is_empty() {
+            QuantTrees::Reg(
+                reg.iter()
+                    .map(|t| QuantNodes::from_arena(&t.quant_desc(), &bins))
+                    .collect(),
+            )
+        } else {
+            QuantTrees::Oblivious(
+                oblivious
+                    .iter()
+                    .map(|t| {
+                        QuantOblivious::from_conditions(
+                            &t.conditions,
+                            t.leaf_weights.clone(),
+                            &bins,
+                        )
+                    })
+                    .collect(),
+            )
+        };
         self.quant = Some(GbdtQuant { bins, trees });
     }
 }
@@ -679,7 +691,13 @@ impl Restore for BoostTree {
             0 => {
                 let nodes: Vec<RegNode> = Vec::restore(r)?;
                 for (i, node) in nodes.iter().enumerate() {
-                    if let RegNode::Split { left, right, .. } = *node {
+                    if let RegNode::Split {
+                        threshold,
+                        left,
+                        right,
+                        ..
+                    } = *node
+                    {
                         // Forward-only children (builders push parents
                         // first), so a crafted cyclic tree cannot hang
                         // `predict_row`.
@@ -689,6 +707,13 @@ impl Restore for BoostTree {
                                 nodes.len()
                             )));
                         }
+                        // Builders split on finite midpoints, and the
+                        // quantized mirror bins on the thresholds.
+                        if !threshold.is_finite() {
+                            return Err(PersistError::Malformed(format!(
+                                "boost node {i} splits at non-finite threshold {threshold}"
+                            )));
+                        }
                     }
                 }
                 Ok(BoostTree::Reg(RegTree { nodes }))
@@ -696,8 +721,15 @@ impl Restore for BoostTree {
             1 => {
                 let n_conditions = r.take_len(16)?; // 8-byte feature + 8-byte threshold each
                 let mut conditions = Vec::with_capacity(n_conditions);
-                for _ in 0..n_conditions {
-                    conditions.push((r.take_usize()?, r.take_f64()?));
+                for level in 0..n_conditions {
+                    let feature = r.take_usize()?;
+                    let threshold = r.take_f64()?;
+                    if !threshold.is_finite() {
+                        return Err(PersistError::Malformed(format!(
+                            "oblivious level {level} splits at non-finite threshold {threshold}"
+                        )));
+                    }
+                    conditions.push((feature, threshold));
                 }
                 let leaf_weights: Vec<f64> = Vec::restore(r)?;
                 // predict_row indexes leaves by the condition bit-vector, so
@@ -1315,6 +1347,85 @@ mod tests {
             // the same bits.
             m.quant = None;
             assert_eq!(bits(&m.predict_proba(&xe)), bits(&quantized), "{variant:?}");
+        }
+    }
+
+    #[test]
+    fn every_small_block_size_matches_the_raw_score_walk_per_variant() {
+        // 37 rounds: two full 16-tree groups plus a 5-tree remainder for the
+        // tree-lockstep walk. Block sizes 1–40 cover leftover rows alone,
+        // one full row group with and without leftovers, and two.
+        let (x, y) = blobs(150, 43);
+        let (eval, _) = blobs(80, 44);
+        let mut rows: Vec<Vec<f64>> = eval.iter_rows().map(<[f64]>::to_vec).collect();
+        for (i, row) in rows.iter_mut().enumerate() {
+            if i % 7 == 0 {
+                row[i % 2] = f64::NAN;
+            }
+            if i % 5 == 0 {
+                row[(i + 1) % 2] = if i % 2 == 0 { 1e9 } else { -1e9 };
+            }
+        }
+        for variant in [
+            BoostVariant::Exact,
+            BoostVariant::Histogram,
+            BoostVariant::Oblivious,
+        ] {
+            let mut m = GradientBoosting::new(GbdtConfig {
+                variant,
+                n_rounds: 37,
+                ..GbdtConfig::default()
+            });
+            m.fit(&x, &y);
+            assert!(m.quant.is_some(), "{variant:?}");
+            for b in 1..=40 {
+                let block = Matrix::from_rows(&rows[b..2 * b]);
+                let reference: Vec<f64> = m.raw_scores(&block).into_iter().map(sigmoid).collect();
+                assert_eq!(
+                    bits(&m.predict_proba(&block)),
+                    bits(&reference),
+                    "{variant:?}, block of {b} rows"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_split_threshold_is_rejected_at_restore_per_variant() {
+        use phishinghook_persist::{from_envelope, to_envelope};
+        let (x, y) = blobs(40, 45);
+        for variant in [
+            BoostVariant::Exact,
+            BoostVariant::Histogram,
+            BoostVariant::Oblivious,
+        ] {
+            let mut m = GradientBoosting::new(GbdtConfig {
+                variant,
+                n_rounds: 3,
+                ..GbdtConfig::default()
+            });
+            m.fit(&x, &y);
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut edited = m.clone();
+                let threshold = match &mut edited.trees[0] {
+                    BoostTree::Reg(t) => t.nodes.iter_mut().find_map(|node| match node {
+                        RegNode::Split { threshold, .. } => Some(threshold),
+                        RegNode::Leaf { .. } => None,
+                    }),
+                    BoostTree::Oblivious(t) => t.conditions.first_mut().map(|(_, t)| t),
+                };
+                *threshold.expect("the first tree splits") = bad;
+                let bytes = to_envelope("gbdt", &edited);
+                match from_envelope::<GradientBoosting>("gbdt", &bytes) {
+                    Err(PersistError::Malformed(msg)) => {
+                        assert!(
+                            msg.contains("non-finite threshold"),
+                            "{variant:?} {bad}: {msg}"
+                        )
+                    }
+                    other => panic!("{variant:?} {bad}: expected Malformed, got {other:?}"),
+                }
+            }
         }
     }
 

@@ -23,6 +23,13 @@
 //!   adjacent, so 8 nodes share a cache line and the child edge is one
 //!   add instead of a `children[2i + side]` gather. Leaf probabilities
 //!   stay in a separate `f64` array touched once per row, after the walk.
+//! * [`accumulate_trees`] walks a model's packed trees in lockstep groups
+//!   of 16 independent load chains, in one of two shapes. Rows in full
+//!   16-row groups walk one tree at a time, the lanes being rows. Each
+//!   leftover row (0–15 per block; a serving batch is often one row) walks
+//!   16 trees at a time, the lanes being trees — the tree-interleaved walk
+//!   of Asadi, Lin & de Vries (IEEE TKDE 2014). Either way a row's leaf
+//!   values are added in tree order, so its sum has the same bits.
 //!
 //! NaN routing is preserved at transform time: the raw walks send NaN
 //! right (`!(v <= t)`) in binary trees but left (`v > t` is false) in
@@ -37,10 +44,11 @@
 //! rebuilt on snapshot restore, and never persisted — the snapshot format
 //! carries only the arenas.
 //!
-//! The equivalence tests live beside each walk: random-tree proptests
-//! against the arena in this module, a forest-batch proptest in
-//! [`crate::classical::forest`], and all three boosting variants in
-//! [`crate::classical::gbdt`].
+//! The equivalence tests live beside each walk: random-forest proptests
+//! against the arena in this module (1–40 trees over 0–40 rows), a
+//! forest-batch proptest and a sweep of every block size from 1 to 40 rows
+//! in [`crate::classical::forest`], and the same sweep over all three
+//! boosting variants in [`crate::classical::gbdt`].
 
 use crate::matrix::Matrix;
 
@@ -49,6 +57,15 @@ use crate::matrix::Matrix;
 /// compare greater than every quantized threshold so NaN keeps routing
 /// right in binary trees).
 const MAX_EDGES: usize = u16::MAX as usize - 1;
+
+/// Lockstep lanes per walk group, in both walk shapes: enough independent
+/// load chains to hide L1 latency, few enough that the lane state stays in
+/// registers. A branch-free pass keeps the group loop fully unrolled;
+/// per-lane retirement was tried twice (immediate compaction, and
+/// two-phase visit-then-compact) and lost both times — the compaction
+/// writes and their serial write cursor cost more than the dead passes
+/// they save.
+const LANES: usize = 16;
 
 /// Where a feature comparison sends NaN, per model family.
 ///
@@ -97,7 +114,8 @@ impl FeatureBins {
     ///
     /// # Panics
     /// Panics on a non-finite threshold: fitted trees only ever split on
-    /// finite midpoints, so one here is a builder bug.
+    /// finite midpoints and snapshot restore rejects any other, so one
+    /// here is a bug.
     pub fn from_split_thresholds(
         mut per_feature: Vec<Vec<f64>>,
         nan_route: NanRoute,
@@ -461,8 +479,8 @@ pub enum QuantNodeDesc {
 /// the right child is always `first_child + 1`, so the taken branch is
 /// `first_child + (v > thr)` with no second pointer. Leaves carry
 /// `thr == u16::MAX` (never exceeded — the NaN sentinel `u16::MAX` is not
-/// *greater* than it) and point `first_child` at themselves, so a
-/// finished lane self-loops until the whole group is done.
+/// *greater* than it), test feature 0, and point `first_child` at
+/// themselves, so a finished lane self-loops until the whole group is done.
 ///
 /// A 16-byte 4-ary supernode covering two binary levels (three embedded
 /// comparisons, four adjacent children) was tried and lost ~70%: half the
@@ -474,6 +492,14 @@ struct PackedNode {
     thr: u16,
     first_child: u32,
 }
+
+/// A single-leaf tree for the unused lanes of a short tree group: its leaf
+/// self-loops at index 0, like every packed leaf.
+static PAD_TREE: [PackedNode; 1] = [PackedNode {
+    feat: 0,
+    thr: u16::MAX,
+    first_child: 0,
+}];
 
 /// A tree repacked for the quantized lockstep walk: breadth-first order
 /// with sibling pairs adjacent (so a node stores only its left child's
@@ -489,10 +515,11 @@ pub struct QuantNodes {
     /// asserts the quantized matrix is at least this wide once per call,
     /// which is what makes its unchecked row indexing sound.
     needed_cols: usize,
-    /// Longest root-to-leaf path. The walk runs exactly this many lockstep
-    /// passes instead of re-checking convergence every pass: rows on
-    /// shorter paths idle in their leaf self-loop, which costs a few dead
-    /// visits but strips the change-tracking from the hot loop.
+    /// Longest root-to-leaf path. A row group runs exactly this many
+    /// lockstep passes (a tree group, its trees' largest depth) instead of
+    /// re-checking convergence every pass: lanes on shorter paths idle in
+    /// their leaf self-loop, which costs a few dead visits but strips the
+    /// change-tracking from the hot loop.
     depth: usize,
 }
 
@@ -566,114 +593,129 @@ impl QuantNodes {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
+}
 
-    /// Adds this tree's leaf value for rows `lo..hi` of `q` into
-    /// `out[0..hi - lo]`. Each row's slot receives exactly one addition per
-    /// tree, so a model that walks its trees in order produces the same
-    /// tree-ordered sums as the per-row arena walk.
-    ///
-    /// The pass body indexes without bounds checks; soundness rests on two
-    /// facts checked once up front instead of per visit:
-    ///
-    /// * every `first_child + 1` and every leaf self-index is in range by
-    ///   [`QuantNodes::from_arena`]'s construction, so a slot can only ever
-    ///   hold a valid node index;
-    /// * the asserted `q.cols >= self.needed_cols` and `hi <= q.rows`
-    ///   bound every `base + feat` below `q.data.len()`.
-    pub fn accumulate_rows(&self, q: &QuantMatrix, lo: usize, hi: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), hi - lo);
-        assert!(lo <= hi && hi <= q.rows, "row range out of bounds");
-        assert!(
-            q.cols >= self.needed_cols,
-            "matrix has {} columns but the tree tests {}",
-            q.cols,
-            self.needed_cols
-        );
-        let nodes = &self.nodes[..];
-        if nodes.len() == 1 {
-            // Single-leaf tree: constant prediction, and the only shape a
-            // zero-column matrix can reach (the walk below reads a feature
-            // value before the self-loop resolves).
-            for p in out.iter_mut() {
-                *p += self.values[0];
+/// Adds the tree-ordered sum of `trees`' leaf values for rows `lo..hi` of
+/// `q` into `out[0..hi - lo]`: each row's slot receives one addition per
+/// tree, in tree order, so a model accumulating from zero produces exactly
+/// the sums of the per-row arena walk.
+///
+/// Both walks run 16 independent load chains in lockstep, for a counted
+/// number of passes with no change tracking:
+///
+/// * Rows in full 16-row groups walk one tree at a time, the lanes being
+///   rows, for exactly the tree's depth. The constant lane bound unrolls
+///   the pass completely, so the lane state stays live.
+/// * Each leftover row walks 16 trees at a time, the lanes being trees and
+///   unused lanes parked on a static leaf, for the group's largest depth;
+///   then the 16 leaf values are added in tree order. A one-row batch thus
+///   runs 16 load chains instead of one dependent chain per tree.
+///
+/// Both walks index without bounds checks; soundness rests on facts
+/// checked once here instead of per visit: `hi <= q.rows`, `q.cols` is at
+/// least every tree's `needed_cols` and above 0, and `q.data.len()` fits
+/// the `u32` row offsets. A zero-column matrix takes a shortcut instead:
+/// only single-leaf trees can score one, and the walks read a feature
+/// value before a leaf's self-loop resolves.
+///
+/// # Panics
+/// Panics when `lo..hi` is not a row range of `q`, or `q` is narrower than
+/// a tree's tested columns.
+pub fn accumulate_trees(
+    trees: &[QuantNodes],
+    q: &QuantMatrix,
+    lo: usize,
+    hi: usize,
+    out: &mut [f64],
+) {
+    assert!(lo <= hi && hi <= q.rows, "row range out of bounds");
+    assert_eq!(out.len(), hi - lo, "one output slot per row");
+    let needed_cols = trees.iter().map(|t| t.needed_cols).max().unwrap_or(0);
+    assert!(
+        q.cols >= needed_cols,
+        "matrix has {} columns but the trees test {needed_cols}",
+        q.cols
+    );
+    if q.cols == 0 {
+        for p in out.iter_mut() {
+            for tree in trees {
+                *p += tree.values[0];
             }
-            return;
         }
-        let cols = q.cols;
-        let data = &q.data[..];
-        // u32 lane offsets keep the spilled lane state half the size; a
-        // u16 matrix anywhere near 2^32 elements (8 GiB) is far outside
-        // the serving envelope, so this is a hard input bound, not a
-        // tuning knob.
-        assert!(
-            data.len() <= u32::MAX as usize,
-            "quantized matrix exceeds the u32 offset range"
-        );
-        /// Lockstep lanes per group: enough independent load chains to
-        /// hide L1 latency, few enough that the lane state stays in
-        /// registers. A branch-free pass keeps the
-        /// group loop fully unrolled; per-lane retirement was tried twice
-        /// (immediate compaction, and two-phase visit-then-compact) and
-        /// lost both times — the compaction writes and their serial write
-        /// cursor cost more than the dead passes they save.
-        const G: usize = 16;
-        let mut row0 = lo;
-        for group in out.chunks_mut(G) {
-            let n = group.len();
-            let mut slots = [0u32; G];
-            let mut bases = [0u32; G];
-            if n == G {
-                // Full group: the pass loop has a constant bound, so it
-                // unrolls completely and the lane state stays live, and the
-                // pass count is the tree's depth — a counted loop with no
-                // change tracking and no data-dependent exit.
-                for (k, base) in bases.iter_mut().enumerate() {
-                    *base = ((row0 + k) * cols) as u32;
-                }
-                for _ in 0..self.depth {
-                    for k in 0..G {
-                        // SAFETY: slots hold node indices produced by
-                        // `from_arena` (root 0, then `first_child` / leaf
-                        // self-loops, all < nodes.len()), and `base + feat
-                        // < rows * cols == data.len()` by the entry
-                        // assertions.
-                        let (node, v) = unsafe {
-                            let node = *nodes.get_unchecked(slots[k] as usize);
-                            let v = *data.get_unchecked(bases[k] as usize + usize::from(node.feat));
-                            (node, v)
-                        };
-                        // Strictly-greater mirrors the raw `!(v <= t)`: the
-                        // NaN sentinel (`u16::MAX`) exceeds every split
-                        // threshold, and a leaf's `u16::MAX` threshold
-                        // exceeds every value.
-                        let next = node.first_child + u32::from(v > node.thr);
-                        slots[k] = next;
-                    }
-                }
-            } else {
-                // Ragged tail group (fewer than G rows): same walk with
-                // runtime bounds; cold by construction.
-                for (k, base) in bases[..n].iter_mut().enumerate() {
-                    *base = ((row0 + k) * cols) as u32;
-                }
-                loop {
-                    let mut changed = 0u32;
-                    for (k, slot) in slots[..n].iter_mut().enumerate() {
-                        let node = nodes[*slot as usize];
-                        let v = data[bases[k] as usize + usize::from(node.feat)];
-                        let next = node.first_child + u32::from(v > node.thr);
-                        changed |= next ^ *slot;
-                        *slot = next;
-                    }
-                    if changed == 0 {
-                        break;
-                    }
+        return;
+    }
+    // u32 lane offsets keep the spilled lane state half the size; a u16
+    // matrix anywhere near 2^32 elements (8 GiB) is far outside the
+    // serving envelope, so this is a hard input bound, not a tuning knob.
+    assert!(
+        q.data.len() <= u32::MAX as usize,
+        "quantized matrix exceeds the u32 offset range"
+    );
+    let cols = q.cols;
+    let data = &q.data[..];
+    let full = out.len() - out.len() % LANES;
+    let (grouped, leftover) = out.split_at_mut(full);
+    for tree in trees {
+        let nodes = &tree.nodes[..];
+        for (g, group) in grouped.chunks_exact_mut(LANES).enumerate() {
+            let mut slots = [0u32; LANES];
+            let mut bases = [0u32; LANES];
+            for (k, base) in bases.iter_mut().enumerate() {
+                *base = ((lo + g * LANES + k) * cols) as u32;
+            }
+            for _ in 0..tree.depth {
+                for k in 0..LANES {
+                    // SAFETY: a slot only holds indices `from_arena`
+                    // produced (root 0, then `first_child` / `first_child +
+                    // 1` / a leaf's own index, all < nodes.len()). `base`
+                    // starts a row below `hi <= q.rows`, and `feat < cols`
+                    // (a split tests a column below `needed_cols <= cols`,
+                    // a leaf tests column 0 and `cols > 0`), so `base +
+                    // feat < q.rows * cols == data.len()`.
+                    let (node, v) = unsafe {
+                        let node = *nodes.get_unchecked(slots[k] as usize);
+                        let v = *data.get_unchecked(bases[k] as usize + usize::from(node.feat));
+                        (node, v)
+                    };
+                    // Strictly-greater mirrors the raw `!(v <= t)`: the NaN
+                    // sentinel (`u16::MAX`) exceeds every split threshold,
+                    // and a leaf's `u16::MAX` threshold exceeds every value.
+                    slots[k] = node.first_child + u32::from(v > node.thr);
                 }
             }
-            for (p, &i) in group.iter_mut().zip(&slots[..n]) {
-                *p += self.values[i as usize];
+            for (p, &i) in group.iter_mut().zip(&slots) {
+                *p += tree.values[i as usize];
             }
-            row0 += n;
+        }
+    }
+    let row0 = lo + full;
+    for group in trees.chunks(LANES) {
+        let mut lanes: [&[PackedNode]; LANES] = [&PAD_TREE; LANES];
+        let mut depth = 0;
+        for (lane, tree) in lanes.iter_mut().zip(group) {
+            *lane = &tree.nodes[..];
+            depth = depth.max(tree.depth);
+        }
+        for (k, p) in leftover.iter_mut().enumerate() {
+            let row = q.row(row0 + k);
+            let mut slots = [0u32; LANES];
+            for _ in 0..depth {
+                for t in 0..LANES {
+                    // SAFETY: a slot only holds indices `from_arena`
+                    // produced for its lane's tree (or 0 in `PAD_TREE`),
+                    // and `feat < cols == row.len()`: a split tests a
+                    // column below `needed_cols <= cols`, a leaf tests
+                    // column 0, and `cols > 0`.
+                    let (node, v) = unsafe {
+                        let node = *lanes[t].get_unchecked(slots[t] as usize);
+                        (node, *row.get_unchecked(usize::from(node.feat)))
+                    };
+                    slots[t] = node.first_child + u32::from(v > node.thr);
+                }
+            }
+            for (tree, &i) in group.iter().zip(&slots) {
+                *p += tree.values[i as usize];
+            }
         }
     }
 }
@@ -850,7 +892,7 @@ mod tests {
         let x = Matrix::from_rows(&rows);
         let q = bins.quantize_matrix(&x);
         let mut got = vec![0.0; rows.len()];
-        packed.accumulate_rows(&q, 0, rows.len(), &mut got);
+        accumulate_trees(std::slice::from_ref(&packed), &q, 0, rows.len(), &mut got);
         for (k, row) in rows.iter().enumerate() {
             assert_eq!(got[k], arena_predict(&arena, row), "row {k}: {row:?}");
         }
@@ -862,8 +904,8 @@ mod tests {
         let packed = QuantNodes::from_arena(&[QuantNodeDesc::Leaf { value: 0.75 }], &bins);
         let q = bins.quantize_matrix(&Matrix::zeros(3, 0));
         let mut out = vec![0.0; 3];
-        packed.accumulate_rows(&q, 0, 3, &mut out);
-        assert_eq!(out, vec![0.75; 3]);
+        accumulate_trees(&[packed.clone(), packed], &q, 0, 3, &mut out);
+        assert_eq!(out, vec![1.5; 3]);
     }
 
     #[test]
@@ -904,10 +946,13 @@ mod tests {
             .collect();
         let x = Matrix::from_rows(&rows);
         let q = bins.quantize_matrix(&x);
+        // 40 rows: two full row groups plus 8 leftover rows; 13..30 is one
+        // full group plus one leftover row, each starting mid-matrix.
+        let trees = [packed];
         let mut full = vec![0.0; 40];
-        packed.accumulate_rows(&q, 0, 40, &mut full);
+        accumulate_trees(&trees, &q, 0, 40, &mut full);
         let mut part = vec![0.0; 17];
-        packed.accumulate_rows(&q, 13, 30, &mut part);
+        accumulate_trees(&trees, &q, 13, 30, &mut part);
         assert_eq!(&full[13..30], &part[..]);
     }
 
@@ -980,38 +1025,50 @@ mod tests {
     }
 
     proptest! {
-        /// The tentpole equivalence, as a property over random trees and
+        /// The tentpole equivalence, as a property over random forests and
         /// adversarial rows: the packed quantized walk returns the raw f64
-        /// arena walk's verdict bit-for-bit — NaN rows, zero-column
-        /// single-leaf trees, and out-of-range values (clamped to the
-        /// extreme ranks at transform time) included.
+        /// arena walk's tree-ordered sum bit-for-bit — NaN rows,
+        /// zero-column single-leaf trees, and out-of-range values (clamped
+        /// to the extreme ranks at transform time) included. 1–40 trees
+        /// make zero, one or two full tree groups plus a remainder, and
+        /// 0–40 rows make zero, one or two full row groups plus 0–15
+        /// leftover rows, scored from row 0 and from a random offset.
         #[test]
         fn quantized_walk_equals_arena_walk_on_random_trees(seed in any::<u64>()) {
             let mut rng = SplitMix::new(seed);
-            let n_features = rng.below(6); // 0 forces the single-leaf tree
-            let arena = random_arena(&mut rng, n_features);
-            let bins = FeatureBins::from_split_thresholds(
-                thresholds_of(&arena, n_features),
-                NanRoute::Right,
-            )
-            .expect("within edge budget");
-            let packed = QuantNodes::from_arena(&arena, &bins);
-            let n_rows = 1 + rng.below(40); // covers full and ragged groups
+            let n_features = rng.below(6); // 0 forces single-leaf trees
+            let arenas: Vec<Vec<QuantNodeDesc>> = (0..1 + rng.below(40))
+                .map(|_| random_arena(&mut rng, n_features))
+                .collect();
+            let mut per_feature = vec![Vec::new(); n_features];
+            for arena in &arenas {
+                for (pooled, list) in per_feature.iter_mut().zip(thresholds_of(arena, n_features)) {
+                    pooled.extend(list);
+                }
+            }
+            let bins = FeatureBins::from_split_thresholds(per_feature, NanRoute::Right)
+                .expect("within edge budget");
+            let trees: Vec<QuantNodes> =
+                arenas.iter().map(|a| QuantNodes::from_arena(a, &bins)).collect();
+            let n_rows = rng.below(41);
             let rows: Vec<Vec<f64>> = (0..n_rows)
                 .map(|_| (0..n_features).map(|_| random_value(&mut rng)).collect())
                 .collect();
-            let x = Matrix::from_rows(&rows);
+            let x = Matrix::from_vec(n_rows, n_features, rows.concat());
             let q = bins.quantize_matrix(&x);
-            let mut got = vec![0.0; n_rows];
-            packed.accumulate_rows(&q, 0, n_rows, &mut got);
-            for (k, row) in rows.iter().enumerate() {
-                let want = arena_predict(&arena, row);
-                prop_assert_eq!(
-                    got[k].to_bits(),
-                    want.to_bits(),
-                    "row {}: {:?} → quant {} vs arena {}",
-                    k, row, got[k], want
-                );
+            let lo = rng.below(n_rows + 1);
+            for lo in [0, lo] {
+                let mut got = vec![0.0; n_rows - lo];
+                accumulate_trees(&trees, &q, lo, n_rows, &mut got);
+                for (k, row) in rows[lo..].iter().enumerate() {
+                    let want = arenas.iter().fold(0.0, |s, a| s + arena_predict(a, row));
+                    prop_assert_eq!(
+                        got[k].to_bits(),
+                        want.to_bits(),
+                        "row {} of {}..{}: {:?} → quant {} vs arena {}",
+                        lo + k, lo, n_rows, row, got[k], want
+                    );
+                }
             }
         }
 

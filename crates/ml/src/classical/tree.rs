@@ -429,6 +429,7 @@ impl Restore for DecisionTree {
         for (i, node) in nodes.iter().enumerate() {
             if let Node::Split {
                 feature,
+                threshold,
                 left,
                 right,
                 ..
@@ -439,6 +440,13 @@ impl Restore for DecisionTree {
                 if feature >= n_features || feature >= usize::from(u16::MAX) {
                     return Err(PersistError::Malformed(format!(
                         "node {i} splits on feature {feature} but the tree has {n_features}"
+                    )));
+                }
+                // `build` splits on finite midpoints, and the forest's
+                // quantized mirror bins on the thresholds.
+                if !threshold.is_finite() {
+                    return Err(PersistError::Malformed(format!(
+                        "node {i} splits at non-finite threshold {threshold}"
                     )));
                 }
                 // Children must point strictly forward: `build` pushes the
