@@ -12,8 +12,6 @@ use phishinghook_core::metrics::BinaryMetrics;
 use phishinghook_core::pipeline::TrialResult;
 use phishinghook_models::Category;
 
-pub mod load;
-
 pub mod seed_paths {
     //! Reference implementations of the seed repository's hot paths,
     //! preserved so the perf benches and the `bench` binary always compare

@@ -96,7 +96,7 @@ USAGE:
                                                trained on --train first)
   phishinghook scan     <dataset.csv> <hex…>   train Random Forest, classify bytecodes
   phishinghook serve    --model <snap-or-spec> [--train <dataset.csv>] [--proto v1|v2]
-                        [--shards <n>] [--pin-cores] [--batch <n>] [--workers <n>]
+                        [--shards <n>] [--batch <n>] [--workers <n>]
                         [--queue-depth <n>] [--cache-bytes <n>] [--tcp <addr>]
                         [--http <addr>] [--chain <dataset.csv>] [--max-conns <n>]
                         [--accept <n>] [--deadline-ms <n>] [--drain-ms <n>]
@@ -134,8 +134,7 @@ Prometheus GET /metrics) over the same scheduler and cache as the JSONL
 front-ends; --chain loads a dataset as the eth_getCode source so
 address-form requests ({\"address\":\"0x…\"}) resolve to deployed bytecode.
 --shards splits the scheduler into independent lanes (queue + workers +
-cache slice), routed by code-hash digest; --pin-cores pins each lane's
-workers to a core (best-effort, Linux). --workers counts per lane.
+cache slice), routed by code-hash digest. --workers counts per lane.
 Robustness: --deadline-ms answers requests that waited too long with a
 typed timeout (504 over HTTP); --drain-ms caps the shutdown drain;
 --retry-attempts bounds chain-lookup retries (decorrelated-jitter
@@ -546,7 +545,6 @@ fn serve_cmd(args: &[String]) -> Result<String, CliError> {
             "--chain" => chain_path = Some(value()?),
             "--batch" => builder = builder.batch(numeric(value()?, "batch size")?),
             "--shards" => builder = builder.shards(numeric(value()?, "shard count")?),
-            "--pin-cores" => builder = builder.pin_cores(true),
             "--workers" => builder = builder.workers(numeric(value()?, "worker count")?),
             "--queue-depth" => builder = builder.queue_depth(numeric(value()?, "queue depth")?),
             "--cache-bytes" => {
@@ -1023,18 +1021,12 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("fault shard index"), "{err}");
-        // --pin-cores takes no value: the next flag must still parse.
-        let err = run(&args(&[
-            "serve",
-            "--model",
-            "x.snap",
-            "--pin-cores",
-            "--batch",
-            "0",
-        ]))
-        .unwrap_err();
+        // Core pinning is gone; the old flag is a usage error, not a no-op.
+        let err = run(&args(&["serve", "--model", "x.snap", "--pin-cores"])).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
         assert!(
-            err.to_string().contains("`batch` must be at least 1"),
+            err.to_string()
+                .contains("unexpected argument `--pin-cores`"),
             "{err}"
         );
     }

@@ -109,6 +109,22 @@ impl Restore for KNearestNeighbors {
                 "k-NN with an empty training set".to_owned(),
             ));
         }
+        // A model fitted on extracted features holds finite values and 0/1
+        // labels: `predict_proba` orders distances with `partial_cmp`,
+        // which a NaN breaks, and averages the labels as class-1 votes.
+        for (i, row) in train_x.iter_rows().enumerate() {
+            if let Some(j) = row.iter().position(|v| !v.is_finite()) {
+                return Err(PersistError::Malformed(format!(
+                    "k-NN training row {i} column {j} holds non-finite value {}",
+                    row[j]
+                )));
+            }
+        }
+        if let Some((i, label)) = train_y.iter().enumerate().find(|(_, &l)| l > 1) {
+            return Err(PersistError::Malformed(format!(
+                "k-NN training row {i} has label {label}, not 0 or 1"
+            )));
+        }
         Ok(KNearestNeighbors {
             k,
             train_x,
@@ -166,5 +182,45 @@ mod tests {
         knn.fit(&x, &y);
         let q = Matrix::from_rows(&[vec![0.0, 99.0]]);
         assert_eq!(knn.predict(&q), vec![1]);
+    }
+
+    #[test]
+    fn non_finite_training_values_and_bad_labels_are_rejected_at_restore() {
+        use phishinghook_persist::{from_envelope, to_envelope};
+        let rows = [vec![0.0, 1.0], vec![2.0, 3.0], vec![4.0, 5.0]];
+        let mut knn = KNearestNeighbors::new(1);
+        knn.fit(&Matrix::from_rows(&rows), &[0, 1, 0]);
+        // Each edit is sealed under a valid length and CRC, so it reaches
+        // the decoder.
+        let mut cases = Vec::new();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut edited = rows.clone();
+            edited[1][1] = bad;
+            let train_x = Matrix::from_rows(&edited);
+            cases.push((
+                KNearestNeighbors {
+                    train_x,
+                    ..knn.clone()
+                },
+                "row 1 column 1",
+            ));
+        }
+        let train_y = vec![0, 1, 2];
+        cases.push((
+            KNearestNeighbors {
+                train_y,
+                ..knn.clone()
+            },
+            "row 2 has label 2",
+        ));
+        for (edited, want) in cases {
+            match from_envelope::<KNearestNeighbors>("knn", &to_envelope("knn", &edited)) {
+                Err(PersistError::Malformed(msg)) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("{want}: expected a typed Malformed error, got {other:?}"),
+            }
+        }
+        let restored =
+            from_envelope::<KNearestNeighbors>("knn", &to_envelope("knn", &knn)).expect("restores");
+        assert_eq!(restored.predict(&Matrix::from_rows(&rows)), vec![0, 1, 0]);
     }
 }

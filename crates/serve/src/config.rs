@@ -166,13 +166,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Pin shard workers to CPU cores, round-robin (best-effort on Linux,
-    /// a no-op elsewhere).
-    pub fn pin_cores(mut self, pin_cores: bool) -> Self {
-        self.scheduler.pin_cores = pin_cores;
-        self
-    }
-
     /// Bounded submit-queue capacity (≥ 1) — the admission-control knob.
     pub fn queue_depth(mut self, queue_depth: usize) -> Self {
         self.scheduler.queue_depth = queue_depth;
@@ -336,7 +329,6 @@ mod tests {
             .batch(8)
             .workers(3)
             .shards(4)
-            .pin_cores(true)
             .queue_depth(17)
             .cache_bytes(0)
             .max_outstanding(5)
@@ -350,7 +342,6 @@ mod tests {
         assert_eq!(config.scheduler().batch, 8);
         assert_eq!(config.scheduler().workers, 3);
         assert_eq!(config.scheduler().shards, 4);
-        assert!(config.scheduler().pin_cores);
         assert_eq!(config.scheduler().queue_depth, 17);
         assert_eq!(config.scheduler().cache_bytes, 0);
         assert_eq!(config.scheduler().max_outstanding, 5);

@@ -13,7 +13,6 @@
 //! | [`cache`] | Keccak-keyed LRU verdict cache with a byte budget |
 //! | [`metrics`] | Lock-free counters + latency histograms, consistent snapshots, Prometheus text |
 //! | [`scheduler`] | Sharded micro-batching scheduler + ordered response routing |
-//! | [`affinity`] | Best-effort core pinning for shard workers (Linux; no-op elsewhere) |
 //! | [`proto`] | Wire framings v1/v2 and the capped line framer, hardened against adversarial input |
 //! | [`http`] | std-only HTTP/1.1 parsing and response writing |
 //! | [`router`] | The HTTP gateway: `/predict`, `/healthz`, `/metrics` over the scheduler |
@@ -45,7 +44,6 @@
 //!    sharded outputs are `f64::to_bits`-identical to the 1-shard path
 //!    for any shard count.
 
-pub mod affinity;
 pub mod cache;
 pub mod config;
 pub mod fault;

@@ -69,11 +69,9 @@
 //! Requests route by [`shard_of`] over the keccak-256 digest already
 //! computed for cache keying, so a given bytecode always lands on the same
 //! shard — its cache slice stays hot and no lock is shared across lanes.
-//! Workers are optionally core-pinned ([`SchedulerOptions::pin_cores`],
-//! best-effort on Linux, a no-op elsewhere). Because scoring is a pure
-//! function of the bytecode, verdicts are `f64::to_bits`-identical across
-//! every shard layout — asserted by the determinism harness in
-//! `tests/shard_determinism.rs` and by the bench binary.
+//! Because scoring is a pure function of the bytecode, verdicts are
+//! `f64::to_bits`-identical across every shard layout — asserted by the
+//! determinism harness in `tests/shard_determinism.rs`.
 
 use crate::cache::{CacheStats, CachedVerdict, VerdictCache};
 use crate::fault::{FaultConfig, FaultPlan};
@@ -102,10 +100,6 @@ pub struct SchedulerOptions {
     /// keccak digest ([`shard_of`]), so a given bytecode always lands on
     /// the same shard and no queue or cache lock is shared across lanes.
     pub shards: usize,
-    /// Pin each shard's workers to a CPU core (round-robin over the
-    /// available cores). Best-effort: on Linux a failed
-    /// `sched_setaffinity` is ignored; elsewhere this is a no-op.
-    pub pin_cores: bool,
     /// Bounded submit-queue capacity — the admission-control knob. Split
     /// evenly across shards (each lane gets `queue_depth / shards`,
     /// rounded up).
@@ -134,7 +128,7 @@ pub struct SchedulerOptions {
     pub drain_ms: u64,
     /// Queue-fill percentage at which shed-mode submissions degrade to the
     /// cheapest ensemble member ([`DegradationTier::CacheFirst`]). `0`
-    /// forces the tier (a bench knob); above `100` it can never trigger.
+    /// forces the tier (a test knob); above `100` it can never trigger.
     pub cache_first_pct: u32,
     /// Queue-fill percentage at which shed-mode cache misses are refused
     /// with a typed overload ([`DegradationTier::CacheOnly`]).
@@ -158,7 +152,6 @@ impl Default for SchedulerOptions {
             batch: 64,
             workers: 1,
             shards: 1,
-            pin_cores: false,
             queue_depth: 1024,
             cache_bytes: 8 << 20,
             max_outstanding: 8192,
@@ -744,26 +737,18 @@ impl Scheduler {
         });
         let batch = opts.batch.max(1);
         let workers_per_shard = opts.workers.max(1);
-        let pin = opts.pin_cores;
-        let cores = crate::affinity::available_cores();
         let mut workers = Vec::with_capacity(n_shards * workers_per_shard);
         for shard_idx in 0..n_shards {
-            for w in 0..workers_per_shard {
+            for _ in 0..workers_per_shard {
                 let shared = Arc::clone(&shared);
                 let seed = scanner.worker();
-                let core = (shard_idx * workers_per_shard + w) % cores;
                 // Supervisor: a clean (queue-closed) exit ends the thread;
                 // a panicked batch respawns a fresh Arc-sharing sibling —
                 // fresh scratch state, same shared model, same shard.
-                workers.push(std::thread::spawn(move || {
-                    if pin {
-                        crate::affinity::pin_to_core(core);
-                    }
-                    loop {
-                        let worker = seed.worker();
-                        if worker_loop(&shared, shard_idx, worker, batch) {
-                            return;
-                        }
+                workers.push(std::thread::spawn(move || loop {
+                    let worker = seed.worker();
+                    if worker_loop(&shared, shard_idx, worker, batch) {
+                        return;
                     }
                 }));
             }
@@ -1587,37 +1572,36 @@ mod tests {
     fn cache_on_and_off_agree_bit_identically() {
         let (input, codes) = probe_lines(12);
         let refs: Vec<&[u8]> = codes.iter().map(Vec::as_slice).collect();
+        for model in [scanner(), crate::testutil::ensemble_scanner()] {
+            let cold = Scheduler::new(model, &no_cache());
+            let cold_lines = roundtrip(&cold, Protocol::V2, &input);
 
-        let cold = Scheduler::new(scanner(), &no_cache());
-        let cold_lines = roundtrip(&cold, Protocol::V2, &input);
+            let cached = Scheduler::new(model, &opts());
+            let first_pass = roundtrip(&cached, Protocol::V2, &input);
+            let second_pass = roundtrip(&cached, Protocol::V2, &input);
 
-        let cached = Scheduler::new(scanner(), &opts());
-        let first_pass = roundtrip(&cached, Protocol::V2, &input);
-        let second_pass = roundtrip(&cached, Protocol::V2, &input);
+            // Rendered responses agree across cache-off, cache-miss and
+            // cache-hit paths (ids are positional, so lines match exactly).
+            assert_eq!(cold_lines, first_pass);
+            assert_eq!(cold_lines, second_pass);
+            let stats = cached.metrics_snapshot();
+            assert_eq!(stats.cache.expect("enabled").hits, codes.len() as u64);
 
-        // Rendered responses agree across cache-off, cache-miss and
-        // cache-hit paths (ids are positional, so lines match exactly).
-        assert_eq!(cold_lines, first_pass);
-        assert_eq!(cold_lines, second_pass);
-        let stats = cached.metrics_snapshot();
-        assert_eq!(stats.cache.expect("enabled").hits, codes.len() as u64);
-
-        // And below the rendering: the cached f64s are the scanner's own
-        // bits, not a reformatted approximation.
-        let expected = scanner().worker().score_batch(&refs);
-        let cache = VerdictCache::new(1 << 20);
-        for (code, p) in refs.iter().zip(&expected) {
-            cache.insert(
-                Digest::of(code),
-                CachedVerdict {
-                    proba: *p,
-                    per_model: vec![*p],
-                },
-            );
-        }
-        for (code, p) in refs.iter().zip(&expected) {
-            let hit = cache.lookup(&Digest::of(code)).expect("hit");
-            assert_eq!(hit.proba.to_bits(), p.to_bits());
+            // And below the rendering: what the scheduler's cold pass
+            // stored is exactly what a one-row cold score produces — the
+            // path a hit stands in for — combined and per member.
+            let mut cold_path = model.worker();
+            for code in &refs {
+                let hit = cached
+                    .cached_verdict(&Digest::of(code))
+                    .expect("the cold pass cached every code");
+                let (combined, members) = cold_path.score_with_members(&[*code]);
+                assert_eq!(hit.proba.to_bits(), combined[0].to_bits());
+                assert_eq!(hit.per_model.len(), members.len());
+                for (cached_p, (name, p)) in hit.per_model.iter().zip(&members) {
+                    assert_eq!(cached_p.to_bits(), p[0].to_bits(), "{name}");
+                }
+            }
         }
     }
 
