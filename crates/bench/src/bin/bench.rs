@@ -21,6 +21,14 @@ use phishinghook_ml::classical::forest::ForestConfig;
 use phishinghook_ml::{Classifier, Matrix, RandomForest};
 use std::time::Instant;
 
+const USAGE: &str = "\
+bench — the pipeline benchmark: disasm, features and inference against the seed paths
+
+USAGE:
+  bench [--quick] [--contracts <n>] [--out <path>]   measure, write the JSON datapoint
+                                                     (default BENCH_pipeline.json)
+  bench --check-readme [--out <path>]                check README.md quotes the datapoint";
+
 struct Args {
     quick: bool,
     check_readme: bool,
@@ -28,33 +36,40 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+/// Parses the arguments after the program name; the error is the usage
+/// message to print before exiting 2.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let quick = argv.iter().any(|a| a == "--quick");
-    let check_readme = argv.iter().any(|a| a == "--check-readme");
     let mut args = Args {
         quick,
-        check_readme,
+        check_readme: false,
         contracts: if quick { 96 } else { 512 },
         out: "BENCH_pipeline.json".to_owned(),
     };
     let mut iter = argv.iter();
     while let Some(arg) = iter.next() {
+        let mut value = || {
+            iter.next()
+                .ok_or_else(|| format!("`{arg}` needs a value\n\n{USAGE}"))
+        };
         match arg.as_str() {
+            "--quick" => {}
+            "--check-readme" => args.check_readme = true,
             "--contracts" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    args.contracts = v;
-                }
+                let v = value()?;
+                args.contracts = match v.parse() {
+                    Ok(0) => return Err(format!("`contracts` must be at least 1\n\n{USAGE}")),
+                    Ok(n) => n,
+                    Err(_) => {
+                        return Err(format!("`{v}` is not a valid contract count\n\n{USAGE}"))
+                    }
+                };
             }
-            "--out" => {
-                if let Some(v) = iter.next() {
-                    args.out = v.clone();
-                }
-            }
-            _ => {}
+            "--out" => args.out = value()?.clone(),
+            other => return Err(format!("unexpected argument `{other}`\n\n{USAGE}")),
         }
     }
-    args
+    Ok(args)
 }
 
 /// Best-of-`reps` wall-clock seconds for one call of `f`.
@@ -157,7 +172,11 @@ fn check_readme(bench_path: &str) {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    });
     if args.check_readme {
         check_readme(&args.out);
         return;
@@ -392,4 +411,54 @@ fn main() {
     );
     std::fs::write(&args.out, &json).expect("write benchmark JSON");
     println!("\nwrote {}", args.out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn valid_flags_keep_their_meaning() {
+        let args = parse(&["--quick", "--out", "/tmp/bench.json"]).expect("valid");
+        assert!(args.quick && !args.check_readme);
+        assert_eq!((args.contracts, args.out.as_str()), (96, "/tmp/bench.json"));
+        let args = parse(&["--contracts", "512", "--out", "results/x.json"]).expect("valid");
+        assert!(!args.quick);
+        assert_eq!((args.contracts, args.out.as_str()), (512, "results/x.json"));
+        let args = parse(&["--contracts", "7", "--quick"]).expect("valid");
+        assert_eq!(args.contracts, 7, "an explicit count beats --quick's");
+        let args = parse(&["--check-readme"]).expect("valid");
+        assert!(args.check_readme);
+        assert_eq!(
+            (args.contracts, args.out.as_str()),
+            (512, "BENCH_pipeline.json")
+        );
+    }
+
+    #[test]
+    fn bad_arguments_are_usage_errors() {
+        for (argv, message) in [
+            (
+                &["--quick", "--contracts", "abc", "--bogus"][..],
+                "`abc` is not a valid contract count",
+            ),
+            (&["--bogus"], "unexpected argument `--bogus`"),
+            (&["results.json"], "unexpected argument `results.json`"),
+            (&["--contracts"], "`--contracts` needs a value"),
+            (&["--contracts", "0"], "`contracts` must be at least 1"),
+            (&["--contracts", "-3"], "`-3` is not a valid contract count"),
+            (&["--out"], "`--out` needs a value"),
+        ] {
+            let Err(usage) = parse(argv) else {
+                panic!("{argv:?} parsed");
+            };
+            assert!(usage.starts_with(message), "{argv:?}: {usage}");
+            assert!(usage.ends_with(USAGE), "{argv:?}: {usage}");
+        }
+    }
 }

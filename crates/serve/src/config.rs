@@ -11,8 +11,8 @@
 //! a thin parser over this builder; embedding callers skip the strings
 //! entirely. A caller that builds its own [`Scheduler`](crate::Scheduler)
 //! and binds its own sockets passes the same pieces to the transports
-//! directly: [`serve_lines`](crate::serve_lines),
-//! [`serve_tcp`](crate::serve_tcp) and [`serve_http`](crate::serve_http).
+//! directly: [`serve_lines`](crate::serve_lines) and
+//! [`serve_tcp`](crate::serve_tcp), once per listener.
 //!
 //! ```
 //! use phishinghook_serve::{Protocol, ServeConfig};

@@ -1,5 +1,6 @@
-//! std-only HTTP/1.1 framing: request parsing and response writing for
-//! the gateway in [`router`](crate::router).
+//! std-only HTTP/1.1 framing: the incremental request framer the event
+//! loop feeds, [`read_request`] over any buffered reader, and response
+//! writing for the gateway in [`router`](crate::router).
 //!
 //! This is deliberately a *small* HTTP/1.1, hardened rather than
 //! featureful — the gateway fronts one JSON-in/JSON-out prediction
@@ -8,26 +9,29 @@
 //!
 //! * **Framing**: `Content-Length` bodies only. `Transfer-Encoding`
 //!   (chunked included) answers `501`; a `POST` without `Content-Length`
-//!   answers `411`.
+//!   answers `411`. A signed `Content-Length`, or whitespace before a
+//!   field name's colon or leading its line (an obsolete line folding),
+//!   answers `400` (RFC 9112 §5, RFC 9110 §8.6).
 //! * **Keep-alive and pipelining**: HTTP/1.1 defaults to keep-alive
 //!   (HTTP/1.0 to close), `Connection: close` is honored, and because
-//!   requests are read strictly in sequence off one buffered reader,
-//!   pipelined requests parse and answer in order for free.
+//!   the framer cuts requests strictly in stream order, pipelined
+//!   requests parse and answer in order for free.
 //! * **Bounds everywhere**: request line and each header line are capped
-//!   at [`MAX_HEADER_LINE`] bytes (`431` beyond), header count at
-//!   [`MAX_HEADER_COUNT`], and declared bodies at [`MAX_BODY_BYTES`]
-//!   (`413` beyond) — the same 1 MiB cap as a JSONL request line, so no
-//!   front-end can smuggle a larger payload than the other.
+//!   at [`MAX_HEADER_LINE`] bytes (`431` beyond, detected while the line
+//!   is still arriving), header count at [`MAX_HEADER_COUNT`], and
+//!   declared bodies at [`MAX_BODY_BYTES`] (`413` beyond) — the same
+//!   1 MiB cap as a JSONL request line, so no front-end can smuggle a
+//!   larger payload than the other.
 //! * **`Expect: 100-continue` is not implemented**: any `Expect` header
 //!   answers `417` up front instead of stalling the client. (`curl`
 //!   sends it for large POSTs; pass `-H 'Expect:'` to suppress.)
 //!
 //! Malformed input is never fatal to the process: every parse failure is
-//! a [`RequestOutcome::Reject`] the session answers and then closes on
+//! a [`RequestOutcome::Reject`] the connection answers and then closes on
 //! (framing after a parse error is unknowable), and an abrupt disconnect
 //! mid-request surfaces as [`RequestOutcome::Disconnected`].
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead};
 
 /// Byte cap for the request line and each header line (`431` beyond).
 pub const MAX_HEADER_LINE: usize = 8192;
@@ -69,168 +73,258 @@ pub enum RequestOutcome {
     },
 }
 
-fn reject(status: u16, detail: impl Into<String>) -> RequestOutcome {
-    RequestOutcome::Reject {
-        status,
-        detail: detail.into(),
-    }
+/// A [`RequestOutcome::Reject`], as the error of a parse step.
+fn reject<T>(status: u16, detail: impl Into<String>) -> Result<T, RequestOutcome> {
+    let detail = detail.into();
+    Err(RequestOutcome::Reject { status, detail })
 }
 
-/// Reads one CRLF (or bare-LF) terminated line, capped at
-/// [`MAX_HEADER_LINE`] bytes. `Ok(None)` on EOF before any byte;
-/// `Err` with `InvalidData` marks an overlong line.
-fn read_head_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
-    let mut raw = Vec::with_capacity(64);
-    let mut byte = [0u8; 1];
-    loop {
-        match reader.read(&mut byte)? {
-            0 => {
-                if raw.is_empty() {
-                    return Ok(None);
+/// The request being framed, from its request line on.
+#[derive(Debug)]
+struct RequestHead {
+    /// The request so far; its body fills once the head has ended.
+    request: HttpRequest,
+    content_length: Option<usize>,
+    headers: usize,
+    /// The body bytes still owed, once the head has ended.
+    owed: Option<usize>,
+}
+
+impl RequestHead {
+    /// Parses a request line.
+    fn parse(line: &str) -> Result<RequestHead, RequestOutcome> {
+        let mut parts = line.split(' ');
+        let (method, target, version) =
+            match (parts.next(), parts.next(), parts.next(), parts.next()) {
+                (Some(m), Some(t), Some(v), None) if !m.is_empty() && t.starts_with('/') => {
+                    (m, t, v)
                 }
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof mid-line"));
+                _ => return reject(400, format!("malformed request line: {line:?}")),
+            };
+        let keep_alive = match version {
+            "HTTP/1.1" => true,
+            "HTTP/1.0" => false,
+            _ => return reject(505, format!("unsupported protocol version {version:?}")),
+        };
+        let request = HttpRequest {
+            method: method.to_owned(),
+            target: target.to_owned(),
+            keep_alive,
+            body: Vec::new(),
+        };
+        Ok(RequestHead {
+            request,
+            content_length: None,
+            headers: 0,
+            owed: None,
+        })
+    }
+
+    /// Applies one non-blank header line. A field name is a token, so
+    /// whitespace before its colon, or leading its line (an obsolete line
+    /// folding), rejects it.
+    fn header(&mut self, line: &str) -> Result<(), RequestOutcome> {
+        self.headers += 1;
+        if self.headers > MAX_HEADER_COUNT {
+            return reject(431, format!("more than {MAX_HEADER_COUNT} headers"));
+        }
+        let (name, value) = match line.split_once(':') {
+            Some((name, value)) if is_token(name) => (name, value.trim()),
+            _ => return reject(400, format!("malformed header line: {line:?}")),
+        };
+        let is = |known: &str| name.eq_ignore_ascii_case(known);
+        if is("content-length") {
+            // Digits only: `usize`'s parser would also take a leading `+`.
+            let digits = value.bytes().all(|b| b.is_ascii_digit());
+            match value.parse().ok().filter(|_| digits) {
+                Some(n) if self.content_length.is_none_or(|m| m == n) => {
+                    self.content_length = Some(n);
+                }
+                _ => return reject(400, format!("invalid Content-Length: {value:?}")),
             }
-            _ => {
-                if byte[0] == b'\n' {
-                    if raw.last() == Some(&b'\r') {
-                        raw.pop();
-                    }
-                    return Ok(Some(String::from_utf8_lossy(&raw).into_owned()));
+        } else if is("transfer-encoding") {
+            return reject(501, "transfer encodings (chunked included) not supported");
+        } else if is("expect") {
+            let detail = "Expect (including 100-continue) not supported; send the body directly";
+            return reject(417, detail);
+        } else if is("connection") {
+            for token in value.split(',').map(str::trim) {
+                if token.eq_ignore_ascii_case("close") {
+                    self.request.keep_alive = false;
+                } else if token.eq_ignore_ascii_case("keep-alive") {
+                    self.request.keep_alive = true;
                 }
-                if raw.len() >= MAX_HEADER_LINE {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "line too long"));
-                }
-                raw.push(byte[0]);
             }
         }
+        Ok(())
+    }
+
+    /// Ends the head: allocates the body at its declared length, and
+    /// returns that length.
+    fn end(&mut self) -> Result<usize, RequestOutcome> {
+        let method = &self.request.method;
+        let length = match self.content_length {
+            Some(n) if n > MAX_BODY_BYTES => {
+                return reject(
+                    413,
+                    format!("body of {n} bytes exceeds the {MAX_BODY_BYTES} byte limit"),
+                );
+            }
+            Some(n) => n,
+            None if matches!(method.as_str(), "POST" | "PUT" | "PATCH") => {
+                return reject(411, format!("{method} requires Content-Length"));
+            }
+            None => 0,
+        };
+        self.request.body.reserve_exact(length);
+        self.owed = Some(length);
+        Ok(length)
     }
 }
 
-/// Reads and validates one request off `reader` (see the module docs for
-/// the supported subset and the rejection statuses).
+/// Whether `name` is a token (RFC 9110 §5.6.2), as a field name must be.
+fn is_token(name: &str) -> bool {
+    let tchar = |b: u8| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b);
+    !name.is_empty() && name.bytes().all(tchar)
+}
+
+/// Cuts an HTTP/1.1 byte stream into requests, however the stream is split
+/// into chunks: the event loop feeds it each read, and [`read_request`]
+/// feeds it a buffered reader. Each byte is scanned once, a head line is
+/// buffered only up to [`MAX_HEADER_LINE`], and a body is allocated once,
+/// at its declared length.
+#[derive(Debug, Default)]
+pub(crate) struct RequestFramer {
+    /// The head line being cut, without its `\n`.
+    line: Vec<u8>,
+    /// The request being framed, once its request line has parsed.
+    head: Option<RequestHead>,
+}
+
+impl RequestFramer {
+    /// Feeds the next bytes of the stream, handing each request they
+    /// complete, or the reject that ends the stream, to `emit` in order.
+    /// Stops after a reject, or at the first `false` from `emit`, and
+    /// returns `false`, dropping the rest of `chunk`.
+    pub(crate) fn push(
+        &mut self,
+        mut chunk: &[u8],
+        mut emit: impl FnMut(RequestOutcome) -> bool,
+    ) -> bool {
+        while let (used, Some(outcome)) = self.feed(chunk) {
+            chunk = &chunk[used..];
+            let framed = !matches!(outcome, RequestOutcome::Reject { .. });
+            if !emit(outcome) || !framed {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Ends the stream: [`RequestOutcome::Eof`] at a request boundary,
+    /// [`RequestOutcome::Disconnected`] inside a request.
+    pub(crate) fn finish(&self) -> RequestOutcome {
+        match (self.line.is_empty(), &self.head) {
+            (true, None) => RequestOutcome::Eof,
+            _ => RequestOutcome::Disconnected,
+        }
+    }
+
+    /// Consumes `chunk` up to the end of the next request, and returns the
+    /// bytes consumed and the request's outcome, if it ended.
+    fn feed(&mut self, chunk: &[u8]) -> (usize, Option<RequestOutcome>) {
+        let mut used = 0;
+        while used < chunk.len() {
+            let rest = &chunk[used..];
+            if let Some(RequestHead {
+                request,
+                owed: Some(owed),
+                ..
+            }) = &mut self.head
+            {
+                let take = rest.len().min(*owed);
+                request.body.extend_from_slice(&rest[..take]);
+                *owed -= take;
+                used += take;
+                if *owed == 0 {
+                    return (used, self.complete());
+                }
+                continue;
+            }
+            let newline = rest.iter().position(|&b| b == b'\n');
+            let len = newline.unwrap_or(rest.len());
+            if self.line.len() + len > MAX_HEADER_LINE {
+                let which = self.head.as_ref().map_or("request", |_| "header");
+                let detail = format!("{which} line too long");
+                return (
+                    chunk.len(),
+                    Some(RequestOutcome::Reject {
+                        status: 431,
+                        detail,
+                    }),
+                );
+            }
+            self.line.extend_from_slice(&rest[..len]);
+            let Some(newline) = newline else {
+                return (chunk.len(), None);
+            };
+            used += newline + 1;
+            let mut line = std::mem::take(&mut self.line);
+            let text = String::from_utf8_lossy(line.strip_suffix(b"\r").unwrap_or(&line));
+            let outcome = self.end_line(&text);
+            line.clear();
+            self.line = line;
+            if outcome.is_some() {
+                return (used, outcome);
+            }
+        }
+        (used, None)
+    }
+
+    /// Applies one complete head line; returns the outcome when the line
+    /// ends a body-less request or rejects it.
+    fn end_line(&mut self, line: &str) -> Option<RequestOutcome> {
+        let applied = match &mut self.head {
+            None => RequestHead::parse(line).map(|head| self.head = Some(head)),
+            Some(head) if !line.is_empty() => head.header(line),
+            // The blank line ends the head.
+            Some(head) => match head.end() {
+                Ok(0) => return self.complete(),
+                Ok(_) => Ok(()),
+                Err(rejected) => Err(rejected),
+            },
+        };
+        applied.err()
+    }
+
+    /// The request whose head or body just ended; framing starts over.
+    fn complete(&mut self) -> Option<RequestOutcome> {
+        self.head
+            .take()
+            .map(|head| RequestOutcome::Request(head.request))
+    }
+}
+
+/// Reads and validates one request off `reader`, consuming exactly its
+/// bytes (see the module docs for the supported subset and the rejection
+/// statuses).
 ///
 /// # Errors
 /// Propagates only genuine transport errors; EOFs and malformed input are
 /// encoded in the [`RequestOutcome`].
 pub fn read_request(reader: &mut impl BufRead) -> io::Result<RequestOutcome> {
-    // Request line.
-    let line = match read_head_line(reader) {
-        Ok(None) => return Ok(RequestOutcome::Eof),
-        Ok(Some(line)) => line,
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-            return Ok(RequestOutcome::Disconnected)
-        }
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-            return Ok(reject(431, "request line too long"));
-        }
-        Err(e) => return Err(e),
-    };
-    let mut parts = line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v), None) if !m.is_empty() && t.starts_with('/') => (m, t, v),
-        _ => return Ok(reject(400, format!("malformed request line: {line:?}"))),
-    };
-    let keep_alive_default = match version {
-        "HTTP/1.1" => true,
-        "HTTP/1.0" => false,
-        _ => {
-            return Ok(reject(
-                505,
-                format!("unsupported protocol version {version:?}"),
-            ))
-        }
-    };
-
-    // Headers.
-    let mut content_length: Option<usize> = None;
-    let mut keep_alive = keep_alive_default;
-    let mut headers = 0usize;
+    let mut framer = RequestFramer::default();
     loop {
-        let line = match read_head_line(reader) {
-            Ok(None) => return Ok(RequestOutcome::Disconnected),
-            Ok(Some(line)) => line,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Ok(RequestOutcome::Disconnected)
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                return Ok(reject(431, "header line too long"));
-            }
-            Err(e) => return Err(e),
-        };
-        if line.is_empty() {
-            break;
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(framer.finish());
         }
-        headers += 1;
-        if headers > MAX_HEADER_COUNT {
-            return Ok(reject(431, format!("more than {MAX_HEADER_COUNT} headers")));
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Ok(reject(400, format!("malformed header line: {line:?}")));
-        };
-        let value = value.trim();
-        match name.trim().to_ascii_lowercase().as_str() {
-            "content-length" => match value.parse::<usize>() {
-                Ok(n) if content_length.is_none() || content_length == Some(n) => {
-                    content_length = Some(n);
-                }
-                _ => return Ok(reject(400, format!("invalid Content-Length: {value:?}"))),
-            },
-            "transfer-encoding" => {
-                return Ok(reject(
-                    501,
-                    "transfer encodings (chunked included) not supported",
-                ));
-            }
-            "expect" => {
-                return Ok(reject(
-                    417,
-                    "Expect (including 100-continue) not supported; send the body directly",
-                ));
-            }
-            "connection" => {
-                for token in value.split(',') {
-                    match token.trim().to_ascii_lowercase().as_str() {
-                        "close" => keep_alive = false,
-                        "keep-alive" => keep_alive = true,
-                        _ => {}
-                    }
-                }
-            }
-            _ => {}
+        let (used, outcome) = framer.feed(chunk);
+        reader.consume(used);
+        if let Some(outcome) = outcome {
+            return Ok(outcome);
         }
     }
-
-    // Body.
-    let needs_body = matches!(method, "POST" | "PUT" | "PATCH");
-    let length = match content_length {
-        Some(n) if n > MAX_BODY_BYTES => {
-            return Ok(reject(
-                413,
-                format!("body of {n} bytes exceeds the {MAX_BODY_BYTES} byte limit"),
-            ));
-        }
-        Some(n) => n,
-        None if needs_body => {
-            return Ok(reject(411, format!("{method} requires Content-Length")));
-        }
-        None => 0,
-    };
-    let mut body = vec![0u8; length];
-    if length > 0 {
-        match reader.read_exact(&mut body) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Ok(RequestOutcome::Disconnected);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(RequestOutcome::Request(HttpRequest {
-        method: method.to_owned(),
-        target: target.to_owned(),
-        keep_alive,
-        body,
-    }))
 }
 
 /// The standard reason phrase for the statuses this gateway emits.
@@ -266,11 +360,9 @@ pub struct ResponseHead {
     pub keep_alive: bool,
 }
 
-/// Writes one complete `Content-Length`-framed response.
-///
-/// # Errors
-/// Propagates transport write errors.
-pub fn write_response(out: &mut impl Write, head: ResponseHead, body: &[u8]) -> io::Result<()> {
+/// Appends one complete `Content-Length`-framed response to `out`, the
+/// connection's write buffer.
+pub fn write_response(out: &mut Vec<u8>, head: ResponseHead, body: &[u8]) {
     let mut text = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         head.status,
@@ -286,8 +378,8 @@ pub fn write_response(out: &mut impl Write, head: ResponseHead, body: &[u8]) -> 
     } else {
         "Connection: close\r\n\r\n"
     });
-    out.write_all(text.as_bytes())?;
-    out.write_all(body)
+    out.extend_from_slice(text.as_bytes());
+    out.extend_from_slice(body);
 }
 
 #[cfg(test)]
@@ -358,9 +450,24 @@ mod tests {
             RequestOutcome::Reject { status: 505, .. } => {}
             other => panic!("{other:?}"),
         }
-        match parse(b"GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n") {
-            RequestOutcome::Reject { status: 400, .. } => {}
-            other => panic!("{other:?}"),
+        // A field name is a token: no colon, whitespace before the colon,
+        // or a line that starts with whitespace (an obsolete line folding)
+        // all reject, even when the line would carry a Content-Length.
+        for raw in [
+            &b"GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n"[..],
+            b"POST /p HTTP/1.1\r\nContent-Length : 2\r\n\r\nhi",
+            b"POST /p HTTP/1.1\r\nHost: x\r\n Content-Length: 2\r\n\r\nhi",
+            b"POST /p HTTP/1.1\r\n\tContent-Length: 2\r\n\r\nhi",
+        ] {
+            match parse(raw) {
+                RequestOutcome::Reject {
+                    status: 400,
+                    detail,
+                } => {
+                    assert!(detail.starts_with("malformed header line"), "{detail}");
+                }
+                other => panic!("{raw:?} -> {other:?}"),
+            }
         }
     }
 
@@ -371,10 +478,21 @@ mod tests {
             RequestOutcome::Reject { status: 411, .. } => {}
             other => panic!("{other:?}"),
         }
-        // Unparsable.
-        match parse(b"POST /p HTTP/1.1\r\nContent-Length: banana\r\n\r\n") {
-            RequestOutcome::Reject { status: 400, .. } => {}
-            other => panic!("{other:?}"),
+        // Unparsable, or signed: a length is digits only.
+        for raw in [
+            &b"POST /p HTTP/1.1\r\nContent-Length: banana\r\n\r\n"[..],
+            b"POST /p HTTP/1.1\r\nContent-Length: +2\r\n\r\nhi",
+            b"POST /p HTTP/1.1\r\nContent-Length: -0\r\n\r\n",
+        ] {
+            match parse(raw) {
+                RequestOutcome::Reject {
+                    status: 400,
+                    detail,
+                } => {
+                    assert!(detail.starts_with("invalid Content-Length"), "{detail}");
+                }
+                other => panic!("{raw:?} -> {other:?}"),
+            }
         }
         // Conflicting duplicates.
         match parse(b"POST /p HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n") {
@@ -469,8 +587,7 @@ mod tests {
                 keep_alive: false,
             },
             b"{\"error\":\"overloaded\"}",
-        )
-        .expect("write");
+        );
         let text = String::from_utf8(out).expect("utf8");
         assert!(
             text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
@@ -493,8 +610,7 @@ mod tests {
                 keep_alive: true,
             },
             b"x 1\n",
-        )
-        .expect("write");
+        );
         let text = String::from_utf8(ok).expect("utf8");
         assert!(
             text.contains("Connection: keep-alive\r\n\r\nx 1\n"),
@@ -518,6 +634,66 @@ mod tests {
                     _ => break,
                 }
             }
+        }
+
+        #[test]
+        fn any_split_of_a_pipelined_stream_frames_like_read_request(
+            picks in proptest::collection::vec(0usize..7, 1..5),
+            cut_short in any::<bool>(),
+            cut_at in any::<usize>(),
+            one_byte in any::<bool>(),
+            sizes in proptest::collection::vec(1usize..48, 1..8),
+        ) {
+            // 1-4 requests, valid, rejected or oversized, back to back, and
+            // maybe cut short at any byte.
+            let samples = [
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".to_vec(),
+                b"POST /predict HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello".to_vec(),
+                b"POST /predict HTTP/1.0\nContent-Length: 2\n\nhi".to_vec(),
+                b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n".to_vec(),
+                b"POST /p HTTP/1.1\r\nContent-Length: +2\r\n\r\nhi".to_vec(),
+                b"POST /p HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(),
+                format!("GET /x HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "b".repeat(MAX_HEADER_LINE))
+                    .into_bytes(),
+            ];
+            let mut stream: Vec<u8> = picks.iter().flat_map(|&i| samples[i].clone()).collect();
+            if cut_short {
+                stream.truncate(cut_at % (stream.len() + 1));
+            }
+
+            // The reference: `read_request` over the whole buffer, until the
+            // first outcome that ends the connection.
+            let mut reader = &stream[..];
+            let mut expected = Vec::new();
+            loop {
+                let outcome = read_request(&mut reader).expect("a slice never fails to read");
+                let more = matches!(outcome, RequestOutcome::Request(_));
+                expected.push(outcome);
+                if !more {
+                    break;
+                }
+            }
+
+            // The framer, fed the same bytes in 1-byte or random chunks.
+            let mut framer = RequestFramer::default();
+            let mut framed = Vec::new();
+            let mut rest = &stream[..];
+            let mut open = true;
+            for size in sizes.iter().cycle() {
+                if !open || rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at(if one_byte { 1 } else { *size }.min(rest.len()));
+                rest = tail;
+                open = framer.push(chunk, |outcome| {
+                    framed.push(outcome);
+                    true
+                });
+            }
+            if open {
+                framed.push(framer.finish());
+            }
+            prop_assert_eq!(framed, expected);
         }
 
         #[test]

@@ -14,11 +14,11 @@
 //! | [`metrics`] | Lock-free counters + latency histograms, consistent snapshots, Prometheus text |
 //! | [`scheduler`] | Sharded micro-batching scheduler + ordered response routing |
 //! | [`proto`] | Wire framings v1/v2 and the capped line framer, hardened against adversarial input |
-//! | [`http`] | std-only HTTP/1.1 parsing and response writing |
-//! | [`router`] | The HTTP gateway: `/predict`, `/healthz`, `/metrics` over the scheduler |
+//! | [`http`] | std-only HTTP/1.1: the incremental request framer and response writing |
+//! | [`router`] | The HTTP gateway's endpoints: `/predict`, `/healthz`, `/readyz`, `/metrics` over the scheduler |
 //! | [`config`] | The typed [`ServeConfig`] builder — one config for every front-end |
 //! | [`serve`] | The stdin session loop, [`ServeReport`], and [`run`]: one process from one [`ServeConfig`] |
-//! | [`nbio`] | [`serve_tcp`]: the nonblocking JSONL transport, one thread for all connections |
+//! | [`nbio`] | [`serve_tcp`]: the readiness loop serving JSONL or HTTP, one thread per listener for all its connections |
 //! | [`fault`] | Deterministic fault injection: worker panics, chain faults, slow clients |
 //! | [`watch`] | The chain-watch firehose scenario, end to end |
 //! | [`fixture`] | Shared train-once test fixtures (scanners, probe corpora) |
@@ -62,10 +62,9 @@ pub use cache::{entry_bytes, CacheStats, CachedVerdict, VerdictCache};
 pub use config::{ConfigError, ServeConfig, ServeConfigBuilder};
 pub use fault::{FaultConfig, FaultPlan};
 pub use metrics::{HttpSnapshot, LatencySnapshot, Metrics, MetricsSnapshot};
-pub use nbio::serve_tcp;
+pub use nbio::{serve_tcp, Transport};
 pub use proto::{Protocol, MAX_LINE_BYTES, STATS_COMMAND};
 pub use queue::BoundedQueue;
-pub use router::serve_http;
 pub use scheduler::{
     shard_of, Admission, Connection, DegradationTier, Lifecycle, PolledResponse, ResponseKind,
     Responses, Scheduler, SchedulerOptions, SchedulerStats, ShardStats, SubmitOutcome,

@@ -1,17 +1,18 @@
-//! Nonblocking-readiness JSONL transport: [`serve_tcp`], one event-loop
-//! thread for every TCP connection — the JSONL twin of
-//! [`serve_http`](crate::router::serve_http).
+//! The readiness loop: [`serve_tcp`] runs one event-loop thread per
+//! listener for every connection it accepts, speaking JSONL or HTTP/1.1
+//! ([`Transport`]).
 //!
 //! A parked reader thread per socket would make 10k mostly-idle chain
-//! watchers cost 10k threads before the first request arrives. This
-//! module runs a single loop over `std` nonblocking sockets instead: the
-//! listener and every accepted stream run with `set_nonblocking(true)`,
-//! `poll(2)` (a raw declaration — std already links libc) reports which
-//! sockets turned ready, and the loop sweeps write → route-responses →
-//! read over **only** the ready connections plus those still awaiting
-//! in-process responses. Each iteration is therefore O(ready + awaiting)
-//! socket work, not O(connections), and serving threads are
-//! O(shards + listeners) — both asserted by `tests/idle_conns.rs`.
+//! watchers, or idle keep-alive HTTP clients, cost 10k threads before the
+//! first request arrives. This module runs a single loop over `std`
+//! nonblocking sockets instead: the listener and every accepted stream run
+//! with `set_nonblocking(true)`, `poll(2)` (a raw declaration — std
+//! already links libc) reports which sockets turned ready, and the loop
+//! sweeps write → route-responses → read over **only** the ready
+//! connections plus those still awaiting in-process responses. Each
+//! iteration is therefore O(ready + awaiting) socket work, not
+//! O(connections), and serving threads are O(shards + listeners) — both
+//! asserted, for each transport, by `tests/idle_conns.rs`.
 //!
 //! A response leaves as soon as it exists:
 //!
@@ -36,32 +37,41 @@
 //!   flow-control window when a connection has
 //!   [`SchedulerOptions::max_outstanding`](crate::SchedulerOptions::max_outstanding)
 //!   responses outstanding; the loop stops *reading* a connection once its
-//!   own in-flight count reaches a cap strictly below that, so the window
-//!   can never park the loop (and with it, every other connection).
+//!   own in-flight count reaches a cap strictly below that, and reads at
+//!   most two bytes per free slot (the shortest request, `x\n`, is two),
+//!   so the window can never park the loop (and with it, every other
+//!   connection).
 //! * **Writes never buffer without bound.** Response bytes wait in a
 //!   per-connection buffer with a soft cap; past it the loop stops
 //!   draining that connection's responses and stops reading it — the
 //!   scheduler's window then backpressures the socket.
 //!
-//! Request lines are cut by the same `proto::LineFramer` as the stdin
-//! transport, so an oversized or unterminated last line is answered
-//! exactly as it is there.
+//! Each connection has a framing. JSONL cuts lines with the stdin
+//! transport's `proto::LineFramer`, so oversized and unterminated lines
+//! answer as they do there. HTTP cuts requests with the framer in
+//! [`http`](crate::http) and queues each one's response head until its
+//! body routes, so pipelined answers leave in request order; a typed
+//! reject or a close request ends the connection's requests.
 //!
 //! Two things at accept end neither a client's answer nor the listener.
-//! A connection refused under `max_conns` gets its overload line and a
+//! A connection refused under `max_conns` gets its overload answer and a
 //! half-close, then stays in the poll set with its input discarded until
 //! the client closes, so request bytes it already sent never turn the
-//! close into a reset. An accept that fails for want of descriptors,
+//! close into a reset. (An HTTP connection whose last answer closes it
+//! lingers the same way.) An accept that fails for want of descriptors,
 //! buffers or memory stops accepting for a fixed 100 ms pause, logged
 //! once per episode, while the live connections keep being served.
 
+use crate::http::RequestFramer;
 use crate::proto::{self, Framed, LineFramer, Protocol};
+use crate::router::{self, Head};
 use crate::scheduler::{
     Admission, Connection, PolledResponse, Responses, Scheduler, SubmitOutcome, WakeHook,
 };
 use crate::serve::{self, ServeReport, TcpLimits};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -76,9 +86,27 @@ const READ_CHUNK: usize = 16 << 10;
 /// (where submit would block the loop), and keep a global fairness bound.
 const INFLIGHT_CAP: usize = 512;
 
-/// Refused connections held open at once while their input drains to the
-/// client's EOF; past this many, a refusal closes right after its line.
-const MAX_LINGERING_REFUSALS: usize = 64;
+/// Answered connections held open at once while their input drains to
+/// the client's EOF; past this many, one closes right after its answer.
+const MAX_LINGERING: usize = 64;
+
+/// What a listener speaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transport {
+    /// One request per line, under the given wire protocol.
+    Jsonl(Protocol),
+    /// HTTP/1.1: the gateway endpoints in [`router`].
+    Http,
+}
+
+/// How one connection cuts requests and frames answers.
+enum Framing {
+    /// Capped request lines; one response line each.
+    Jsonl(LineFramer),
+    /// HTTP requests, and the heads of the answers whose bodies have not
+    /// routed yet, in request order.
+    Http(RequestFramer, VecDeque<Head>),
+}
 
 /// One tracked connection in the event loop.
 struct Conn {
@@ -86,8 +114,7 @@ struct Conn {
     peer: std::net::SocketAddr,
     submit: Connection,
     responses: Responses,
-    /// Cuts the request bytes into capped lines.
-    framer: LineFramer,
+    framing: Framing,
     /// Pending response bytes not yet accepted by the socket.
     wbuf: Vec<u8>,
     /// Consumed prefix of `wbuf` (compacted lazily).
@@ -96,7 +123,9 @@ struct Conn {
     inflight: usize,
     /// Client half-closed its write side: no more requests.
     eof: bool,
-    /// `finish()` ran (exactly once, at EOF).
+    /// An HTTP answer closes the connection: no more requests.
+    closing: bool,
+    /// `finish()` ran (exactly once, when the requests ended).
     finished: bool,
     /// The response stream closed: every response has been routed.
     drained: bool,
@@ -113,6 +142,7 @@ impl Conn {
     /// Whether the loop wants more request bytes from this socket.
     fn wants_read(&self) -> bool {
         !self.eof
+            && !self.closing
             && !self.dead
             && self.inflight < self.inflight_cap()
             && self.pending_write() < WRITE_BUFFER_SOFT_CAP
@@ -153,14 +183,25 @@ impl Conn {
         wrote
     }
 
-    /// Moves routed responses into the write buffer; returns lines moved.
-    fn pump_responses(&mut self) -> usize {
+    /// Moves routed responses into the write buffer; returns how many.
+    fn pump_responses(&mut self, scheduler: &Scheduler) -> usize {
         let mut moved = 0;
         while self.pending_write() < WRITE_BUFFER_SOFT_CAP {
             match self.responses.poll() {
-                PolledResponse::Ready(line, _) => {
-                    self.wbuf.extend_from_slice(line.as_bytes());
-                    self.wbuf.push(b'\n');
+                PolledResponse::Ready(body, kind) => {
+                    match &mut self.framing {
+                        Framing::Jsonl(_) => {
+                            self.wbuf.extend_from_slice(body.as_bytes());
+                            self.wbuf.push(b'\n');
+                        }
+                        // `router::submit` queued one head per routed body.
+                        Framing::Http(_, heads) => {
+                            if let Some(head) = heads.pop_front() {
+                                let status = head.write(&body, kind, &mut self.wbuf);
+                                scheduler.metrics().http_response(status);
+                            }
+                        }
+                    }
                     self.inflight = self.inflight.saturating_sub(1);
                     moved += 1;
                 }
@@ -174,24 +215,41 @@ impl Conn {
         moved
     }
 
-    /// Reads request bytes and submits complete lines (shed admission);
+    /// Reads request bytes and submits complete requests (shed admission);
     /// returns bytes read, plus one for finishing the request stream.
-    fn pump_read(&mut self) -> usize {
+    fn pump_read(&mut self, scheduler: &Scheduler) -> usize {
         let mut scratch = [0u8; READ_CHUNK];
         let mut got = 0;
         while self.wants_read() {
-            match self.stream.read(&mut scratch) {
+            // Two bytes per free window slot; see the module docs.
+            let room = self.submit.max_outstanding() - self.inflight;
+            let buf = &mut scratch[..READ_CHUNK.min(room.saturating_mul(2))];
+            match self.stream.read(buf) {
                 Ok(0) => {
                     self.eof = true;
                     break;
                 }
                 Ok(n) => {
                     got += n;
-                    let submit = |framed: Framed<'_>| {
-                        submit_shed(&mut self.submit, &mut self.inflight, framed)
+                    let chunk = &scratch[..n];
+                    let more = match &mut self.framing {
+                        Framing::Jsonl(framer) => framer.push(chunk, |framed| {
+                            submit_shed(&mut self.submit, &mut self.inflight, framed)
+                        }),
+                        Framing::Http(framer, heads) => framer.push(chunk, |outcome| {
+                            let head = router::submit(scheduler, &mut self.submit, outcome);
+                            head.is_some_and(|head| {
+                                self.inflight += 1;
+                                self.closing = !head.response.keep_alive;
+                                heads.push_back(head);
+                                !self.closing
+                            })
+                        }),
                     };
-                    if !self.framer.push(&scratch[..n], submit) {
-                        self.dead = true;
+                    if !more {
+                        // A closing answer ends the requests; else the
+                        // response stream is gone.
+                        self.dead |= !self.closing;
                         break;
                     }
                 }
@@ -203,11 +261,14 @@ impl Conn {
                 }
             }
         }
-        if self.eof && !self.finished {
-            // EOF ends a non-empty unterminated last line.
-            let submit =
-                |framed: Framed<'_>| submit_shed(&mut self.submit, &mut self.inflight, framed);
-            self.dead |= !self.framer.finish(submit);
+        if (self.eof || self.closing) && !self.finished {
+            // EOF ends a non-empty unterminated JSONL line; an HTTP request
+            // cut short gets no answer.
+            if let Framing::Jsonl(framer) = &mut self.framing {
+                let submit =
+                    |framed: Framed<'_>| submit_shed(&mut self.submit, &mut self.inflight, framed);
+                self.dead |= !framer.finish(submit);
+            }
             self.submit.finish();
             self.finished = true;
             // `finish` may close the response channel right here, on the
@@ -219,10 +280,10 @@ impl Conn {
         got
     }
 
-    /// Finished serving: either torn down, or EOF reached with every
-    /// response routed and written.
+    /// Finished serving: either torn down, or the requests ended with
+    /// every response routed and written.
     fn complete(&self) -> bool {
-        self.dead || (self.eof && self.drained && self.pending_write() == 0)
+        self.dead || (self.finished && self.drained && self.pending_write() == 0)
     }
 }
 
@@ -240,11 +301,23 @@ fn submit_shed(submit: &mut Connection, inflight: &mut usize, framed: Framed<'_>
     }
 }
 
-/// Reads and discards a refused connection's input; `true` once the client
+/// Half-closes a socket after its last answer and keeps it, input
+/// discarded, until the client closes: closing over unread input would
+/// reset the connection and destroy the answer in flight.
+fn linger(lingering: &mut Vec<TcpStream>, stream: TcpStream) {
+    if lingering.len() < MAX_LINGERING
+        && stream.shutdown(Shutdown::Write).is_ok()
+        && stream.set_nonblocking(true).is_ok()
+    {
+        lingering.push(stream);
+    }
+}
+
+/// Reads and discards a lingering socket's input; `true` once the client
 /// has closed (or the socket failed) and the socket can be dropped. Reads
 /// a bounded amount per call, so a client that keeps sending cannot hold
 /// the loop.
-fn drain_refusal(stream: &mut TcpStream) -> bool {
+fn drain_lingering(stream: &mut TcpStream) -> bool {
     let mut sink = [0u8; READ_CHUNK];
     for _ in 0..4 {
         match stream.read(&mut sink) {
@@ -262,8 +335,8 @@ fn drain_refusal(stream: &mut TcpStream) -> bool {
 struct Ready {
     /// Into the connections.
     conns: Vec<usize>,
-    /// Into the lingering refusals.
-    refusals: Vec<usize>,
+    /// Into the lingering sockets.
+    lingering: Vec<usize>,
 }
 
 #[cfg(unix)]
@@ -331,18 +404,19 @@ mod park {
 
     /// Waits until a tracked socket is ready, the waker fires, or
     /// `timeout_ms` elapses (`-1`: no timeout), and returns the connections
-    /// and refusals poll reported ready (any revents, so errors and hangups
-    /// surface too). A nonzero timeout parks only when no wake arrived
-    /// since the previous call; before returning, the waker is drained and
-    /// re-armed, so every wake after that reaches the next call.
+    /// and lingering sockets poll reported ready (any revents, so errors
+    /// and hangups surface too). A nonzero timeout parks only when no wake
+    /// arrived since the previous call; before returning, the waker is
+    /// drained and re-armed, so every wake after that reaches the next
+    /// call.
     pub(super) fn wait(
         waker: &Waker,
         listener: Option<&TcpListener>,
         conns: &[Conn],
-        refusals: &[TcpStream],
+        lingering: &[TcpStream],
         timeout_ms: i32,
     ) -> Ready {
-        let mut fds: Vec<PollFd> = Vec::with_capacity(conns.len() + refusals.len() + 2);
+        let mut fds: Vec<PollFd> = Vec::with_capacity(conns.len() + lingering.len() + 2);
         // Slot 0 is the waker; the listener is the accept pass's business.
         fds.push(PollFd {
             fd: waker.rx.as_raw_fd(),
@@ -357,7 +431,7 @@ mod park {
             });
         }
         // Past the fixed slots, `owner` maps each slot to a connection, or
-        // to a refusal offset by `conns.len()`.
+        // to a lingering socket offset by `conns.len()`.
         let fixed = fds.len();
         let mut owner: Vec<usize> = Vec::with_capacity(fds.capacity());
         for (index, conn) in conns.iter().enumerate() {
@@ -377,7 +451,7 @@ mod park {
                 owner.push(index);
             }
         }
-        for (index, stream) in refusals.iter().enumerate() {
+        for (index, stream) in lingering.iter().enumerate() {
             fds.push(PollFd {
                 fd: stream.as_raw_fd(),
                 events: POLLIN,
@@ -398,7 +472,7 @@ mod park {
         waker.state.swap(AWAKE, Ordering::AcqRel);
         let mut ready = Ready {
             conns: Vec::new(),
-            refusals: Vec::new(),
+            lingering: Vec::new(),
         };
         if polled <= 0 {
             return ready;
@@ -414,7 +488,7 @@ mod park {
             if index < conns.len() {
                 ready.conns.push(index);
             } else {
-                ready.refusals.push(index - conns.len());
+                ready.lingering.push(index - conns.len());
             }
         }
         ready
@@ -424,7 +498,7 @@ mod park {
 #[cfg(not(unix))]
 mod park {
     //! Portable fallback with no waker: a short sleep, then sweep every
-    //! connection and refusal.
+    //! connection and lingering socket.
 
     use super::{Conn, Ready};
     use std::net::{TcpListener, TcpStream};
@@ -443,7 +517,7 @@ mod park {
         _waker: &Waker,
         _listener: Option<&TcpListener>,
         conns: &[Conn],
-        refusals: &[TcpStream],
+        lingering: &[TcpStream],
         timeout_ms: i32,
     ) -> Ready {
         // No timeout (`-1`) sleeps the shortest tick.
@@ -454,21 +528,22 @@ mod park {
         }
         Ready {
             conns: (0..conns.len()).collect(),
-            refusals: (0..refusals.len()).collect(),
+            lingering: (0..lingering.len()).collect(),
         }
     }
 }
 
-/// Accepts TCP connections on `listener` and serves the JSONL line
-/// protocol on each over the one shared scheduler, multiplexing every
-/// connection onto the calling thread — connections contribute rows to
-/// the same batches and share the same verdict cache. Admission control:
+/// Accepts TCP connections on `listener` and serves `transport` on each
+/// over the one shared scheduler, multiplexing every connection onto the
+/// calling thread — connections contribute rows to the same batches and
+/// share the same verdict cache. Admission control:
 ///
-/// * per request: shed-mode submission (typed overload response when the
+/// * per request: shed-mode submission (a typed overload answer — the
+///   JSONL overload line, or HTTP `503` + `Retry-After` — when the
 ///   scheduler queue is full);
 /// * per connection: `limits.max_conns` concurrent sessions; a surplus
-///   accept receives one overload line and a half-close, and its input is
-///   discarded until the client closes.
+///   accept receives one overload answer and a half-close, and its input
+///   is discarded until the client closes.
 ///
 /// `limits.accept_total` bounds how many connections are accepted before
 /// returning the aggregate report — `None` serves forever (the daemon
@@ -476,9 +551,9 @@ mod park {
 /// ones included, has closed. Each connection's report is written to
 /// stderr as it closes.
 ///
-/// [`run`](crate::serve::run) calls this for a `tcp` listener it binds
-/// itself; call it directly when the caller owns the scheduler and the
-/// socket.
+/// [`run`](crate::serve::run) calls this once per listener it binds, each
+/// on a thread of its own; call it directly when the caller owns the
+/// scheduler and the socket.
 ///
 /// # Errors
 /// Propagates accept errors other than running out of descriptors,
@@ -487,7 +562,7 @@ mod park {
 pub fn serve_tcp(
     listener: &TcpListener,
     scheduler: &Scheduler,
-    proto: Protocol,
+    transport: Transport,
     limits: TcpLimits,
 ) -> io::Result<ServeReport> {
     listener.set_nonblocking(true)?;
@@ -497,9 +572,21 @@ pub fn serve_tcp(
         Arc::new(move || waker.wake())
     };
     let model = scheduler.model_name().to_owned();
+    let (proto, tag, refusal) = match transport {
+        Transport::Jsonl(proto) => {
+            let mut line = String::new();
+            match proto {
+                Protocol::V1 => proto::render_overload_v1(&mut line),
+                Protocol::V2 => proto::render_overload_v2(&mut line, "connect"),
+            }
+            line.push('\n');
+            (proto, "", line.into_bytes())
+        }
+        Transport::Http => (Protocol::V2, "http ", router::refusal()),
+    };
     let mut total = ServeReport::default();
     let mut conns: Vec<Conn> = Vec::new();
-    let mut refusals: Vec<TcpStream> = Vec::new();
+    let mut lingering: Vec<TcpStream> = Vec::new();
     let mut accepted = 0usize;
     let mut accept_pause = serve::AcceptPause::default();
 
@@ -522,7 +609,7 @@ pub fn serve_tcp(
             &waker,
             accepting.then_some(listener),
             &conns,
-            &refusals,
+            &lingering,
             timeout_ms,
         );
 
@@ -544,38 +631,31 @@ pub fn serve_tcp(
             progress += 1;
             if limits.max_conns.is_some_and(|m| conns.len() >= m) {
                 // Connection-level admission control: one typed overload
-                // line, then a half-close. The just-accepted socket is
-                // still blocking (accept does not inherit O_NONBLOCK), so
-                // the one-line write is safe without buffering. Request
-                // bytes the client already sent are still unread, and
-                // closing over them would reset the connection and destroy
-                // the line, so the socket lingers until the client closes.
-                let mut line = String::new();
-                match proto {
-                    Protocol::V1 => proto::render_overload_v1(&mut line),
-                    Protocol::V2 => proto::render_overload_v2(&mut line, "connect"),
-                }
-                line.push('\n');
-                let _ = stream.write_all(line.as_bytes());
+                // answer, then a lingering half-close. The just-accepted
+                // socket is still blocking (accept does not inherit
+                // O_NONBLOCK), so the short write is safe without
+                // buffering.
+                let _ = stream.write_all(&refusal);
                 eprintln!(
-                    "[{peer}] refused: {} concurrent connection(s) reached",
+                    "[{tag}{peer}] refused: {} concurrent connection(s) reached",
                     conns.len()
                 );
                 total.overloads += 1;
+                // The refusal never reaches a scheduler connection, so the
+                // shared counters are incremented here — exactly once per
+                // refused connection, like the queue-shed path.
                 scheduler.metrics().inc_overloads();
-                if refusals.len() < MAX_LINGERING_REFUSALS
-                    && stream.shutdown(std::net::Shutdown::Write).is_ok()
-                    && stream.set_nonblocking(true).is_ok()
-                {
-                    refusals.push(stream);
+                if transport == Transport::Http {
+                    scheduler.metrics().http_response(503);
                 }
+                linger(&mut lingering, stream);
                 continue;
             }
             if let Err(e) = stream
                 .set_nonblocking(true)
                 .and_then(|()| stream.set_nodelay(true))
             {
-                eprintln!("[{peer}] dropped: {e}");
+                eprintln!("[{tag}{peer}] dropped: {e}");
                 continue;
             }
             let (submit, responses) = scheduler.connect_with_wake(proto, Some(Arc::clone(&wake)));
@@ -585,11 +665,15 @@ pub fn serve_tcp(
                 peer,
                 submit,
                 responses,
-                framer: LineFramer::default(),
+                framing: match transport {
+                    Transport::Jsonl(_) => Framing::Jsonl(LineFramer::default()),
+                    Transport::Http => Framing::Http(RequestFramer::default(), VecDeque::new()),
+                },
                 wbuf: Vec::new(),
                 wpos: 0,
                 inflight: 0,
                 eof: false,
+                closing: false,
                 finished: false,
                 drained: false,
                 dead: false,
@@ -617,18 +701,18 @@ pub fn serve_tcp(
         for index in sweep {
             let conn = &mut conns[index];
             progress += conn.pump_write();
-            progress += conn.pump_responses();
+            progress += conn.pump_responses(scheduler);
             if conn.pending_write() > 0 {
                 progress += conn.pump_write();
             }
-            progress += conn.pump_read();
+            progress += conn.pump_read(scheduler);
         }
 
-        // Drop the refusals whose clients have closed. Descending order
-        // keeps the lower indices valid across `swap_remove`.
-        for index in ready.refusals.into_iter().rev() {
-            if drain_refusal(&mut refusals[index]) {
-                refusals.swap_remove(index);
+        // Drop the lingering sockets whose clients have closed. Descending
+        // order keeps the lower indices valid across `swap_remove`.
+        for index in ready.lingering.into_iter().rev() {
+            if drain_lingering(&mut lingering[index]) {
+                lingering.swap_remove(index);
                 progress += 1;
             }
         }
@@ -641,21 +725,24 @@ pub fn serve_tcp(
                 continue;
             }
             let conn = conns.swap_remove(i);
-            let secs = conn.t0.elapsed().as_secs_f64();
-            let peer = conn.peer;
             let id = conn.submit.id();
             // Drop the submit/response halves first: dropping `submit`
             // finishes the connection, so the report below is final.
-            drop(conn);
+            drop((conn.submit, conn.responses));
             let mut report = scheduler.take_report(id);
-            report.secs = secs;
-            eprint!("[{peer}] {}", report.render(&model));
+            report.secs = conn.t0.elapsed().as_secs_f64();
+            eprint!("[{tag}{}] {}", conn.peer, report.render(&model));
             total.absorb(&report);
+            // An HTTP answer ended a connection whose client may still be
+            // sending.
+            if !conn.eof && !conn.dead {
+                linger(&mut lingering, conn.stream);
+            }
             progress += 1;
         }
 
         if conns.is_empty()
-            && refusals.is_empty()
+            && lingering.is_empty()
             && limits.accept_total.is_some_and(|m| accepted >= m)
         {
             return Ok(total);
@@ -678,19 +765,28 @@ mod tests {
     /// before it fails: a lost wake-up fails a test instead of hanging it.
     const PATIENCE: Duration = Duration::from_secs(10);
 
-    /// Runs a bounded v2 `serve_tcp` on a thread of its own. The thread is
-    /// not scoped, so a stalled loop cannot hold a failing test open.
-    fn spawn_server(
+    /// Runs a bounded `serve_tcp` on a thread of its own. The thread is not
+    /// scoped, so a stalled loop cannot hold a failing test open.
+    fn spawn_loop(
         scheduler: &Arc<Scheduler>,
+        transport: Transport,
         limits: TcpLimits,
     ) -> (SocketAddr, JoinHandle<ServeReport>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
         let addr = listener.local_addr().expect("addr");
         let scheduler = Arc::clone(scheduler);
         let server = std::thread::spawn(move || {
-            serve_tcp(&listener, &scheduler, Protocol::V2, limits).expect("serves")
+            serve_tcp(&listener, &scheduler, transport, limits).expect("serves")
         });
         (addr, server)
+    }
+
+    /// [`spawn_loop`] serving v2 JSONL.
+    fn spawn_server(
+        scheduler: &Arc<Scheduler>,
+        limits: TcpLimits,
+    ) -> (SocketAddr, JoinHandle<ServeReport>) {
+        spawn_loop(scheduler, Transport::Jsonl(Protocol::V2), limits)
     }
 
     /// The bounded run's report, once `serve_tcp` has returned.
@@ -832,6 +928,149 @@ mod tests {
         let report = join_server(server);
         assert_eq!(report.overloads, CLIENTS as u64);
         assert_eq!(report.contracts, 0);
+    }
+
+    #[test]
+    fn http_refused_clients_that_already_sent_requests_still_read_the_503() {
+        // The HTTP twin: each refused client pipelined requests before it
+        // read, and must read exactly one 503, then EOF.
+        const CLIENTS: usize = 8;
+        let requests = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".repeat(4);
+        let scheduler = Arc::new(Scheduler::new(scanner(), &SchedulerOptions::default()));
+        let (addr, server) = spawn_loop(
+            &scheduler,
+            Transport::Http,
+            TcpLimits {
+                max_conns: Some(0),
+                accept_total: Some(CLIENTS),
+            },
+        );
+        let clients: Vec<JoinHandle<String>> = (0..CLIENTS)
+            .map(|_| {
+                let requests = requests.clone();
+                std::thread::spawn(move || {
+                    let mut stream = connect(addr);
+                    stream
+                        .write_all(requests.as_bytes())
+                        .expect("send requests");
+                    let mut response = String::new();
+                    stream
+                        .read_to_string(&mut response)
+                        .expect("the 503, then EOF — not a reset");
+                    response
+                })
+            })
+            .collect();
+        for client in clients {
+            let response = client.join().expect("client");
+            assert!(
+                response.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+                "{response}"
+            );
+            assert_eq!(response.matches("HTTP/1.1 ").count(), 1, "{response}");
+            assert!(response.contains("Retry-After: 1\r\n"), "{response}");
+            assert!(response.ends_with("{\"error\":\"overloaded: connection limit reached\"}"));
+        }
+        let report = join_server(server);
+        assert_eq!(report.overloads, CLIENTS as u64);
+        let snap = scheduler.metrics_snapshot();
+        assert_eq!(snap.http.responses_5xx, CLIENTS as u64);
+        assert_eq!(snap.http.requests, 0, "refused before any request was read");
+    }
+
+    #[test]
+    fn a_refused_http_client_that_keeps_sending_cannot_stall_accepting() {
+        let scheduler = Arc::new(Scheduler::new(scanner(), &SchedulerOptions::default()));
+        let (addr, server) = spawn_loop(
+            &scheduler,
+            Transport::Http,
+            TcpLimits {
+                max_conns: Some(1),
+                accept_total: Some(3),
+            },
+        );
+        // A live keep-alive connection holds the only slot.
+        let live = connect(addr);
+        (&live)
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("send");
+        let mut live_reader = BufReader::new(&live);
+        let mut status = String::new();
+        live_reader.read_line(&mut status).expect("live answer");
+        assert!(status.starts_with("HTTP/1.1 200 "), "{status}");
+
+        // Client A reads its 503, then keeps sending without closing: one
+        // byte every 50 ms for 2 s.
+        let mut a = connect(addr);
+        let mut refused = String::new();
+        a.read_to_string(&mut refused).expect("A's 503, then EOF");
+        assert!(refused.starts_with("HTTP/1.1 503 "), "{refused}");
+        let dribbler = std::thread::spawn(move || {
+            for _ in 0..40 {
+                a.write_all(b"x").expect("the refused socket keeps reading");
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            a
+        });
+
+        // Client B arrives 200 ms in and must be refused at once.
+        std::thread::sleep(Duration::from_millis(200));
+        let start = Instant::now();
+        let mut b = connect(addr);
+        b.set_read_timeout(Some(Duration::from_secs(1)))
+            .expect("read timeout");
+        let mut answer = String::new();
+        b.read_to_string(&mut answer)
+            .expect("B's 503 within a second, while A still sends");
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert!(answer.starts_with("HTTP/1.1 503 "), "{answer}");
+        assert!(answer.contains("Retry-After: 1\r\n"), "{answer}");
+
+        drop(dribbler.join().expect("dribbler"));
+        drop(live_reader);
+        drop(live);
+        drop(b);
+        let report = join_server(server);
+        assert_eq!(report.overloads, 2);
+    }
+
+    #[test]
+    fn a_pipelined_burst_past_the_window_never_blocks_the_loop() {
+        // Four window slots and eight requests in one write: a read that
+        // submitted them all would park the loop in the window for good.
+        let opts = SchedulerOptions {
+            max_outstanding: 4,
+            ..SchedulerOptions::default()
+        };
+        let scheduler = Arc::new(Scheduler::new(scanner(), &opts));
+        for (transport, burst) in [
+            (Transport::Jsonl(Protocol::V2), "x\n".repeat(8)),
+            (Transport::Http, "GET /healthz HTTP/1.1\r\n\r\n".repeat(8)),
+        ] {
+            let (addr, server) = spawn_loop(
+                &scheduler,
+                transport,
+                TcpLimits {
+                    max_conns: None,
+                    accept_total: Some(1),
+                },
+            );
+            let mut stream = connect(addr);
+            stream.write_all(burst.as_bytes()).expect("send the burst");
+            stream
+                .shutdown(std::net::Shutdown::Write)
+                .expect("half-close");
+            let mut response = String::new();
+            stream
+                .read_to_string(&mut response)
+                .expect("every answer, then EOF");
+            let answers = match transport {
+                Transport::Jsonl(_) => response.lines().count(),
+                Transport::Http => response.matches("HTTP/1.1 200 OK").count(),
+            };
+            assert_eq!(answers, 8, "{transport:?}: {response}");
+            join_server(server);
+        }
     }
 
     #[test]

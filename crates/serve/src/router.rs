@@ -1,16 +1,18 @@
-//! The HTTP gateway: `/predict`, `/healthz` and `/metrics` over the same
-//! scheduler, cache and admission control as the JSONL front-ends.
+//! The HTTP gateway's endpoints: `/predict`, `/healthz`, `/readyz` and
+//! `/metrics` over the same scheduler, cache and admission control as the
+//! JSONL front-end. Connections run on the readiness loop in
+//! [`nbio`](crate::nbio), which frames requests with [`http`]
+//! and hands each to `submit` here.
 //!
 //! One HTTP connection is one scheduler connection. Every HTTP request
 //! routes **exactly one** response body through the scheduler's ordered
 //! per-connection router — a `/predict` body is submitted verbatim as a
 //! v2 JSONL line (so HTTP verdicts are bit-identical to JSONL verdicts,
 //! cache and all), while `/healthz`, `/metrics` and immediate rejections
-//! route an already-rendered body. The session's writer thread pairs each
-//! routed body with a response head (status / content type / keep-alive)
-//! carried on a same-order side channel, so pipelined requests answer in
-//! request order even while their verdicts are scored out of order across
-//! micro-batches.
+//! route an already-rendered body. `submit` returns the matching `Head`,
+//! which the connection queues and pairs with the next routed body, so
+//! pipelined requests answer in request order even while their verdicts
+//! are scored out of order across micro-batches.
 //!
 //! Endpoints:
 //!
@@ -18,7 +20,10 @@
 //!   `{"address":"0x…"}` (resolved through the scheduler's chain handle),
 //!   or bare hex. `200` with the v2 verdict object; `400` malformed;
 //!   `404` unresolvable address; `503` + `Retry-After` when shed by
-//!   admission control; `413` when the body exceeds the 1 MiB cap.
+//!   admission control; `413` when the body exceeds the 1 MiB cap; `500`
+//!   or `504` when the scoring worker panicked on the batch or the request
+//!   out-waited its deadline (a queued request's status is settled when
+//!   its verdict routes, not when it was admitted).
 //! * `GET /healthz` — lifecycle-aware liveness: `200` with
 //!   `{"status":"ok"|"degraded",…}` while serving (degraded = the brownout
 //!   ladder left the Full tier), `503` with `{"status":"draining",…}` once
@@ -29,43 +34,58 @@
 //! * `GET /metrics` — `200` with the Prometheus text exposition from
 //!   [`metrics::render_prometheus`].
 //!
-//! A `/predict` admitted to the queue answers its status when the verdict
-//! *routes*, not when it was admitted: the response head is marked deferred and
-//! the writer maps the routed [`ResponseKind`] to `200` (verdict), `500`
-//! (the scoring worker panicked on that batch) or `504` (the request
-//! out-waited its deadline).
-//!
-//! Overloaded *connections* (`max_conns`) answer `503` + `Retry-After`
-//! at accept, mirroring the JSONL listener's typed overload line.
+//! Overloaded *connections* (`max_conns`) answer `503` with
+//! `Retry-After` at accept (`refusal`), mirroring the JSONL listener's
+//! typed overload line.
 
 use crate::http::{self, HttpRequest, RequestOutcome, ResponseHead};
 use crate::metrics;
-use crate::proto::{self, Protocol};
+use crate::proto;
 use crate::scheduler::{
     Admission, Connection, DegradationTier, Lifecycle, ResponseKind, Scheduler, SubmitOutcome,
 };
-use crate::serve::{self, ServeReport, TcpLimits};
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::time::Instant;
 
 const JSON: &str = "application/json";
 const PROMETHEUS: &str = "text/plain; version=0.0.4";
 
-/// The response head for one routed body, sent to the session's writer in
+/// The response head for one routed body, queued on the connection in
 /// submit order (1:1 with routed bodies).
-struct Head {
-    status: u16,
-    content_type: &'static str,
-    retry_after: Option<u32>,
-    keep_alive: bool,
+pub(crate) struct Head {
+    pub(crate) response: ResponseHead,
     /// The status is provisional: the body is a queued verdict slot whose
     /// real outcome (scored / worker panic / deadline timeout) is only
-    /// known when it routes — the writer overrides the status from the
-    /// routed [`ResponseKind`].
+    /// known when it routes.
     deferred: bool,
+}
+
+impl Head {
+    /// A JSON answer's head.
+    fn json(status: u16, keep_alive: bool) -> Head {
+        Head {
+            response: ResponseHead {
+                status,
+                content_type: JSON,
+                retry_after: None,
+                keep_alive,
+            },
+            deferred: false,
+        }
+    }
+
+    /// Writes the response for the routed `body` of `kind` into `out`, and
+    /// returns the status it carried. A deferred head takes its status
+    /// from `kind`: the batch may have panicked (500), or the deadline
+    /// lapsed (504), after the request was admitted.
+    pub(crate) fn write(&self, body: &str, kind: ResponseKind, out: &mut Vec<u8>) -> u16 {
+        let mut head = self.response;
+        match (self.deferred, kind) {
+            (true, ResponseKind::Internal) => head.status = 500,
+            (true, ResponseKind::Timeout) => head.status = 504,
+            _ => {}
+        }
+        http::write_response(out, head, body.as_bytes());
+        head.status
+    }
 }
 
 fn error_body(detail: &str) -> String {
@@ -76,237 +96,72 @@ fn error_body(detail: &str) -> String {
     out
 }
 
-/// Serves the HTTP gateway on `listener` against the shared scheduler.
-/// Admission mirrors [`serve_tcp`](crate::nbio::serve_tcp): shed-mode
-/// per request (`503` + `Retry-After`), `limits.max_conns` concurrent
-/// connections (surplus accepts answer `503` and close), and
-/// `limits.accept_total` bounds the accepted connections before the
-/// aggregate report is returned (`None` = serve forever).
-///
-/// # Errors
-/// Propagates accept errors other than running out of descriptors,
-/// buffers or memory, which pause accepting instead; per-connection I/O
-/// errors are reported to stderr and do not stop the gateway.
-pub fn serve_http(
-    listener: &TcpListener,
-    scheduler: &Scheduler,
-    limits: TcpLimits,
-) -> io::Result<ServeReport> {
-    let model = scheduler.model_name();
-    let mut total = ServeReport::default();
-    let live = AtomicUsize::new(0);
-    let mut accepted = 0usize;
-    let mut accept_pause = serve::AcceptPause::default();
-    std::thread::scope(|scope| -> io::Result<()> {
-        let channel = limits.accept_total.map(|_| mpsc::channel::<ServeReport>());
-        let report_tx = channel.as_ref().map(|(tx, _)| tx);
-        while limits.accept_total.is_none_or(|m| accepted < m) {
-            let (mut stream, peer) = match listener.accept() {
-                Ok(pair) => pair,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) if serve::accept_error_is_transient(&e) => {
-                    // The session threads keep serving meanwhile.
-                    accept_pause.start(&e);
-                    std::thread::sleep(serve::ACCEPT_PAUSE);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            accept_pause.end();
-            accepted += 1;
-            if limits
-                .max_conns
-                .is_some_and(|m| live.load(Ordering::SeqCst) >= m)
-            {
-                let _ = http::write_response(
-                    &mut stream,
-                    ResponseHead {
-                        status: 503,
-                        content_type: JSON,
-                        retry_after: Some(1),
-                        keep_alive: false,
-                    },
-                    error_body("overloaded: connection limit reached").as_bytes(),
-                );
-                // Drain whatever request bytes the client already sent
-                // before dropping the socket: closing with unread input
-                // RSTs the connection and can destroy the 503 in flight.
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-                let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
-                let mut sink = [0u8; 1024];
-                while matches!(io::Read::read(&mut stream, &mut sink), Ok(n) if n > 0) {}
-                scheduler.metrics().http_response(503);
-                // The refusal never reaches a scheduler connection, so the
-                // shared overload counter is incremented here — exactly
-                // once per refused request, like the queue-shed path.
-                scheduler.metrics().inc_overloads();
-                eprintln!(
-                    "[http {peer}] refused: {} concurrent connection(s) reached",
-                    live.load(Ordering::SeqCst)
-                );
-                total.overloads += 1;
-                continue;
-            }
-            if let Err(e) = stream.set_nodelay(true) {
-                eprintln!("[http {peer}] dropped: {e}");
-                continue;
-            }
-            live.fetch_add(1, Ordering::SeqCst);
-            let live = &live;
-            let report_tx = report_tx.cloned();
-            scope.spawn(move || {
-                let outcome = http_session(scheduler, &stream);
-                live.fetch_sub(1, Ordering::SeqCst);
-                match outcome {
-                    Ok(report) => {
-                        eprint!("[http {peer}] {}", report.render(model));
-                        if let Some(tx) = report_tx {
-                            let _ = tx.send(report);
-                        }
-                    }
-                    Err(e) => eprintln!("[http {peer}] connection error: {e}"),
-                }
-            });
-        }
-        if let Some((tx, rx)) = channel {
-            drop(tx);
-            for report in rx {
-                total.absorb(&report);
-            }
-        }
-        Ok(())
-    })?;
-    Ok(total)
+/// The `503` + `Retry-After` that refuses a connection at accept under
+/// `max_conns`.
+pub(crate) fn refusal() -> Vec<u8> {
+    let mut head = Head::json(503, false);
+    head.response.retry_after = Some(1);
+    let mut out = Vec::new();
+    let body = error_body("overloaded: connection limit reached");
+    head.write(&body, ResponseKind::Overload, &mut out);
+    out
 }
 
-/// Serves one accepted HTTP connection to close/EOF: a reader loop that
-/// parses requests and submits them (each producing one routed body plus
-/// one [`Head`]), and a writer thread pairing the two streams in order.
-fn http_session(scheduler: &Scheduler, stream: &TcpStream) -> io::Result<ServeReport> {
-    let t0 = Instant::now();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let (mut conn, responses) = scheduler.connect(Protocol::V2);
-    let conn_id = conn.id();
-    let (head_tx, head_rx) = mpsc::channel::<Head>();
-
-    let (writer_result, read_error) = std::thread::scope(|scope| {
-        let metrics = scheduler.metrics();
-        let writer_thread = scope.spawn(move || -> io::Result<()> {
-            // Heads arrive in submit order; routed bodies arrive in the
-            // same order — pair them 1:1. Dropping `responses` on an
-            // error disconnects (unblocks) the submit side.
-            while let Ok(head) = head_rx.recv() {
-                let Some((body, kind)) = responses.recv_with_kind() else {
-                    break; // submit side gone without routing the body
-                };
-                // Deferred heads (queued verdict slots) learn their real
-                // status from the routed response kind: the batch may have
-                // panicked (500) or the deadline lapsed (504) after the
-                // request was admitted with a provisional 200.
-                let status = match (head.deferred, kind) {
-                    (true, ResponseKind::Internal) => 500,
-                    (true, ResponseKind::Timeout) => 504,
-                    _ => head.status,
-                };
-                http::write_response(
-                    &mut writer,
-                    ResponseHead {
-                        status,
-                        content_type: head.content_type,
-                        retry_after: head.retry_after,
-                        keep_alive: head.keep_alive,
-                    },
-                    body.as_bytes(),
-                )?;
-                writer.flush()?;
-                metrics.http_response(status);
-                if !head.keep_alive {
-                    break;
-                }
-            }
-            Ok(())
-        });
-
-        let mut read_error: Option<io::Error> = None;
-        loop {
-            let outcome = match http::read_request(&mut reader) {
-                Err(e) => {
-                    read_error = Some(e);
-                    break;
-                }
-                Ok(outcome) => outcome,
-            };
-            match outcome {
-                RequestOutcome::Eof | RequestOutcome::Disconnected => break,
-                RequestOutcome::Reject { status, detail } => {
-                    scheduler.metrics().http_request();
-                    if conn.submit_rendered(error_body(&detail), true)
-                        == SubmitOutcome::Disconnected
-                    {
-                        break;
-                    }
-                    // Framing after a parse error is unknowable: close.
-                    let _ = head_tx.send(Head {
-                        status,
-                        content_type: JSON,
-                        retry_after: None,
-                        keep_alive: false,
-                        deferred: false,
-                    });
-                    break;
-                }
-                RequestOutcome::Request(req) => {
-                    scheduler.metrics().http_request();
-                    let Some(head) = answer(scheduler, &mut conn, req) else {
-                        break; // submit side disconnected
-                    };
-                    let closing = !head.keep_alive;
-                    if head_tx.send(head).is_err() || closing {
-                        break;
-                    }
-                }
-            }
+/// Submits one framed request, or the reject that ends the connection's
+/// framing: exactly one body is routed through the scheduler, and the
+/// matching `Head` is returned. `None` when the connection's response
+/// stream is gone (stop reading).
+pub(crate) fn submit(
+    scheduler: &Scheduler,
+    conn: &mut Connection,
+    outcome: RequestOutcome,
+) -> Option<Head> {
+    scheduler.metrics().http_request();
+    match outcome {
+        RequestOutcome::Request(req) => answer(scheduler, conn, req),
+        // Framing after a parse error is unknowable: answer, then close.
+        RequestOutcome::Reject { status, detail } => {
+            let routed = conn.submit_rendered(error_body(&detail), true);
+            (routed != SubmitOutcome::Disconnected).then(|| Head::json(status, false))
         }
-        drop(head_tx); // ends the writer's pairing loop
-        conn.finish();
-        (
-            writer_thread.join().expect("http writer thread"),
-            read_error,
-        )
-    });
-
-    let mut report = scheduler.take_report(conn_id);
-    writer_result?;
-    if let Some(e) = read_error {
-        return Err(e);
+        // The framer hands over requests and rejects only; an end of
+        // stream gets no answer.
+        RequestOutcome::Eof | RequestOutcome::Disconnected => None,
     }
-    report.secs = t0.elapsed().as_secs_f64();
-    Ok(report)
 }
 
 /// Routes one parsed request: exactly one body is routed through the
-/// scheduler and the matching [`Head`] is returned. `None` when the
+/// scheduler and the matching `Head` is returned. `None` when the
 /// connection's response stream is gone (stop reading).
 fn answer(scheduler: &Scheduler, conn: &mut Connection, req: HttpRequest) -> Option<Head> {
     let path = req.target.split('?').next().unwrap_or("");
-    let head = |status: u16, content_type: &'static str, retry_after: Option<u32>| Head {
-        status,
-        content_type,
-        retry_after,
-        keep_alive: req.keep_alive,
-        deferred: false,
-    };
-    let outcome = match (req.method.as_str(), path) {
+    let mut head = Head::json(200, req.keep_alive);
+    // Every answer but a `/predict` line routes a body rendered here.
+    let (body, is_error) = match (req.method.as_str(), path) {
         ("POST", "/predict") => {
             let body = String::from_utf8_lossy(&req.body);
             let line = body.trim();
             if line.is_empty() {
-                conn.submit_rendered(error_body("empty request body"), true)
+                head.response.status = 400;
+                (error_body("empty request body"), true)
             } else {
                 // The body IS one v2 JSONL request — same decode path,
                 // same cache, bit-identical verdict rendering.
-                conn.submit(line, Admission::Shed)
+                match conn.submit(line, Admission::Shed) {
+                    // Queued slots defer their status to route time
+                    // (200/500/504).
+                    SubmitOutcome::Queued => head.deferred = true,
+                    SubmitOutcome::CacheHit | SubmitOutcome::Stats => {}
+                    // A blank line was answered above.
+                    SubmitOutcome::Error | SubmitOutcome::Ignored => head.response.status = 400,
+                    SubmitOutcome::Unresolved => head.response.status = 404,
+                    SubmitOutcome::Overloaded => {
+                        head.response.status = 503;
+                        head.response.retry_after = Some(1);
+                    }
+                    SubmitOutcome::Disconnected => return None,
+                }
+                return Some(head);
             }
         }
         ("GET", "/healthz") => {
@@ -328,13 +183,13 @@ fn answer(scheduler: &Scheduler, conn: &mut Connection, req: HttpRequest) -> Opt
             body.push_str(",\"tier\":");
             proto::push_json_string(&mut body, tier.as_str());
             body.push('}');
-            if conn.submit_rendered(body, false) == SubmitOutcome::Disconnected {
-                return None;
-            }
             // Draining answers 503 so load balancers pull the instance
             // while the drain finishes; degraded stays 200 (alive, just
             // trading quality for headroom — /readyz is the gate).
-            return Some(head(if draining { 503 } else { 200 }, JSON, None));
+            if draining {
+                head.response.status = 503;
+            }
+            (body, false)
         }
         ("GET", "/readyz") => {
             let draining = scheduler.lifecycle() == Lifecycle::Draining;
@@ -347,10 +202,10 @@ fn answer(scheduler: &Scheduler, conn: &mut Connection, req: HttpRequest) -> Opt
             });
             proto::push_json_string(&mut body, tier.as_str());
             body.push('}');
-            if conn.submit_rendered(body, false) == SubmitOutcome::Disconnected {
-                return None;
+            if !ready {
+                head.response.status = 503;
             }
-            return Some(head(if ready { 200 } else { 503 }, JSON, None));
+            (body, false)
         }
         ("GET", "/metrics") => {
             let snap = scheduler.metrics_snapshot();
@@ -361,57 +216,35 @@ fn answer(scheduler: &Scheduler, conn: &mut Connection, req: HttpRequest) -> Opt
                 scheduler.quant_bins(),
             );
             text.push_str(&metrics::render_prometheus_shards(&scheduler.shard_stats()));
-            let outcome = conn.submit_rendered(text, false);
-            if outcome == SubmitOutcome::Disconnected {
-                return None;
-            }
-            return Some(head(200, PROMETHEUS, None));
+            head.response.content_type = PROMETHEUS;
+            (text, false)
         }
         (_, "/predict" | "/healthz" | "/readyz" | "/metrics") => {
-            let outcome = conn.submit_rendered(
-                error_body(&format!("method {} not allowed on {path}", req.method)),
-                true,
-            );
-            if outcome == SubmitOutcome::Disconnected {
-                return None;
-            }
-            return Some(head(405, JSON, None));
+            head.response.status = 405;
+            let detail = format!("method {} not allowed on {path}", req.method);
+            (error_body(&detail), true)
         }
         _ => {
-            let outcome =
-                conn.submit_rendered(error_body(&format!("no such endpoint: {path}")), true);
-            if outcome == SubmitOutcome::Disconnected {
-                return None;
-            }
-            return Some(head(404, JSON, None));
+            head.response.status = 404;
+            (error_body(&format!("no such endpoint: {path}")), true)
         }
     };
-    match outcome {
-        // Queued slots defer their status to route time (200/500/504).
-        SubmitOutcome::Queued => Some(Head {
-            deferred: true,
-            ..head(200, JSON, None)
-        }),
-        SubmitOutcome::CacheHit | SubmitOutcome::Stats => Some(head(200, JSON, None)),
-        SubmitOutcome::Error => Some(head(400, JSON, None)),
-        SubmitOutcome::Unresolved => Some(head(404, JSON, None)),
-        SubmitOutcome::Overloaded => Some(head(503, JSON, Some(1))),
-        SubmitOutcome::Disconnected => None,
-        // A blank /predict body was answered inline above; a blank JSONL
-        // line cannot reach here.
-        SubmitOutcome::Ignored => Some(head(400, JSON, None)),
-    }
+    let routed = conn.submit_rendered(body, is_error);
+    (routed != SubmitOutcome::Disconnected).then_some(head)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nbio::{serve_tcp, Transport};
+    use crate::proto::Protocol;
     use crate::scheduler::SchedulerOptions;
-    use crate::serve::serve_lines;
+    use crate::serve::{serve_lines, TcpLimits};
     use crate::testutil::{probe_lines, scanner};
     use phishinghook_data::{Address, SharedChain};
     use phishinghook_evm::keccak::to_hex;
-    use std::io::Read;
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
 
     fn no_cache() -> SchedulerOptions {
         SchedulerOptions {
@@ -471,9 +304,10 @@ mod tests {
         let response = std::thread::scope(|scope| {
             let scheduler = &scheduler;
             let server = scope.spawn(move || {
-                serve_http(
+                serve_tcp(
                     &listener,
                     scheduler,
+                    Transport::Http,
                     TcpLimits {
                         max_conns: Some(4),
                         accept_total: Some(1),
@@ -553,9 +387,10 @@ mod tests {
         let report = std::thread::scope(|scope| {
             let scheduler = &scheduler;
             let server = scope.spawn(move || {
-                serve_http(
+                serve_tcp(
                     &listener,
                     scheduler,
+                    Transport::Http,
                     TcpLimits {
                         max_conns: Some(0), // deterministic: refuse all
                         accept_total: Some(1),
@@ -584,9 +419,10 @@ mod tests {
         std::thread::scope(|scope| {
             let scheduler = &scheduler;
             let server = scope.spawn(move || {
-                serve_http(
+                serve_tcp(
                     &listener,
                     scheduler,
+                    Transport::Http,
                     TcpLimits {
                         max_conns: None,
                         accept_total: Some(6),
@@ -637,9 +473,10 @@ mod tests {
         std::thread::scope(|scope| {
             let scheduler = &scheduler;
             let server = scope.spawn(move || {
-                serve_http(
+                serve_tcp(
                     &listener,
                     scheduler,
+                    Transport::Http,
                     TcpLimits {
                         max_conns: None,
                         accept_total: Some(1),
@@ -673,9 +510,10 @@ mod tests {
         std::thread::scope(|scope| {
             let scheduler = &scheduler;
             let server = scope.spawn(move || {
-                serve_http(
+                serve_tcp(
                     &listener,
                     scheduler,
+                    Transport::Http,
                     TcpLimits {
                         max_conns: None,
                         accept_total: Some(1),
@@ -702,9 +540,10 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         std::thread::scope(|scope| {
             let server = scope.spawn(move || {
-                serve_http(
+                serve_tcp(
                     &listener,
                     scheduler,
+                    Transport::Http,
                     TcpLimits {
                         max_conns: None,
                         accept_total: Some(conns),
@@ -774,6 +613,32 @@ mod tests {
             assert!(r.contains("\"ready\":false"), "{r}");
             assert!(r.contains("HTTP/1.1 503 "), "{r}");
         });
+        scheduler.shutdown();
+    }
+
+    #[test]
+    fn predicts_shed_by_admission_answer_503_with_retry_after() {
+        // The cache-only brownout tier refuses every shed-mode cache miss
+        // with the typed overload: admission shedding without a race.
+        let cache_only = SchedulerOptions {
+            cache_first_pct: 0,
+            cache_only_pct: 0,
+            ..SchedulerOptions::default()
+        };
+        let (_, codes) = probe_lines(1);
+        let body = format!(
+            "{{\"id\":\"shed\",\"bytecode\":\"0x{}\"}}",
+            to_hex(&codes[0])
+        );
+        let scheduler = Scheduler::new(scanner(), &cache_only);
+        with_gateway(&scheduler, 1, |addr, _| {
+            let r = raw_exchange(addr, post_predict(&body));
+            assert!(r.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{r}");
+            assert!(r.contains("Retry-After: 1\r\n"), "{r}");
+            assert!(r.contains("\"id\":\"shed\""), "{r}");
+            assert!(r.contains("\"code\":\"overloaded\""), "{r}");
+        });
+        assert_eq!(scheduler.metrics_snapshot().http.responses_5xx, 1);
         scheduler.shutdown();
     }
 

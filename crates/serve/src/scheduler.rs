@@ -260,9 +260,9 @@ enum Settle {
 
 /// The transport-facing classification of one routed response line.
 ///
-/// JSONL writers only need the line; the HTTP gateway reads the kind via
-/// [`Responses::recv_with_kind`] to map deferred verdict slots to their
-/// status (200 verdict, 500 worker panic, 504 deadline, 503 overload)
+/// JSONL writers only need the line; an HTTP connection on the readiness
+/// loop reads the kind from [`Responses::poll`] to map a deferred verdict
+/// slot to its status (200 verdict, 500 worker panic, 504 deadline)
 /// *after* the response is known, since the status line is written when
 /// the response routes — not when the request was admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -365,27 +365,13 @@ impl Responses {
     /// The next response line, in request order; `None` once the
     /// connection is finished and fully drained.
     pub fn recv(&self) -> Option<String> {
-        self.recv_with_kind().map(|(line, _)| line)
-    }
-
-    /// Like [`Responses::recv`], with the line's [`ResponseKind`] — how
-    /// the HTTP gateway types 500s and 504s it only learns at route time.
-    pub fn recv_with_kind(&self) -> Option<(String, ResponseKind)> {
-        let routed = self.rx.recv().ok()?;
-        self.window.release();
-        Some(routed)
-    }
-
-    /// A response line only if one is already routed (never blocks).
-    pub fn try_recv(&self) -> Option<String> {
-        let (line, _) = self.rx.try_recv().ok()?;
+        let (line, _) = self.rx.recv().ok()?;
         self.window.release();
         Some(line)
     }
 
     /// Nonblocking receive that distinguishes "nothing yet" from "stream
-    /// ended" — what an event loop needs, where [`Responses::try_recv`]'s
-    /// single `None` would conflate an idle connection with a finished one.
+    /// ended" — what an event loop needs.
     pub fn poll(&self) -> PolledResponse {
         match self.rx.try_recv() {
             Ok((line, kind)) => {

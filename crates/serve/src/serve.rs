@@ -13,11 +13,11 @@
 //! * **stdin** ([`serve_lines`]) submits with [`Admission::Block`]: a bulk
 //!   scoring run (`serve < corpus.hex`) wants lossless backpressure, not
 //!   shed requests.
-//! * **TCP** ([`serve_tcp`](crate::nbio::serve_tcp)) and **HTTP**
-//!   ([`serve_http`](crate::router::serve_http)) submit with
+//! * **TCP JSONL** and **HTTP**, both served by the readiness loop
+//!   [`serve_tcp`], submit with
 //!   [`Admission::Shed`]: a saturated daemon answers queue-full with a
-//!   typed overload response (`"code":"overloaded"` / `ERR` line) instead
-//!   of buffering without bound, and `max_conns` refuses surplus
+//!   typed overload response (`"code":"overloaded"` / `ERR` line / `503`)
+//!   instead of buffering without bound, and `max_conns` refuses surplus
 //!   *connections* the same way.
 //!
 //! Oversized request lines are handled below the protocol layer: stdin and
@@ -27,21 +27,21 @@
 //! answered with a typed error, keeping framing intact.
 
 use crate::config::ServeConfig;
+use crate::nbio::{serve_tcp, Transport};
 use crate::proto::{Framed, LineFramer, Protocol};
-use crate::scheduler::{Admission, Scheduler, SubmitOutcome};
+use crate::scheduler::{Admission, PolledResponse, Scheduler, SubmitOutcome};
 use phishinghook_data::SharedChain;
 use phishinghook_models::Scanner;
 use std::io::{self, BufRead, Write};
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
-/// Connection-acceptance limits for the listener loops
-/// ([`serve_tcp`](crate::nbio::serve_tcp) and
-/// [`serve_http`](crate::router::serve_http)).
+/// Connection-acceptance limits for a listener loop
+/// ([`serve_tcp`]), whichever transport it speaks.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TcpLimits {
     /// Maximum *concurrent* connections; surplus accepts are answered with
-    /// one typed overload line and closed. `None` = unlimited.
+    /// one typed overload answer and closed. `None` = unlimited.
     pub max_conns: Option<usize>,
     /// Total connections to accept before draining and returning (test/CI
     /// runs). `None` = serve forever (the daemon case).
@@ -180,7 +180,7 @@ impl ServeReport {
 ///
 /// This is the stdin transport: admission is lossless
 /// ([`Admission::Block`]). TCP sessions go through
-/// [`serve_tcp`](crate::nbio::serve_tcp), which sheds on overload instead.
+/// [`serve_tcp`], which sheds on overload instead.
 ///
 /// # Errors
 /// Propagates I/O errors from either side of the stream.
@@ -205,7 +205,7 @@ pub fn serve_lines(
             while let Some(line) = rx.recv() {
                 output.write_all(line.as_bytes())?;
                 output.write_all(b"\n")?;
-                while let Some(more) = rx.try_recv() {
+                while let PolledResponse::Ready(more, _) = rx.poll() {
                     output.write_all(more.as_bytes())?;
                     output.write_all(b"\n")?;
                 }
@@ -258,11 +258,11 @@ pub fn serve_lines(
 /// * **`tcp` and/or `http`** — bind each, print one
 ///   `serving <model> on tcp://<addr>` / `http://<addr>` banner per
 ///   listener to stderr (scripts scrape these for the ephemeral port),
-///   and run both accept loops concurrently against the one scheduler —
-///   JSONL and HTTP requests share batches, cache, admission control and
-///   metrics. With `accept` set, returns the aggregate report once every
-///   listener has accepted its quota and drained; otherwise serves
-///   forever.
+///   and run one readiness loop per listener (HTTP's on the calling
+///   thread) against the one scheduler — JSONL and HTTP requests share
+///   batches, cache, admission control and metrics. With `accept` set,
+///   returns the aggregate report once every listener has accepted its
+///   quota and drained; otherwise serves forever.
 ///
 /// # Errors
 /// Propagates bind/accept errors and stdin-mode I/O errors.
@@ -315,10 +315,10 @@ pub fn run(
     std::thread::scope(|scope| -> io::Result<()> {
         let scheduler = &scheduler;
         let tcp_handle = tcp_listener.as_ref().map(|listener| {
-            scope.spawn(move || crate::nbio::serve_tcp(listener, scheduler, proto, limits))
+            scope.spawn(move || serve_tcp(listener, scheduler, Transport::Jsonl(proto), limits))
         });
         if let Some(listener) = &http_listener {
-            total.absorb(&crate::router::serve_http(listener, scheduler, limits)?);
+            total.absorb(&serve_tcp(listener, scheduler, Transport::Http, limits)?);
         }
         if let Some(handle) = tcp_handle {
             total.absorb(&handle.join().expect("tcp listener thread")?);

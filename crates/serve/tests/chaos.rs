@@ -12,8 +12,8 @@ use phishinghook_evm::keccak::{to_hex, Digest};
 use phishinghook_models::Scanner;
 use phishinghook_serve::fault::drip;
 use phishinghook_serve::{
-    serve_http, shard_of, Admission, FaultConfig, Protocol, Scheduler, SchedulerOptions,
-    SubmitOutcome, TcpLimits,
+    serve_tcp, shard_of, Admission, FaultConfig, Protocol, Scheduler, SchedulerOptions,
+    SubmitOutcome, TcpLimits, Transport,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -273,9 +273,10 @@ fn slow_fragmented_and_vanishing_clients_do_not_wedge_the_gateway() {
     std::thread::scope(|scope| {
         let scheduler = &scheduler;
         let server = scope.spawn(move || {
-            serve_http(
+            serve_tcp(
                 &listener,
                 scheduler,
+                Transport::Http,
                 TcpLimits {
                     max_conns: None,
                     accept_total: Some(3),

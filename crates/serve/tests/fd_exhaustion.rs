@@ -8,7 +8,7 @@
 
 use phishinghook_evm::keccak::to_hex;
 use phishinghook_serve::{
-    fixture, serve_http, serve_tcp, Protocol, Scheduler, SchedulerOptions, ServeReport, TcpLimits,
+    fixture, serve_tcp, Protocol, Scheduler, SchedulerOptions, ServeReport, TcpLimits, Transport,
 };
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -128,7 +128,9 @@ fn both_listeners_pause_accepting_when_descriptors_run_out_and_then_recover() {
 
     let jsonl = exhaust_then_recover(
         &scheduler,
-        |listener, scheduler, limits| serve_tcp(listener, scheduler, Protocol::V2, limits),
+        |listener, scheduler, limits| {
+            serve_tcp(listener, scheduler, Transport::Jsonl(Protocol::V2), limits)
+        },
         &format!("{hex}\n"),
     );
     assert!(
@@ -139,7 +141,7 @@ fn both_listeners_pause_accepting_when_descriptors_run_out_and_then_recover() {
     let body = format!("{{\"bytecode\":\"{hex}\"}}");
     let http = exhaust_then_recover(
         &scheduler,
-        serve_http,
+        |listener, scheduler, limits| serve_tcp(listener, scheduler, Transport::Http, limits),
         &format!(
             "POST /predict HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\
              Connection: close\r\n\r\n{body}",

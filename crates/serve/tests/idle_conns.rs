@@ -1,15 +1,17 @@
-//! The O(connections) death test: ten thousand mostly-idle JSONL
-//! connections must cost O(shards + listeners) serving threads, not ten
-//! thousand parked readers — an active client must still round-trip
-//! through the crowd, and the event loop must then sleep while the crowd
-//! idles instead of waking on a timer. Linux-only: thread counts and
-//! context switches come from `/proc/self`, and the fd budget from
-//! `setrlimit(2)`.
+//! The O(connections) death test: ten thousand mostly-idle connections
+//! must cost O(shards + listeners) serving threads, not ten thousand
+//! parked readers — an active client must still round-trip through the
+//! crowd, and the event loop must then sleep while the crowd idles instead
+//! of waking on a timer. It holds for both transports the loop speaks,
+//! JSONL and HTTP. Linux-only: thread counts and context switches come
+//! from `/proc/self`, and the fd budget from `setrlimit(2)`.
 
 #![cfg(target_os = "linux")]
 
 use phishinghook_evm::keccak::to_hex;
-use phishinghook_serve::{fixture, serve_tcp, Protocol, Scheduler, SchedulerOptions, TcpLimits};
+use phishinghook_serve::{
+    fixture, serve_tcp, Protocol, Scheduler, SchedulerOptions, TcpLimits, Transport,
+};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
@@ -58,9 +60,6 @@ fn raise_nofile(want: u64) -> u64 {
     limit.cur
 }
 
-/// The name the event-loop thread runs under (`comm` keeps 15 bytes).
-const LOOP_THREAD: &str = "idle-conns-loop";
-
 /// Voluntary context switches of the first thread in this process named
 /// `name`: each one is the thread going to sleep.
 fn voluntary_switches(name: &str) -> u64 {
@@ -88,39 +87,31 @@ fn thread_count() -> usize {
         .expect("Threads: line")
 }
 
-#[test]
-fn ten_thousand_idle_connections_cost_constant_threads() {
-    let soft = raise_nofile(65_536);
-    // Two fds per connection (client + server end), plus slack for the
-    // process's own files, the listener, and test-harness plumbing.
-    let idle = 10_000.min(((soft.saturating_sub(512)) / 2) as usize);
-    assert!(
-        idle >= 1_000,
-        "fd budget too small to mean anything: {soft}"
-    );
-
-    let opts = SchedulerOptions {
-        shards: 2,
-        workers: 1,
-        ..SchedulerOptions::default()
-    };
-    let scheduler = Scheduler::new(fixture::rf_scanner(), &opts);
-    let (_, codes) = fixture::probe_lines(1, PROBE_SEED);
-    let request = format!("0x{}\n", to_hex(&codes[0]));
-
+/// Parks `idle` idle connections on a `transport` loop running on a
+/// thread named `loop_thread` (`comm` keeps 15 bytes), round-trips
+/// `request` with one active client through the crowd, checks the thread
+/// count and that the loop sleeps while the crowd idles, and returns the
+/// active client's response.
+fn idle_leg(
+    scheduler: &Scheduler,
+    idle: usize,
+    transport: Transport,
+    loop_thread: &str,
+    request: &str,
+) -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let baseline_threads = thread_count();
+    let baseline_conns = scheduler.metrics_snapshot().scheduler.connections as usize;
 
-    let report = std::thread::scope(|scope| {
-        let scheduler = &scheduler;
+    let (report, response) = std::thread::scope(|scope| {
         let server = std::thread::Builder::new()
-            .name(LOOP_THREAD.to_owned())
+            .name(loop_thread.to_owned())
             .spawn_scoped(scope, move || {
                 serve_tcp(
                     &listener,
                     scheduler,
-                    Protocol::V1,
+                    transport,
                     TcpLimits {
                         max_conns: None,
                         accept_total: Some(idle + 1),
@@ -142,7 +133,9 @@ fn ten_thousand_idle_connections_cost_constant_threads() {
                 Err(e) => panic!("connect {i}/{idle} failed: {e}"),
             }
             if (i + 1) % 64 == 0 {
-                while (scheduler.metrics_snapshot().scheduler.connections as usize) + 64 < i + 1 {
+                while (scheduler.metrics_snapshot().scheduler.connections as usize)
+                    < baseline_conns + i + 1 - 64
+                {
                     std::thread::yield_now();
                 }
             }
@@ -156,16 +149,6 @@ fn ten_thousand_idle_connections_cost_constant_threads() {
             .expect("half-close");
         let mut response = String::new();
         active.read_to_string(&mut response).expect("read");
-        // V1 verdicts are `label\tproba` lines.
-        let proba = response
-            .trim()
-            .split('\t')
-            .nth(1)
-            .and_then(|p| p.parse::<f64>().ok());
-        assert!(
-            proba.is_some_and(|p| (0.0..=1.0).contains(&p)),
-            "no verdict through the crowd: {response}"
-        );
 
         // The headline assertion: thread count is O(shards + listeners),
         // independent of the tracked connections. 2 shards × 1 worker +
@@ -174,28 +157,84 @@ fn ten_thousand_idle_connections_cost_constant_threads() {
         let threads = thread_count();
         assert!(
             threads <= baseline_threads + 32,
-            "{threads} threads for {idle} idle connections \
+            "{threads} threads for {idle} idle {transport:?} connections \
              (baseline {baseline_threads}) — thread-per-connection regression"
         );
 
         // With the active client retired and the crowd idle, the loop has
         // nothing to do and must stay parked: a loop that ticks wakes, and
         // so sleeps again, several times a second.
-        let before = voluntary_switches(LOOP_THREAD);
+        let before = voluntary_switches(loop_thread);
         std::thread::sleep(std::time::Duration::from_secs(1));
-        let slept = voluntary_switches(LOOP_THREAD) - before;
+        let slept = voluntary_switches(loop_thread) - before;
         assert!(
             slept <= 1,
-            "the event loop went to sleep {slept} times in an idle second"
+            "the {transport:?} event loop went to sleep {slept} times in an idle second"
         );
 
         drop(active);
         drop(crowd); // EOF storm: the loop retires all of them
-        server.join().expect("server thread")
+        (server.join().expect("server thread"), response)
     });
-
     assert_eq!(report.contracts, 1, "exactly the active client scored");
+    response
+}
+
+#[test]
+fn ten_thousand_idle_connections_cost_constant_threads() {
+    let soft = raise_nofile(65_536);
+    // Two fds per connection (client + server end), plus slack for the
+    // process's own files, the listener, and test-harness plumbing.
+    let idle = 10_000.min(((soft.saturating_sub(512)) / 2) as usize);
+    assert!(
+        idle >= 1_000,
+        "fd budget too small to mean anything: {soft}"
+    );
+
+    let opts = SchedulerOptions {
+        shards: 2,
+        workers: 1,
+        ..SchedulerOptions::default()
+    };
+    let scheduler = Scheduler::new(fixture::rf_scanner(), &opts);
+    let (_, codes) = fixture::probe_lines(2, PROBE_SEED);
+
+    // One leg per transport, one after the other: thread counts and the
+    // fd budget are process-wide.
+    let response = idle_leg(
+        &scheduler,
+        idle,
+        Transport::Jsonl(Protocol::V1),
+        "idle-jsonl-loop",
+        &format!("0x{}\n", to_hex(&codes[0])),
+    );
+    // V1 verdicts are `label\tproba` lines.
+    let proba = response
+        .trim()
+        .split('\t')
+        .nth(1)
+        .and_then(|p| p.parse::<f64>().ok());
+    assert!(
+        proba.is_some_and(|p| (0.0..=1.0).contains(&p)),
+        "no verdict through the crowd: {response}"
+    );
+
+    let body = format!("{{\"bytecode\":\"0x{}\"}}", to_hex(&codes[1]));
+    let response = idle_leg(
+        &scheduler,
+        idle,
+        Transport::Http,
+        "idle-http-loop",
+        &format!(
+            "POST /predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+    assert!(response.contains("\"verdict\":"), "{response}");
+
     let snap = scheduler.metrics_snapshot();
-    assert_eq!(snap.scheduler.connections, (idle + 1) as u64);
+    assert_eq!(snap.scheduler.connections, 2 * (idle + 1) as u64);
+    assert_eq!(snap.scheduler.scored, 2);
     scheduler.shutdown();
 }

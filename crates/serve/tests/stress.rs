@@ -9,7 +9,7 @@
 use phishinghook_evm::keccak::Digest;
 use phishinghook_serve::{
     entry_bytes, fixture, serve_lines, serve_tcp, BoundedQueue, CachedVerdict, Protocol, Scheduler,
-    SchedulerOptions, TcpLimits, VerdictCache,
+    SchedulerOptions, TcpLimits, Transport, VerdictCache,
 };
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -209,7 +209,13 @@ fn socket_overload_answers_every_request_typed_and_in_order() {
                 max_conns: None,
                 accept_total: Some(CONNS),
             };
-            serve_tcp(&listener, &scheduler, Protocol::V2, limits).expect("serves")
+            serve_tcp(
+                &listener,
+                &scheduler,
+                Transport::Jsonl(Protocol::V2),
+                limits,
+            )
+            .expect("serves")
         })
     };
 

@@ -61,7 +61,7 @@ fn scheduler_serves_cached_and_cold_requests_bit_identically() {
 
 #[test]
 fn http_gateway_replies_bit_identically_over_the_umbrella_crate() {
-    use phishinghook::serve::{serve_http, TcpLimits};
+    use phishinghook::serve::{serve_tcp, TcpLimits, Transport};
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
 
@@ -86,9 +86,10 @@ fn http_gateway_replies_bit_identically_over_the_umbrella_crate() {
     let response = std::thread::scope(|scope| {
         let scheduler = &scheduler;
         let server = scope.spawn(move || {
-            serve_http(
+            serve_tcp(
                 &listener,
                 scheduler,
+                Transport::Http,
                 TcpLimits {
                     max_conns: None,
                     accept_total: Some(1),
