@@ -17,14 +17,14 @@
 //! them into model-ready feature rows.
 //!
 //! Execution is observational: each run starts from empty storage and a
-//! deterministic [`Env`], runs against any [`Host`] (the [`NullHost`] by
-//! default, or a chain-backed host for real callee state), and can never
-//! escape the budget — the interpreter's own gas and step limits bound every
-//! run, and the explorer never panics on arbitrary bytecode (fuzzed in this
-//! module's property tests).
+//! deterministic [`Env`](crate::interp::Env), runs against any [`Host`]
+//! (the [`NullHost`] by default, or a chain-backed host for real callee
+//! state), and can never escape the budget — the interpreter's own gas and
+//! step limits bound every run, and the explorer never panics on arbitrary
+//! bytecode (fuzzed in this module's property tests).
 
 use crate::host::{CallKind, CallOutcome, CallParams, Host, NullHost};
-use crate::interp::{Env, Halt, Interpreter, Status};
+use crate::interp::{analyse, Halt, Interpreter, Machine, Status};
 use crate::u256::U256;
 
 /// Budget and shape knobs for one exploration.
@@ -129,11 +129,6 @@ impl Trace {
         self.runs.last().expect("explore always runs the fallback")
     }
 
-    /// Iterator over the selector (non-fallback) runs.
-    pub fn selector_runs(&self) -> impl Iterator<Item = &SelectorRun> {
-        self.runs.iter().filter(|r| r.selector.is_some())
-    }
-
     /// All reached call sites across runs.
     pub fn calls(&self) -> impl Iterator<Item = &CallSite> {
         self.runs.iter().flat_map(|r| r.calls.iter())
@@ -150,26 +145,10 @@ impl Trace {
 /// The pattern is a `PUSH4 <selector>` whose *next* instruction is `EQ`
 /// (covering the canonical `DUP1 PUSH4 … EQ JUMPI` emitted by solc and this
 /// repo's assembler, plus Vyper's `CALLDATALOAD PUSH4 … EQ` shape).
-/// Duplicates are dropped; order of first appearance is kept.
+/// Duplicates are dropped; order of first appearance is kept. The scan is
+/// the same linear pass that finds the interpreter's jump destinations.
 pub fn scan_selectors(code: &[u8]) -> Vec<[u8; 4]> {
-    let mut out: Vec<[u8; 4]> = Vec::new();
-    let mut pc = 0usize;
-    let reg = crate::opcode::ShanghaiRegistry::shared();
-    while pc < code.len() {
-        let byte = code[pc];
-        let imm = reg.get(byte).map_or(0, |i| usize::from(i.immediate_bytes));
-        if byte == 0x63 && pc + 4 < code.len() {
-            // PUSH4 with a full immediate; is the following opcode EQ?
-            if code.get(pc + 5) == Some(&0x14) {
-                let sel = [code[pc + 1], code[pc + 2], code[pc + 3], code[pc + 4]];
-                if !out.contains(&sel) {
-                    out.push(sel);
-                }
-            }
-        }
-        pc += 1 + imm;
-    }
-    out
+    analyse(code).selectors
 }
 
 /// Records what one run touches, delegating state queries to an inner host.
@@ -263,51 +242,48 @@ impl Explorer {
     /// Explores `code` with foreign state served by `host`: scans the
     /// selector table, then executes each selector (argument words are a
     /// deterministic nonzero pattern) and finally the fallback path.
+    ///
+    /// The code is analysed once, and every run executes on one reused
+    /// machine that starts each run from an empty stack, memory, return
+    /// data and storage, so each run sees what a fresh interpreter would.
     pub fn explore_with_host(&self, code: &[u8], host: &mut dyn Host) -> Trace {
-        let selectors = scan_selectors(code);
-        let selectors_total = selectors.len();
-        let mut runs = Vec::with_capacity(selectors.len().min(self.config.max_selectors) + 1);
-        for sel in selectors.iter().take(self.config.max_selectors) {
-            // selector ++ two argument words: the caller address (so
-            // `transfer(address,…)`-shaped functions see a plausible
-            // recipient) and a small nonzero amount.
-            let mut calldata = Vec::with_capacity(68);
-            calldata.extend_from_slice(sel);
-            calldata.extend_from_slice(&Env::default().caller.to_be_bytes());
-            calldata.extend_from_slice(&U256::from_u64(1).to_be_bytes());
-            runs.push(self.run_one(code, host, Some(*sel), &calldata));
-        }
-        runs.push(self.run_one(code, host, None, &[]));
-        Trace {
-            selectors_total,
-            runs,
-        }
-    }
-
-    fn run_one(
-        &self,
-        code: &[u8],
-        host: &mut dyn Host,
-        selector: Option<[u8; 4]>,
-        calldata: &[u8],
-    ) -> SelectorRun {
+        let analysis = analyse(code);
         let mut interp = Interpreter::new();
         interp.gas_limit = self.config.gas_per_run;
         interp.step_limit = self.config.steps_per_run;
-        interp.env.calldata = calldata.to_vec();
         let caller = interp.env.caller;
-        let mut recorder = RecordingHost::new(host, caller);
-        let result = interp.run_with_host(code, &mut recorder);
-        SelectorRun {
-            selector,
-            status: result.status,
-            gas_used: result.gas_used,
-            steps: result.steps,
-            calls: recorder.calls,
-            selfdestructs: recorder.selfdestructs,
-            sloads: recorder.sloads,
-            sstores: recorder.sstores,
-            logs: recorder.logs,
+        let mut machine = Machine::new();
+        let explored = analysis.selectors.iter().take(self.config.max_selectors);
+        let mut runs = Vec::with_capacity(explored.len() + 1);
+        for selector in explored.map(Some).chain([None]) {
+            let calldata = &mut interp.env.calldata;
+            calldata.clear();
+            if let Some(sel) = selector {
+                // selector ++ two argument words: the caller address (so
+                // `transfer(address,…)`-shaped functions see a plausible
+                // recipient) and a small nonzero amount.
+                calldata.extend_from_slice(sel);
+                calldata.extend_from_slice(&caller.to_be_bytes());
+                calldata.extend_from_slice(&U256::ONE.to_be_bytes());
+            }
+            interp.storage.clear();
+            let mut recorder = RecordingHost::new(host, caller);
+            let result = interp.execute(code, &analysis.jumpdests, &mut machine, &mut recorder);
+            runs.push(SelectorRun {
+                selector: selector.copied(),
+                status: result.status,
+                gas_used: result.gas_used,
+                steps: result.steps,
+                calls: recorder.calls,
+                selfdestructs: recorder.selfdestructs,
+                sloads: recorder.sloads,
+                sstores: recorder.sstores,
+                logs: recorder.logs,
+            });
+        }
+        Trace {
+            selectors_total: analysis.selectors.len(),
+            runs,
         }
     }
 }
@@ -473,6 +449,35 @@ mod tests {
         let trace = explorer.explore(&asm.assemble().unwrap());
         assert_eq!(trace.selectors_total, 8);
         assert_eq!(trace.runs.len(), 4); // 3 selectors + fallback
+    }
+
+    #[test]
+    fn selector_scan_stays_linear_in_distinct_selectors() {
+        // 87,000 distinct `PUSH4 <selector> EQ` pairs make a 522 KB
+        // contract, one hex line under the serving path's 1 MiB line cap.
+        // A quadratic dedup took about 29 s on it in a debug build.
+        let n = 87_000u32;
+        let code: Vec<u8> = (0..n)
+            .flat_map(|i| {
+                let [a, b, c, d] = i.to_be_bytes();
+                [0x63, a, b, c, d, 0x14]
+            })
+            .collect();
+        let start = std::time::Instant::now();
+        let selectors = scan_selectors(&code);
+        assert_eq!(selectors.len(), n as usize);
+        assert!(selectors
+            .iter()
+            .zip(0..n)
+            .all(|(s, i)| *s == i.to_be_bytes()));
+        let trace = Explorer::default().explore(&code);
+        assert_eq!(trace.selectors_total, 87_000);
+        assert_eq!(
+            trace.runs.len(),
+            ExplorerConfig::default().max_selectors + 1
+        );
+        let elapsed = start.elapsed();
+        assert!(elapsed < std::time::Duration::from_secs(2), "{elapsed:?}");
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! A compact EVM interpreter.
 //!
-//! The paper never *executes* contracts — PhishingHook's whole point is
-//! static, opcode-level analysis. The interpreter exists for the substrate:
-//! the synthetic corpus generator uses it to verify that generated bytecode
+//! The paper never *executes* contracts — PhishingHook's detectors are
+//! static, opcode-level analysis. The interpreter serves two callers. The
+//! synthetic corpus generator uses it to verify that generated bytecode
 //! is a well-formed program (dispatcher reachable, jumps valid, execution
 //! terminates cleanly) rather than random bytes, which keeps the dataset
-//! honest.
+//! honest. The dispatcher [`crate::explorer`] runs every request of the
+//! dynamic feature channel through it, so it sits on the serving path:
+//! it must be total on arbitrary bytecode and cheap per run.
 //!
 //! Semantics covered: the full arithmetic/bitwise/comparison set, stack ops,
 //! memory with quadratic expansion cost, storage, control flow with
@@ -19,12 +21,18 @@
 //! dynamic-analysis explorer executes on. Execution halts on stack
 //! underflow/overflow, invalid jumps, invalid opcodes and gas exhaustion —
 //! the same halt conditions the paper's background section lists.
+//!
+//! A run is one linear analysis of the code (jump destinations, and the
+//! selector table the explorer reads) followed by the run loop on a
+//! machine. The explorer analyses a contract once and runs all of its
+//! entry points on one machine, which the loop resets at the start of
+//! every run.
 
 use crate::host::{CallKind, CallParams, Host, NullHost};
 use crate::keccak::keccak256;
-use crate::opcode::{Gas, ShanghaiRegistry};
+use crate::opcode::{Gas, OpTable};
 use crate::u256::U256;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Maximum EVM stack depth.
 pub const STACK_LIMIT: usize = 1024;
@@ -134,8 +142,10 @@ impl Default for Env {
     }
 }
 
-/// The interpreter. Reusable across runs; storage persists between runs so
-/// multi-transaction scenarios can be simulated.
+/// The interpreter. Reusable across runs: each run starts from an empty
+/// stack, memory and return data, while storage persists between runs so
+/// multi-transaction scenarios can be simulated (clear it for a fresh
+/// account, as the explorer does before every run).
 #[derive(Debug, Clone)]
 pub struct Interpreter {
     /// Environment for the next run.
@@ -164,42 +174,80 @@ fn memory_cost(words: u64) -> u64 {
     3 * words + words * words / 512
 }
 
-struct Machine {
+/// What one pass over a contract's instruction boundaries finds: where
+/// jumps may land, and the dispatcher's selector table.
+pub(crate) struct Analysis {
+    /// `jumpdests[pc]` is `true` when `pc` holds a `JUMPDEST` byte outside
+    /// every `PUSH` immediate.
+    pub(crate) jumpdests: Vec<bool>,
+    /// Each `PUSH4 <selector>` whose next instruction is `EQ`, without
+    /// duplicates, in order of first appearance.
+    pub(crate) selectors: Vec<[u8; 4]>,
+}
+
+/// Analyses `code` in one linear pass over its instruction boundaries.
+pub(crate) fn analyse(code: &[u8]) -> Analysis {
+    let table = OpTable::shared();
+    let mut jumpdests = vec![false; code.len()];
+    let mut selectors = Vec::new();
+    // std's randomly keyed hasher: selector bytes are the deployer's to
+    // choose, so a fixed hash could be steered into collisions.
+    let mut seen = HashSet::new();
+    let mut pc = 0usize;
+    while pc < code.len() {
+        let byte = code[pc];
+        if byte == 0x5B {
+            jumpdests[pc] = true;
+        } else if byte == 0x63 && code.get(pc + 5) == Some(&0x14) {
+            let sel = [code[pc + 1], code[pc + 2], code[pc + 3], code[pc + 4]];
+            if seen.insert(sel) {
+                selectors.push(sel);
+            }
+        }
+        pc += 1 + table.immediate_bytes(byte);
+    }
+    Analysis {
+        jumpdests,
+        selectors,
+    }
+}
+
+/// The per-run state of an execution. One machine can serve many runs:
+/// [`Interpreter::execute`] resets it first, keeping buffer capacity.
+pub(crate) struct Machine {
     pc: usize,
     stack: Vec<U256>,
     memory: Vec<u8>,
     mem_words: u64,
     gas_left: u64,
     steps: u64,
-    jumpdests: Vec<bool>,
     /// Return data of the most recent completed call (empty before any).
     returndata: Vec<u8>,
 }
 
 impl Machine {
-    fn new(code: &[u8], gas: u64) -> Self {
-        // Valid jump destinations: JUMPDEST bytes not inside PUSH immediates.
-        let mut jumpdests = vec![false; code.len()];
-        let reg = ShanghaiRegistry::shared();
-        let mut pc = 0usize;
-        while pc < code.len() {
-            let b = code[pc];
-            if b == 0x5B {
-                jumpdests[pc] = true;
-            }
-            let imm = reg.get(b).map_or(0, |i| usize::from(i.immediate_bytes));
-            pc += 1 + imm;
-        }
+    pub(crate) fn new() -> Self {
         Machine {
             pc: 0,
             stack: Vec::with_capacity(64),
             memory: Vec::new(),
             mem_words: 0,
-            gas_left: gas,
+            gas_left: 0,
             steps: 0,
-            jumpdests,
             returndata: Vec::new(),
         }
+    }
+
+    /// Readies the machine for a run with `gas`: empty stack, memory and
+    /// return data, counters at zero.
+    fn reset(&mut self, gas: u64) {
+        self.pc = 0;
+        self.stack.clear();
+        self.memory.clear();
+        self.mem_words = 0;
+        self.returndata.clear();
+        self.gas_left = gas;
+        self.steps = 0;
     }
 
     fn pop(&mut self) -> Result<U256, Halt> {
@@ -245,13 +293,13 @@ impl Machine {
         Ok(offset)
     }
 
-    fn mem_read(&mut self, offset: U256, len: U256) -> Result<Vec<u8>, Halt> {
+    fn mem_read(&mut self, offset: U256, len: U256) -> Result<&[u8], Halt> {
         let n = len.to_usize().ok_or(Halt::OutOfGas)?;
         if n == 0 {
-            return Ok(Vec::new());
+            return Ok(&[]);
         }
         let off = self.touch_memory(offset, len)?;
-        Ok(self.memory[off..off + n].to_vec())
+        Ok(&self.memory[off..off + n])
     }
 }
 
@@ -276,10 +324,23 @@ impl Interpreter {
     /// Runs `code` with externals (`CALL` family, `BALANCE`, `EXTCODE*`)
     /// served by `host`. Observation hooks on the host fire as storage,
     /// log and `SELFDESTRUCT` opcodes execute.
-    #[allow(clippy::too_many_lines)]
     pub fn run_with_host(&mut self, code: &[u8], host: &mut dyn Host) -> ExecutionResult {
-        let reg = ShanghaiRegistry::shared();
-        let mut m = Machine::new(code, self.gas_limit);
+        let analysis = analyse(code);
+        self.execute(code, &analysis.jumpdests, &mut Machine::new(), host)
+    }
+
+    /// The run loop: executes `code`, whose valid jump destinations are
+    /// `jumpdests`, on `m` after resetting it. Storage is left as it is.
+    #[allow(clippy::too_many_lines)]
+    pub(crate) fn execute(
+        &mut self,
+        code: &[u8],
+        jumpdests: &[bool],
+        m: &mut Machine,
+        host: &mut dyn Host,
+    ) -> ExecutionResult {
+        let table = OpTable::shared();
+        m.reset(self.gas_limit);
         let finish = |m: &Machine, status: Status, output: Vec<u8>| ExecutionResult {
             status,
             gas_used: self.gas_limit - m.gas_left,
@@ -289,7 +350,7 @@ impl Interpreter {
 
         macro_rules! halt {
             ($m:expr, $h:expr) => {
-                return finish(&$m, Status::Halted($h), Vec::new())
+                return finish($m, Status::Halted($h), Vec::new())
             };
         }
         macro_rules! try_or_halt {
@@ -307,22 +368,20 @@ impl Interpreter {
             }
             m.steps += 1;
             let byte = code[m.pc];
-            let Some(info) = reg.get(byte) else {
-                halt!(m, Halt::InvalidOpcode(byte));
-            };
-            match info.gas {
+            // Undefined bytes and INVALID both carry `Gas::Nan`.
+            match table.gas(byte) {
                 Gas::Fixed(g) => try_or_halt!(m, m.charge(u64::from(g))),
                 Gas::Nan => halt!(m, Halt::InvalidOpcode(byte)),
             }
-            if m.stack.len() < usize::from(info.stack_in) {
+            if m.stack.len() < table.stack_in(byte) {
                 halt!(m, Halt::StackUnderflow);
             }
 
-            let mut next_pc = m.pc + 1 + usize::from(info.immediate_bytes);
+            let mut next_pc = m.pc + 1 + table.immediate_bytes(byte);
             match byte {
-                0x00 => return finish(&m, Status::Success, Vec::new()), // STOP
+                0x00 => return finish(m, Status::Success, Vec::new()), // STOP
                 0x01..=0x1D => {
-                    let r = try_or_halt!(m, binary_alu(&mut m, byte));
+                    let r = try_or_halt!(m, binary_alu(m, byte));
                     try_or_halt!(m, m.push(r));
                 }
                 0x20 => {
@@ -332,8 +391,8 @@ impl Interpreter {
                     // Dynamic cost: 6 per word.
                     let words = (len.to_usize().unwrap_or(usize::MAX) as u64).div_ceil(32);
                     try_or_halt!(m, m.charge(6 * words));
-                    let data = try_or_halt!(m, m.mem_read(offset, len));
-                    try_or_halt!(m, m.push(U256::from_be_bytes(&keccak256(&data))));
+                    let hash = keccak256(try_or_halt!(m, m.mem_read(offset, len)));
+                    try_or_halt!(m, m.push(U256::from_be_bytes(&hash)));
                 }
                 0x30 => try_or_halt!(m, m.push(self.env.address)),
                 0x31 => {
@@ -348,13 +407,12 @@ impl Interpreter {
                 0x33 => try_or_halt!(m, m.push(self.env.caller)),
                 0x34 => try_or_halt!(m, m.push(self.env.callvalue)),
                 0x35 => {
-                    // CALLDATALOAD
+                    // CALLDATALOAD: bytes past the end of calldata read zero.
                     let i = try_or_halt!(m, m.pop());
                     let mut word = [0u8; 32];
-                    if let Some(start) = i.to_usize() {
-                        for (k, byte) in word.iter_mut().enumerate() {
-                            *byte = *self.env.calldata.get(start + k).unwrap_or(&0);
-                        }
+                    if let Some(tail) = i.to_usize().and_then(|s| self.env.calldata.get(s..)) {
+                        let n = tail.len().min(32);
+                        word[..n].copy_from_slice(&tail[..n]);
                     }
                     try_or_halt!(m, m.push(U256::from_be_bytes(&word)));
                 }
@@ -477,7 +535,7 @@ impl Interpreter {
                     // JUMP
                     let dst = try_or_halt!(m, m.pop());
                     match dst.to_usize() {
-                        Some(d) if d < code.len() && m.jumpdests[d] => next_pc = d,
+                        Some(d) if d < code.len() && jumpdests[d] => next_pc = d,
                         _ => halt!(m, Halt::InvalidJump),
                     }
                 }
@@ -487,7 +545,7 @@ impl Interpreter {
                     let cond = try_or_halt!(m, m.pop());
                     if !cond.is_zero() {
                         match dst.to_usize() {
-                            Some(d) if d < code.len() && m.jumpdests[d] => next_pc = d,
+                            Some(d) if d < code.len() && jumpdests[d] => next_pc = d,
                             _ => halt!(m, Halt::InvalidJump),
                         }
                     }
@@ -498,8 +556,7 @@ impl Interpreter {
                 0x5B => {} // JUMPDEST
                 0x5F => try_or_halt!(m, m.push(U256::ZERO)),
                 0x60..=0x7F => {
-                    let n = usize::from(info.immediate_bytes);
-                    let end = (m.pc + 1 + n).min(code.len());
+                    let end = next_pc.min(code.len());
                     let v = U256::from_be_bytes(&code[m.pc + 1..end]);
                     // Truncated pushes read zero-extended on the right in real
                     // EVMs; left-pad is fine for validation purposes.
@@ -527,7 +584,7 @@ impl Interpreter {
                     host.on_log(m.pc, topics);
                     let n = len.to_usize().unwrap_or(usize::MAX) as u64;
                     try_or_halt!(m, m.charge(8 * n.min(1 << 30)));
-                    let _data = try_or_halt!(m, m.mem_read(off, len));
+                    try_or_halt!(m, m.mem_read(off, len));
                 }
                 0xF0 => {
                     // CREATE (simulated): pop value/offset/len, push zero address.
@@ -563,7 +620,7 @@ impl Interpreter {
                     let args_len = try_or_halt!(m, m.pop());
                     let ret_off = try_or_halt!(m, m.pop());
                     let ret_len = try_or_halt!(m, m.pop());
-                    let input = try_or_halt!(m, m.mem_read(args_off, args_len));
+                    let input = try_or_halt!(m, m.mem_read(args_off, args_len)).to_vec();
                     // EIP-150: forward at most 63/64 of what remains.
                     let cap = m.gas_left - m.gas_left / 64;
                     let forwarded = gas_param.to_usize().map_or(cap, |g| (g as u64).min(cap));
@@ -604,26 +661,26 @@ impl Interpreter {
                     // RETURN
                     let off = try_or_halt!(m, m.pop());
                     let len = try_or_halt!(m, m.pop());
-                    let out = try_or_halt!(m, m.mem_read(off, len));
-                    return finish(&m, Status::Success, out);
+                    let out = try_or_halt!(m, m.mem_read(off, len)).to_vec();
+                    return finish(m, Status::Success, out);
                 }
                 0xFD => {
                     // REVERT
                     let off = try_or_halt!(m, m.pop());
                     let len = try_or_halt!(m, m.pop());
-                    let out = try_or_halt!(m, m.mem_read(off, len));
-                    return finish(&m, Status::Revert, out);
+                    let out = try_or_halt!(m, m.mem_read(off, len)).to_vec();
+                    return finish(m, Status::Revert, out);
                 }
                 0xFF => {
                     let beneficiary = try_or_halt!(m, m.pop());
                     host.on_selfdestruct(m.pc, &beneficiary);
-                    return finish(&m, Status::SelfDestructed, Vec::new());
+                    return finish(m, Status::SelfDestructed, Vec::new());
                 }
                 _ => halt!(m, Halt::InvalidOpcode(byte)),
             }
             m.pc = next_pc;
         }
-        finish(&m, Status::Success, Vec::new())
+        finish(m, Status::Success, Vec::new())
     }
 }
 
@@ -788,6 +845,29 @@ mod tests {
         calldata[31] = 0x2A;
         let r = interp.run_call(&code, &calldata);
         assert_eq!(U256::from_be_bytes(&r.output), U256::from_u64(0x2A));
+    }
+
+    #[test]
+    fn calldataload_zero_fills_past_the_end_at_any_offset() {
+        let calldata: Vec<u8> = (1..=64).collect();
+        let load = |offset: u64| {
+            let mut asm = Asm::new();
+            asm.push_u64(offset)
+                .op("CALLDATALOAD")
+                .push_u64(0)
+                .op("MSTORE");
+            asm.push_u64(32).push_u64(0).op("RETURN");
+            Interpreter::new().run_call(&asm.assemble().unwrap(), &calldata)
+        };
+        assert_eq!(load(0).output, calldata[..32]);
+        let mut tail = calldata[40..].to_vec();
+        tail.resize(32, 0);
+        assert_eq!(load(40).output, tail);
+        for offset in [64, 1 << 40, u64::MAX - 1, u64::MAX] {
+            let r = load(offset);
+            assert_eq!(r.status, Status::Success, "offset {offset}");
+            assert_eq!(r.output, [0; 32], "offset {offset}");
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! * [`asm`] — an assembler with label resolution, used by the corpus
 //!   generator to build realistic runtime bytecode.
 //! * [`interp`] — a compact stack-machine interpreter with gas metering, used
-//!   to sanity-check that generated contracts actually execute.
+//!   to sanity-check that generated contracts actually execute and to run
+//!   the explorer's entry points.
 //! * [`host`] / [`explorer`] — the dynamic-analysis layer: a pluggable
 //!   [`host::Host`] serving external state (callee code, balances, message
 //!   calls) behind the interpreter, and a dispatcher [`explorer::Explorer`]

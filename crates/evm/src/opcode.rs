@@ -262,19 +262,22 @@ pub fn mnemonic_str(id: u16) -> &'static str {
     SHANGHAI_OPCODES[usize::from(id)].mnemonic
 }
 
-/// Dense 256-entry per-byte disassembly table: immediate (push payload)
-/// width, mnemonic id, base gas and defined-at-Shanghai flag for every
-/// possible opcode byte.
+/// Dense 256-entry per-byte table: immediate (push payload) width,
+/// mnemonic id, base gas, stack inputs and defined-at-Shanghai flag for
+/// every possible opcode byte.
 ///
 /// This is the hot-path companion to [`ShanghaiRegistry`]: the streaming
-/// disassembler reads plain arrays indexed by the raw byte instead of
-/// chasing `Option<&OpcodeInfo>` pointers. Undefined bytes map to the
-/// `INVALID` mnemonic id with [`Gas::Nan`] and zero immediate width.
+/// disassembler, the interpreter's step loop and its code analysis read
+/// plain arrays indexed by the raw byte instead of chasing
+/// `Option<&OpcodeInfo>` pointers. Undefined bytes map to the `INVALID`
+/// mnemonic id with [`Gas::Nan`], zero immediate width and zero stack
+/// inputs.
 #[derive(Debug)]
 pub struct OpTable {
     imm: [u8; 256],
     mnemonic_id: [u16; 256],
     gas: [Gas; 256],
+    stack_in: [u8; 256],
     defined: [bool; 256],
 }
 
@@ -289,6 +292,7 @@ impl OpTable {
             imm: [0; 256],
             mnemonic_id: [invalid_id; 256],
             gas: [Gas::Nan; 256],
+            stack_in: [0; 256],
             defined: [false; 256],
         };
         for (id, info) in SHANGHAI_OPCODES.iter().enumerate() {
@@ -296,6 +300,7 @@ impl OpTable {
             table.imm[b] = info.immediate_bytes;
             table.mnemonic_id[b] = id as u16;
             table.gas[b] = info.gas;
+            table.stack_in[b] = info.stack_in;
             table.defined[b] = true;
         }
         table
@@ -324,6 +329,12 @@ impl OpTable {
     #[inline]
     pub fn gas(&self, byte: u8) -> Gas {
         self.gas[byte as usize]
+    }
+
+    /// Stack words `byte` pops; undefined bytes report 0.
+    #[inline]
+    pub fn stack_in(&self, byte: u8) -> usize {
+        usize::from(self.stack_in[byte as usize])
     }
 
     /// Whether `byte` is defined at the Shanghai fork.
@@ -494,12 +505,14 @@ mod tests {
                     assert!(table.is_defined(b));
                     assert_eq!(table.immediate_bytes(b), usize::from(info.immediate_bytes));
                     assert_eq!(table.gas(b), info.gas);
+                    assert_eq!(table.stack_in(b), usize::from(info.stack_in));
                     assert_eq!(mnemonic_str(table.mnemonic_id(b)), info.mnemonic);
                 }
                 None => {
                     assert!(!table.is_defined(b));
                     assert_eq!(table.immediate_bytes(b), 0);
                     assert_eq!(table.gas(b), Gas::Nan);
+                    assert_eq!(table.stack_in(b), 0);
                     assert_eq!(mnemonic_str(table.mnemonic_id(b)), "INVALID");
                 }
             }

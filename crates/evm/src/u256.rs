@@ -39,18 +39,16 @@ impl U256 {
     /// Panics if `bytes.len() > 32`.
     pub fn from_be_bytes(bytes: &[u8]) -> Self {
         assert!(bytes.len() <= 32, "U256 takes at most 32 bytes");
+        if bytes.len() <= 8 {
+            return U256::from_u64(bytes.iter().fold(0, |v, &b| v << 8 | u64::from(b)));
+        }
         let mut buf = [0u8; 32];
         buf[32 - bytes.len()..].copy_from_slice(bytes);
-        let mut limbs = [0u64; 4];
-        for (i, limb) in limbs.iter_mut().enumerate() {
-            let off = 32 - 8 * (i + 1);
-            let mut v = 0u64;
-            for b in &buf[off..off + 8] {
-                v = (v << 8) | u64::from(*b);
-            }
-            *limb = v;
-        }
-        U256(limbs)
+        let limb = |i: usize| {
+            let off = 24 - 8 * i;
+            u64::from_be_bytes(buf[off..off + 8].try_into().expect("8 bytes"))
+        };
+        U256([limb(0), limb(1), limb(2), limb(3)])
     }
 
     /// Serializes to 32 big-endian bytes.

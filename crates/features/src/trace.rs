@@ -95,53 +95,58 @@ impl TraceExtractor {
     }
 
     /// Reduces one already-computed trace to a feature row (in `row`, which
-    /// must be [`Self::n_features`] wide).
+    /// must be [`Self::n_features`] wide), in one pass over its runs.
     pub fn featurize_into(&self, trace: &Trace, row: &mut [f64]) {
         debug_assert_eq!(row.len(), TRACE_COLUMNS.len());
-        let n_runs = trace.runs.len();
-        let sel_runs: Vec<_> = trace.selector_runs().collect();
-        let reverted = sel_runs.iter().filter(|r| r.reverted()).count();
-        let halted = trace.runs.iter().filter(|r| r.halted()).count();
-        let calls: Vec<_> = trace.calls().collect();
-        let value_calls = calls.iter().filter(|c| c.transfers_value).count();
-        let value_to_caller = calls
-            .iter()
-            .filter(|c| c.transfers_value && c.to_caller)
-            .count();
-        let sd: Vec<_> = trace.selfdestructs().collect();
-        let sd_to_caller = sd.iter().filter(|s| s.to_caller).count();
-        let steps: u64 = trace.runs.iter().map(|r| r.steps).sum();
-        let payout_reachable = value_to_caller > 0 || sd_to_caller > 0;
+        let mut t = Tally::default();
+        for run in &trace.runs {
+            if run.selector.is_some() {
+                t.sel_runs += 1;
+                t.reverted += u64::from(run.reverted());
+            }
+            t.halted += u64::from(run.halted());
+            for c in &run.calls {
+                t.calls += 1;
+                if c.transfers_value {
+                    t.value_calls += 1;
+                    t.value_to_caller += u64::from(c.to_caller);
+                    t.value_after_sload += u64::from(c.after_sload);
+                }
+                t.after_sstore += u64::from(c.after_sstore);
+                t.delegate_calls += u64::from(c.kind == CallKind::DelegateCall);
+                t.static_calls += u64::from(c.kind == CallKind::StaticCall);
+            }
+            for sd in &run.selfdestructs {
+                t.selfdestructs += 1;
+                t.sd_to_caller += u64::from(sd.to_caller);
+            }
+            t.sloads += run.sloads;
+            t.sstores += run.sstores;
+            t.logs += run.logs;
+            t.steps += run.steps;
+        }
+        let n_runs = trace.runs.len() as u64;
 
         row[0] = trace.selectors_total as f64;
         row[1] = n_runs as f64;
-        row[2] = reverted as f64 / sel_runs.len().max(1) as f64;
+        row[2] = t.reverted as f64 / t.sel_runs.max(1) as f64;
         row[3] = f64::from(u8::from(trace.fallback().status == Status::Revert));
-        row[4] = halted as f64 / n_runs.max(1) as f64;
-        row[5] = calls.len() as f64;
-        row[6] = value_calls as f64;
-        row[7] = value_to_caller as f64;
-        row[8] = (value_calls - value_to_caller) as f64;
-        row[9] = calls
-            .iter()
-            .filter(|c| c.transfers_value && c.after_sload)
-            .count() as f64;
-        row[10] = calls.iter().filter(|c| c.after_sstore).count() as f64;
-        row[11] = calls
-            .iter()
-            .filter(|c| c.kind == CallKind::DelegateCall)
-            .count() as f64;
-        row[12] = calls
-            .iter()
-            .filter(|c| c.kind == CallKind::StaticCall)
-            .count() as f64;
-        row[13] = sd.len() as f64;
-        row[14] = sd_to_caller as f64;
-        row[15] = trace.runs.iter().map(|r| r.sloads).sum::<u64>() as f64;
-        row[16] = trace.runs.iter().map(|r| r.sstores).sum::<u64>() as f64;
-        row[17] = trace.runs.iter().map(|r| r.logs).sum::<u64>() as f64;
-        row[18] = steps as f64 / n_runs.max(1) as f64;
-        row[19] = f64::from(u8::from(payout_reachable));
+        row[4] = t.halted as f64 / n_runs.max(1) as f64;
+        row[5] = t.calls as f64;
+        row[6] = t.value_calls as f64;
+        row[7] = t.value_to_caller as f64;
+        row[8] = (t.value_calls - t.value_to_caller) as f64;
+        row[9] = t.value_after_sload as f64;
+        row[10] = t.after_sstore as f64;
+        row[11] = t.delegate_calls as f64;
+        row[12] = t.static_calls as f64;
+        row[13] = t.selfdestructs as f64;
+        row[14] = t.sd_to_caller as f64;
+        row[15] = t.sloads as f64;
+        row[16] = t.sstores as f64;
+        row[17] = t.logs as f64;
+        row[18] = t.steps as f64 / n_runs.max(1) as f64;
+        row[19] = f64::from(u8::from(t.value_to_caller > 0 || t.sd_to_caller > 0));
     }
 
     /// Explores `code` and writes its feature row into `row`.
@@ -176,6 +181,27 @@ impl TraceExtractor {
         self.transform_into(codes, &mut out);
         out
     }
+}
+
+/// The counts one pass over a trace's runs collects.
+#[derive(Default)]
+struct Tally {
+    sel_runs: u64,
+    reverted: u64,
+    halted: u64,
+    calls: u64,
+    value_calls: u64,
+    value_to_caller: u64,
+    value_after_sload: u64,
+    after_sstore: u64,
+    delegate_calls: u64,
+    static_calls: u64,
+    selfdestructs: u64,
+    sd_to_caller: u64,
+    sloads: u64,
+    sstores: u64,
+    logs: u64,
+    steps: u64,
 }
 
 // --- Persistence -----------------------------------------------------------

@@ -553,4 +553,75 @@ mod tests {
         let rendered = report.render("Random Forest");
         assert!(rendered.contains("0 contract(s)"), "{rendered}");
     }
+
+    #[test]
+    fn accept_counts_connections_per_listener() {
+        use std::io::{Read, Write};
+        use std::net::{SocketAddr, TcpStream};
+        use std::sync::mpsc;
+
+        // Two free loopback ports: bind each, note it, release it.
+        let free = || {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            listener.local_addr().expect("addr")
+        };
+        let (tcp, http) = (free(), free());
+        let config = ServeConfig::builder()
+            .tcp(tcp.to_string())
+            .http(http.to_string())
+            .accept(1)
+            .build()
+            .expect("valid config");
+        let (done_tx, done) = mpsc::channel();
+        let server = std::thread::spawn(move || done_tx.send(run(scanner(), &config, None)));
+
+        let connect = |addr: SocketAddr| {
+            let start = Instant::now();
+            loop {
+                match TcpStream::connect(addr) {
+                    Ok(stream) => break stream,
+                    Err(e) if start.elapsed() > Duration::from_secs(10) => panic!("{addr}: {e}"),
+                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                }
+            }
+        };
+        let exchange = |addr: SocketAddr, request: &str| {
+            let mut stream = connect(addr);
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            stream.write_all(request.as_bytes()).expect("send");
+            stream
+                .shutdown(std::net::Shutdown::Write)
+                .expect("half-close");
+            let mut response = String::new();
+            stream.read_to_string(&mut response).expect("read");
+            response
+        };
+
+        // One connection on each listener: with `accept(1)` each listener
+        // takes one, and `run` returns once both have drained.
+        let (lines, _) = probe_lines(2);
+        let mut lines = lines.lines();
+        let jsonl = exchange(tcp, &format!("{}\n", lines.next().expect("line")));
+        assert!(jsonl.contains("\"verdict\""), "{jsonl}");
+        let body = format!("{{\"bytecode\":\"{}\"}}", lines.next().expect("line"));
+        let response = exchange(
+            http,
+            &format!(
+                "POST /predict HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
+                 Content-Length: {}\r\n\r\n{body}",
+                body.len()
+            ),
+        );
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        assert!(response.contains("\"verdict\""), "{response}");
+
+        let report = done
+            .recv_timeout(Duration::from_secs(30))
+            .expect("run returns after one connection per listener")
+            .expect("run serves");
+        assert_eq!(report.contracts, 2);
+        server.join().expect("run thread").expect("result received");
+    }
 }

@@ -8,7 +8,11 @@
 //! selector-driven EVM execution layer must buy real detection power, not
 //! just extra columns.
 
+#[path = "../crates/evm/tests/reference_explorer/mod.rs"]
+mod reference_explorer;
+
 use phishinghook::data::{Corpus, CorpusConfig, Scenario};
+use phishinghook::evm::{Explorer, ExplorerConfig, NullHost};
 use phishinghook::models::{Detector, DetectorRegistry, FeatureSet};
 use std::sync::OnceLock;
 
@@ -111,4 +115,35 @@ fn the_feature_axis_reports_what_it_trained_on() {
     assert_eq!(det.features(), FeatureSet::HistogramTrace);
     let det = registry.build_str("rf", 7).expect("spec parses");
     assert_eq!(det.features(), FeatureSet::Histogram);
+}
+
+#[test]
+fn the_explorer_matches_a_fresh_interpreter_per_run_on_both_corpora() {
+    // The explorer analyses each contract once and reuses one machine
+    // across its runs; the reference builds a new interpreter per run.
+    let tight = ExplorerConfig {
+        gas_per_run: 3_000,
+        steps_per_run: 50,
+        max_selectors: 2,
+    };
+    for (scenario, seed) in [(Scenario::Mixed, 23), (Scenario::Honeypot, 29)] {
+        let corpus = Corpus::generate(&CorpusConfig {
+            n_contracts: 2_000,
+            seed,
+            scenario,
+            ..Default::default()
+        });
+        assert!(corpus.records.len() >= 2_000, "{scenario:?}");
+        for config in [ExplorerConfig::default(), tight.clone()] {
+            let explorer = Explorer::new(config.clone());
+            for record in &corpus.records {
+                let code = &record.bytecode;
+                assert_eq!(
+                    explorer.explore(code),
+                    reference_explorer::explore(&config, code, &mut NullHost),
+                    "{scenario:?} {config:?} on {code:02x?}"
+                );
+            }
+        }
+    }
 }
