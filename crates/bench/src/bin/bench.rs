@@ -1,6 +1,7 @@
 //! The perf-trajectory benchmark: measures the disasm→features→inference
-//! spine against the seed reference paths and emits `BENCH_pipeline.json`,
-//! the repository's first committed performance datapoint.
+//! spine and the snapshot checksum against the seed reference paths and
+//! emits `BENCH_pipeline.json`, the repository's first committed
+//! performance datapoint.
 //!
 //! ```text
 //! cargo run --release -p phishinghook-bench --bin bench             # full
@@ -10,8 +11,8 @@
 //!
 //! JSON schema (`phishinghook-bench-pipeline/v1`): see the README's
 //! "Performance" section. All times are best-of-`reps` wall-clock seconds
-//! for one full pass over the corpus; throughputs derive from the same
-//! pass.
+//! for one full pass over the corpus (the `persist` times: over one forest
+//! snapshot); throughputs derive from the same pass.
 
 use phishinghook_bench::seed_paths;
 use phishinghook_data::{Corpus, CorpusConfig};
@@ -22,7 +23,8 @@ use phishinghook_ml::{Classifier, Matrix, RandomForest};
 use std::time::Instant;
 
 const USAGE: &str = "\
-bench — the pipeline benchmark: disasm, features and inference against the seed paths
+bench — the pipeline benchmark: disasm, features, inference and the snapshot checksum
+against the seed paths
 
 USAGE:
   bench [--quick] [--contracts <n>] [--out <path>]   measure, write the JSON datapoint
@@ -142,6 +144,17 @@ fn check_readme(bench_path: &str) {
         (
             "inference.speedup",
             format!("{:.1}×", json_number(&doc, "inference", "speedup")),
+        ),
+        (
+            "dynamic.traces_per_sec",
+            format!(
+                "{} traces/s",
+                readme_k(json_number(&doc, "dynamic", "traces_per_sec"))
+            ),
+        ),
+        (
+            "persist.crc_speedup",
+            format!("{:.1}×", json_number(&doc, "persist", "crc_speedup")),
         ),
         (
             "pipeline.contracts_per_sec",
@@ -318,6 +331,32 @@ fn main() {
         seed_infer_secs / batch1_secs,
     );
 
+    // --- Snapshot seal/verify: seed bitwise CRC-32 vs. the table kernel. ---
+    // Every `train --save` seals the envelope with one CRC pass and every
+    // start-up (`serve`, `scan --model`, `watch`) verifies it with another,
+    // so the checksum is timed over this forest's own snapshot, next to the
+    // full restore (checksum, decode, quantized-mirror rebuild) it sits in.
+    let snapshot = phishinghook_persist::to_envelope("forest", &forest);
+    assert_eq!(
+        seed_paths::crc32(&snapshot),
+        phishinghook_persist::crc32(&snapshot),
+        "the table CRC must reproduce the bitwise CRC"
+    );
+    let seed_crc_secs = measure(reps, || seed_paths::crc32(&snapshot));
+    let table_crc_secs = measure(reps, || phishinghook_persist::crc32(&snapshot));
+    let restore_secs = measure(reps, || {
+        phishinghook_persist::from_envelope::<RandomForest>("forest", &snapshot)
+            .expect("the forest snapshot restores")
+    });
+    println!(
+        "persist    seed    {:>10.3} ms   table  {:>10.3} ms   speedup {:>6.2}x   CRC-32 of {} bytes; restore {:.3} ms",
+        seed_crc_secs * 1e3,
+        table_crc_secs * 1e3,
+        seed_crc_secs / table_crc_secs,
+        snapshot.len(),
+        restore_secs * 1e3,
+    );
+
     // --- End-to-end serving path: raw bytecode -> probabilities. ---
     let pipeline_secs = measure(reps, || {
         let features = extractor.transform(&refs);
@@ -371,6 +410,13 @@ fn main() {
     "bit_identical": {bit_identical},
     "n_trees": 100
   }},
+  "persist": {{
+    "snapshot_bytes": {snapshot_bytes},
+    "seed_crc_secs": {seed_crc},
+    "table_crc_secs": {table_crc},
+    "crc_speedup": {crc_speedup},
+    "restore_secs": {restore}
+  }},
   "pipeline": {{
     "secs": {pipeline},
     "contracts_per_sec": {cps},
@@ -405,6 +451,11 @@ fn main() {
         quant_bins = quant_bins,
         batch1_us_per_row = json_f(batch1_us_per_row),
         batch1_speedup = json_f(seed_infer_secs / batch1_secs),
+        snapshot_bytes = snapshot.len(),
+        seed_crc = json_f(seed_crc_secs),
+        table_crc = json_f(table_crc_secs),
+        crc_speedup = json_f(seed_crc_secs / table_crc_secs),
+        restore = json_f(restore_secs),
         pipeline = json_f(pipeline_secs),
         cps = json_f(contracts_per_sec),
         mbps = json_f(mb_per_sec),

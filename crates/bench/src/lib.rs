@@ -17,8 +17,8 @@ pub mod seed_paths {
     //! preserved so the perf benches and the `bench` binary always compare
     //! the optimized pipeline against the original algorithms (eagerly
     //! collected disassembly with owned operands, two-phase HashMap
-    //! histogram extraction, per-row enum-node forest inference) rather
-    //! than against themselves.
+    //! histogram extraction, per-row enum-node forest inference, the
+    //! bit-at-a-time snapshot checksum) rather than against themselves.
 
     use phishinghook_evm::disasm::Instruction;
     use phishinghook_evm::opcode::ShanghaiRegistry;
@@ -92,6 +92,19 @@ pub mod seed_paths {
             *p /= k;
         }
         probs
+    }
+
+    /// The seed's snapshot checksum: CRC-32 (IEEE), one bit at a time.
+    pub fn crc32(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
     }
 }
 

@@ -138,8 +138,12 @@ impl FeatureBins {
             }
             // Integer fast-path table: one entry past the last edge so the
             // top rank (`edge_count`, everything-above) is also a table hit.
+            // `as usize` saturates, so a restored edge near `f64::MAX` must
+            // not overflow the `+ 2`.
             let lut_len = match list.last() {
-                Some(&last) if last >= 0.0 => ((last.floor() as usize) + 2).min(Self::LUT_CAP),
+                Some(&last) if last >= 0.0 => {
+                    (last.floor() as usize).saturating_add(2).min(Self::LUT_CAP)
+                }
                 _ => 0,
             };
             for i in 0..lut_len {
@@ -808,6 +812,18 @@ mod tests {
         // Out-of-range values clamp to the extreme ranks.
         assert_eq!(ranks[0], 0);
         assert_eq!(*ranks.last().unwrap(), 3);
+    }
+
+    #[test]
+    fn an_edge_near_f64_max_caps_the_integer_table() {
+        // A restored snapshot may carry any finite threshold; the table
+        // length must not overflow on one past `usize::MAX`.
+        let bins = bins_of(vec![vec![2.0, f64::MAX]], NanRoute::Right);
+        let ranks: Vec<u16> = [1.0, 3.0, 4095.0, 4096.0, 1e300, f64::INFINITY]
+            .iter()
+            .map(|&v| bins.quantize_value(0, v))
+            .collect();
+        assert_eq!(ranks, [0, 1, 1, 1, 1, 2]);
     }
 
     #[test]

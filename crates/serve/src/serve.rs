@@ -188,7 +188,7 @@ pub fn serve_lines(
     scheduler: &Scheduler,
     proto: Protocol,
     mut input: impl BufRead,
-    mut output: impl Write + Send,
+    output: impl Write + Send,
 ) -> io::Result<ServeReport> {
     let t0 = Instant::now();
     let (mut conn, rx) = scheduler.connect(proto);
@@ -197,11 +197,15 @@ pub fn serve_lines(
     let (writer_result, read_error) = std::thread::scope(|scope| {
         let writer = scope.spawn(move || -> io::Result<()> {
             // Batch flushing: drain everything that is already in order
-            // before paying one flush, so a full scored batch costs one
-            // syscall, while an interactive session still flushes per line.
-            // Every recv credits the connection's flow-control window; on
-            // an output error this returns early, dropping the stream,
-            // which disconnects (unblocks) the submit side.
+            // into the buffer before paying one flush, so a full scored
+            // batch costs one syscall, while an interactive session still
+            // flushes per line. The buffer is ours because the sink may
+            // not have one worth the name: std's `Stdout` is line-buffered
+            // and would write(2) every line. Every recv credits the
+            // connection's flow-control window; on an output error this
+            // returns early, dropping the stream, which disconnects
+            // (unblocks) the submit side.
+            let mut output = io::BufWriter::new(output);
             while let Some(line) = rx.recv() {
                 output.write_all(line.as_bytes())?;
                 output.write_all(b"\n")?;
@@ -393,6 +397,44 @@ mod tests {
             let verdict = if *p >= 0.5 { "phishing" } else { "benign" };
             assert_eq!(*line, format!("{verdict}\t{p:.6}"));
         }
+    }
+
+    /// A sink with no buffer of its own that counts the `write` calls it
+    /// receives.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_writer_makes_at_most_one_write_per_response_line() {
+        // A line-buffered sink such as std's `Stdout` passes every write
+        // straight to the OS, so the writer must batch lines itself.
+        let (input, codes) = probe_lines(64);
+        let (expected, _) = serve_to_string(&input, &no_cache(), Protocol::V1);
+        let scheduler = Scheduler::new(scanner(), &no_cache());
+        let mut sink = CountingSink::default();
+        serve_lines(&scheduler, Protocol::V1, input.as_bytes(), &mut sink).expect("serves");
+        assert_eq!(String::from_utf8(sink.bytes).expect("utf8"), expected);
+        assert!(
+            sink.writes <= codes.len(),
+            "{} write(s) for {} response line(s)",
+            sink.writes,
+            codes.len()
+        );
     }
 
     #[test]
