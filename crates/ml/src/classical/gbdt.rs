@@ -562,6 +562,7 @@ impl Classifier for GradientBoosting {
 
 // --- Persistence -----------------------------------------------------------
 
+use crate::classical::{check_parameter, check_parameters, parameter_in_range, MAX_PARAMETER};
 use phishinghook_persist::{PersistError, Reader, Restore, Snapshot, Writer};
 
 impl Snapshot for BoostVariant {
@@ -691,6 +692,15 @@ impl Restore for BoostTree {
             0 => {
                 let nodes: Vec<RegNode> = Vec::restore(r)?;
                 for (i, node) in nodes.iter().enumerate() {
+                    // The boosted score sums leaf weights; a NaN or ±inf
+                    // one turns it into NaN.
+                    if let RegNode::Leaf { weight } = *node {
+                        if !parameter_in_range(weight) {
+                            return Err(PersistError::Malformed(format!(
+                                "boost node {i} has leaf `weight` {weight}, not a number within ±{MAX_PARAMETER:e}"
+                            )));
+                        }
+                    }
                     if let RegNode::Split {
                         threshold,
                         left,
@@ -732,6 +742,7 @@ impl Restore for BoostTree {
                     conditions.push((feature, threshold));
                 }
                 let leaf_weights: Vec<f64> = Vec::restore(r)?;
+                check_parameters("leaf_weights", &leaf_weights)?;
                 // predict_row indexes leaves by the condition bit-vector, so
                 // the weight table must cover all 2^levels indices.
                 let expected = 1usize.checked_shl(conditions.len() as u32).ok_or_else(|| {
@@ -769,9 +780,12 @@ impl Snapshot for GradientBoosting {
 
 impl Restore for GradientBoosting {
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let config = GbdtConfig::restore(r)?;
+        let base_score = r.take_f64()?;
+        check_parameter("base_score", base_score)?;
         let mut model = GradientBoosting {
-            config: GbdtConfig::restore(r)?,
-            base_score: r.take_f64()?,
+            config,
+            base_score,
             trees: Vec::restore(r)?,
             quant: None,
         };
@@ -1386,6 +1400,49 @@ mod tests {
                     bits(&reference),
                     "{variant:?}, block of {b} rows"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_leaf_weights_and_base_score_are_rejected_at_restore_per_variant() {
+        use phishinghook_persist::{from_envelope, to_envelope};
+        let (x, y) = blobs(40, 46);
+        for variant in [
+            BoostVariant::Exact,
+            BoostVariant::Histogram,
+            BoostVariant::Oblivious,
+        ] {
+            let mut m = GradientBoosting::new(GbdtConfig {
+                variant,
+                n_rounds: 3,
+                ..GbdtConfig::default()
+            });
+            m.fit(&x, &y);
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200] {
+                let mut leaf = m.clone();
+                let (weight, field) = match &mut leaf.trees[0] {
+                    BoostTree::Reg(t) => (
+                        t.nodes.iter_mut().find_map(|node| match node {
+                            RegNode::Leaf { weight } => Some(weight),
+                            RegNode::Split { .. } => None,
+                        }),
+                        "leaf `weight`",
+                    ),
+                    BoostTree::Oblivious(t) => (t.leaf_weights.first_mut(), "leaf_weights"),
+                };
+                *weight.expect("the first tree has a leaf") = bad;
+                let mut base = m.clone();
+                base.base_score = bad;
+                for (edited, field) in [(leaf, field), (base, "base_score")] {
+                    let bytes = to_envelope("gbdt", &edited);
+                    match from_envelope::<GradientBoosting>("gbdt", &bytes) {
+                        Err(PersistError::Malformed(msg)) => {
+                            assert!(msg.contains(field), "{variant:?} {bad}: {msg}")
+                        }
+                        other => panic!("{variant:?} {bad}: expected Malformed, got {other:?}"),
+                    }
+                }
             }
         }
     }

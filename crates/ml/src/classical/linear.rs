@@ -28,12 +28,16 @@ pub(crate) struct Scaler {
 }
 
 impl Scaler {
+    /// The smallest standard deviation a fitted scaler divides by: a
+    /// column spread less than this (a constant column) scales by 1.
+    const MIN_STD: f64 = 1e-12;
+
     pub(crate) fn fit(x: &Matrix) -> Self {
         let means = x.col_means();
         let stds = x
             .col_stds()
             .into_iter()
-            .map(|s| if s < 1e-12 { 1.0 } else { s })
+            .map(|s| if s < Self::MIN_STD { 1.0 } else { s })
             .collect();
         Scaler { means, stds }
     }
@@ -277,6 +281,7 @@ impl Classifier for LinearSvm {
 
 // --- Persistence -----------------------------------------------------------
 
+use crate::classical::{check_parameter, check_parameters};
 use phishinghook_persist::{PersistError, Reader, Restore, Snapshot, Writer};
 
 impl Snapshot for Scaler {
@@ -297,6 +302,16 @@ impl Restore for Scaler {
                 stds.len()
             )));
         }
+        check_parameters("scaler means", &means)?;
+        check_parameters("scaler stds", &stds)?;
+        // A zero or tiny divisor turns a feature into ±inf or NaN.
+        if let Some(i) = stds.iter().position(|&s| s < Self::MIN_STD) {
+            return Err(PersistError::Malformed(format!(
+                "`scaler stds[{i}]` is {}, below the fitted floor {}",
+                stds[i],
+                Self::MIN_STD
+            )));
+        }
         Ok(Scaler { means, stds })
     }
 }
@@ -314,14 +329,17 @@ impl Snapshot for LogisticRegression {
 
 impl Restore for LogisticRegression {
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(LogisticRegression {
+        let model = LogisticRegression {
             learning_rate: r.take_f64()?,
             epochs: r.take_usize()?,
             l2: r.take_f64()?,
             weights: Vec::restore(r)?,
             bias: r.take_f64()?,
             scaler: Option::restore(r)?,
-        })
+        };
+        check_parameters("weights", &model.weights)?;
+        check_parameter("bias", model.bias)?;
+        Ok(model)
     }
 }
 
@@ -338,14 +356,17 @@ impl Snapshot for LinearSvm {
 
 impl Restore for LinearSvm {
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(LinearSvm {
+        let model = LinearSvm {
             lambda: r.take_f64()?,
             epochs: r.take_usize()?,
             seed: r.take_u64()?,
             weights: Vec::restore(r)?,
             bias: r.take_f64()?,
             scaler: Option::restore(r)?,
-        })
+        };
+        check_parameters("weights", &model.weights)?;
+        check_parameter("bias", model.bias)?;
+        Ok(model)
     }
 }
 
@@ -440,6 +461,46 @@ mod tests {
             assert!(p.is_finite());
         }
         assert_eq!(lr.predict(&x), y);
+    }
+
+    #[test]
+    fn out_of_range_parameters_and_degenerate_stds_are_rejected_at_restore() {
+        use phishinghook_persist::{from_envelope, to_envelope};
+        fn rejects<T: Restore + std::fmt::Debug>(edited: &impl Snapshot, field: &str) {
+            match from_envelope::<T>("linear", &to_envelope("linear", edited)) {
+                Err(PersistError::Malformed(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("{field}: expected Malformed, got {other:?}"),
+            }
+        }
+        let (x, y) = separable(40, 6);
+        let mut lr = LogisticRegression::with_defaults();
+        lr.fit(&x, &y);
+        let mut svm = LinearSvm::with_defaults();
+        svm.fit(&x, &y);
+        // Finite but past ±1e100 can still overflow a dot product.
+        for bad in [f64::NAN, f64::INFINITY, -1e200] {
+            let mut m = lr.clone();
+            m.weights[1] = bad;
+            rejects::<LogisticRegression>(&m, "`weights[1]`");
+            let mut m = lr.clone();
+            m.bias = bad;
+            rejects::<LogisticRegression>(&m, "`bias`");
+            let mut m = svm.clone();
+            m.weights[0] = bad;
+            rejects::<LinearSvm>(&m, "`weights[0]`");
+            let mut m = svm.clone();
+            m.bias = bad;
+            rejects::<LinearSvm>(&m, "`bias`");
+            let mut m = lr.clone();
+            m.scaler.as_mut().expect("fitted").means[0] = bad;
+            rejects::<LogisticRegression>(&m, "`scaler means[0]`");
+        }
+        // A zero divisor is finite but turns features into ±inf or NaN.
+        for bad in [0.0, -1.0, 1e-300, f64::NAN] {
+            let mut m = svm.clone();
+            m.scaler.as_mut().expect("fitted").stds[1] = bad;
+            rejects::<LinearSvm>(&m, "`scaler stds[1]`");
+        }
     }
 
     #[test]

@@ -9,6 +9,40 @@ pub mod quant;
 pub mod svm;
 pub mod tree;
 
+use phishinghook_persist::PersistError;
+
+/// The largest magnitude a restored weight, bias, scaler mean or kernel
+/// parameter may have. Fits stay dozens of orders of magnitude below it,
+/// and below it no weighted sum over a model's features can overflow, so
+/// a restored model never scores NaN. NaN and ±inf fail it too.
+pub(crate) const MAX_PARAMETER: f64 = 1e100;
+
+/// Whether `value` is a number within ±[`MAX_PARAMETER`] (NaN is not).
+pub(crate) fn parameter_in_range(value: f64) -> bool {
+    value.abs() <= MAX_PARAMETER
+}
+
+/// Rejects a restored parameter outside ±[`MAX_PARAMETER`], naming the
+/// field.
+pub(crate) fn check_parameter(field: &str, value: f64) -> Result<(), PersistError> {
+    if parameter_in_range(value) {
+        Ok(())
+    } else {
+        Err(PersistError::Malformed(format!(
+            "`{field}` is {value}, not a number within ±{MAX_PARAMETER:e}"
+        )))
+    }
+}
+
+/// [`check_parameter`] over a parameter block, naming the first offending
+/// index.
+pub(crate) fn check_parameters(field: &str, values: &[f64]) -> Result<(), PersistError> {
+    match values.iter().position(|&v| !parameter_in_range(v)) {
+        None => Ok(()),
+        Some(i) => check_parameter(&format!("{field}[{i}]"), values[i]),
+    }
+}
+
 /// Deterministic SplitMix64 RNG used across the workspace so that training
 /// and data generation are reproducible without threading `rand` generators
 /// everywhere.

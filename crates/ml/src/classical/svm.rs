@@ -154,6 +154,7 @@ impl Classifier for RbfSvm {
 
 // --- Persistence -----------------------------------------------------------
 
+use crate::classical::check_parameters;
 use phishinghook_persist::{PersistError, Reader, Restore, Snapshot, Writer};
 
 impl Snapshot for RbfSvmConfig {
@@ -192,13 +193,27 @@ impl Snapshot for RbfSvm {
 
 impl Restore for RbfSvm {
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(RbfSvm {
+        let model = RbfSvm {
             config: RbfSvmConfig::restore(r)?,
             w: Matrix::restore(r)?,
             phases: Vec::restore(r)?,
             linear: LinearSvm::restore(r)?,
             scaler: Option::restore(r)?,
-        })
+        };
+        // An overflowing projection makes `cos` NaN for every row.
+        check_parameters("w", model.w.as_slice())?;
+        check_parameters("phases", &model.phases)?;
+        // The map's scale is `sqrt(2 / n_components)`: a fitted map has
+        // one phase per projection row, and that many components.
+        let rows = model.w.rows();
+        if rows > 0 && (model.config.n_components != rows || model.phases.len() != rows) {
+            return Err(PersistError::Malformed(format!(
+                "RBF map has {rows} projection rows, {} phases and `n_components` {}",
+                model.phases.len(),
+                model.config.n_components
+            )));
+        }
+        Ok(model)
     }
 }
 
@@ -265,6 +280,41 @@ mod tests {
         a.fit(&x, &y);
         b.fit(&x, &y);
         assert_eq!(a.predict_proba(&x), b.predict_proba(&x));
+    }
+
+    #[test]
+    fn an_out_of_range_or_misshapen_feature_map_is_rejected_at_restore() {
+        use phishinghook_persist::{from_envelope, to_envelope};
+        let (x, y) = rings(40, 6);
+        let mut svm = RbfSvm::new(RbfSvmConfig {
+            n_components: 16,
+            ..Default::default()
+        });
+        svm.fit(&x, &y);
+        let rejects = |edited: &RbfSvm, field: &str| match from_envelope::<RbfSvm>(
+            "svm",
+            &to_envelope("svm", edited),
+        ) {
+            Err(PersistError::Malformed(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("{field}: expected Malformed, got {other:?}"),
+        };
+        // A finite entry near f64::MAX overflows `w · x` to ±inf, and
+        // `cos(±inf)` is NaN.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+            let mut w = svm.clone();
+            w.w[(3, 1)] = bad;
+            rejects(&w, "`w[7]`");
+            let mut phases = svm.clone();
+            phases.phases[2] = bad;
+            rejects(&phases, "`phases[2]`");
+        }
+        // `n_components` sets the map's scale, `sqrt(2 / n_components)`.
+        let mut zero = svm.clone();
+        zero.config.n_components = 0;
+        rejects(&zero, "`n_components` 0");
+        let mut short = svm.clone();
+        short.phases.pop();
+        rejects(&short, "15 phases");
     }
 
     #[test]

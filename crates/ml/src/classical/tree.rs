@@ -427,6 +427,15 @@ impl Restore for DecisionTree {
         let n_features = r.take_usize()?;
         let nodes: Vec<Node> = Vec::restore(r)?;
         for (i, node) in nodes.iter().enumerate() {
+            if let Node::Leaf { proba, .. } = *node {
+                // A leaf holds its samples' class-1 share, and a forest
+                // averages leaves into its probability.
+                if !(0.0..=1.0).contains(&proba) {
+                    return Err(PersistError::Malformed(format!(
+                        "node {i} has leaf `proba` {proba}, outside [0, 1]"
+                    )));
+                }
+            }
             if let Node::Split {
                 feature,
                 threshold,
@@ -493,6 +502,32 @@ mod tests {
         tree.fit(&x, &y);
         assert_eq!(tree.predict(&x), y);
         assert!(tree.depth() >= 2);
+    }
+
+    #[test]
+    fn a_leaf_proba_outside_the_unit_interval_is_rejected_at_restore() {
+        use phishinghook_persist::{from_envelope, to_envelope};
+        let (x, y) = xor_dataset();
+        let mut tree = DecisionTree::with_defaults();
+        tree.fit(&x, &y);
+        for bad in [f64::NAN, f64::INFINITY, -0.25, 1.5] {
+            let mut edited = tree.clone();
+            let proba = edited
+                .nodes
+                .iter_mut()
+                .find_map(|node| match node {
+                    Node::Leaf { proba, .. } => Some(proba),
+                    Node::Split { .. } => None,
+                })
+                .expect("a leaf");
+            *proba = bad;
+            match from_envelope::<DecisionTree>("tree", &to_envelope("tree", &edited)) {
+                Err(PersistError::Malformed(msg)) => {
+                    assert!(msg.contains("leaf `proba`"), "{bad}: {msg}")
+                }
+                other => panic!("{bad}: expected Malformed, got {other:?}"),
+            }
+        }
     }
 
     #[test]

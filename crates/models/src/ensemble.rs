@@ -356,11 +356,14 @@ impl Restore for EnsembleDetector {
                     weights.len()
                 )));
             }
+            let total: f64 = weights.iter().sum();
             if !weights.iter().all(|w| w.is_finite() && *w >= 0.0)
-                || weights.iter().sum::<f64>() <= 0.0
+                || total <= 0.0
+                || total.is_infinite()
             {
                 return Err(PersistError::Malformed(
-                    "ensemble snapshot weights must be finite, non-negative and not all zero"
+                    "ensemble snapshot weights must be finite, non-negative, not all zero \
+                     and have a finite sum"
                         .to_owned(),
                 ));
             }
@@ -591,6 +594,25 @@ mod tests {
         let bytes = envelope_of(w.into_bytes());
         let err = EnsembleDetector::from_snapshot_bytes(&bytes).unwrap_err();
         assert!(matches!(err, PersistError::Malformed(_)), "{err:?}");
+    }
+
+    #[test]
+    fn weights_whose_sum_overflows_are_rejected() {
+        // Each weight is finite, but the weighted vote divides by their
+        // sum, and `inf / inf` would score NaN.
+        let det = fitted("ensemble:rf+lgbm:vote=soft");
+        let mut w = Writer::new();
+        Vote::Weighted(vec![1e308, 1e308]).snapshot(&mut w);
+        w.put_usize(2);
+        for member in det.members() {
+            w.put_bytes(&member.to_snapshot_bytes());
+        }
+        let bytes = envelope_of(w.into_bytes());
+        let err = EnsembleDetector::from_snapshot_bytes(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::Malformed(msg) if msg.contains("finite sum")),
+            "{err:?}"
+        );
     }
 
     #[test]

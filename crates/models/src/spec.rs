@@ -478,11 +478,19 @@ impl Options {
                     }
                     weights.push(w);
                 }
-                if weights.iter().sum::<f64>() <= 0.0 {
+                // The weighted vote divides by the sum: an overflowing one
+                // turns high-probability rows into `inf / inf`, NaN.
+                let total: f64 = weights.iter().sum();
+                if total <= 0.0 || total.is_infinite() {
+                    let reason = if total <= 0.0 {
+                        "weights must not all be zero"
+                    } else {
+                        "weights must have a finite sum"
+                    };
                     return Err(SpecError::BadValue {
                         option: "weights",
                         value: value.to_owned(),
-                        reason: "weights must not all be zero".to_owned(),
+                        reason: reason.to_owned(),
                     });
                 }
                 self.weights = Some(weights);
@@ -892,6 +900,13 @@ mod tests {
         ));
         assert!(matches!(
             err("ensemble:rf+knn:vote=weighted:weights=0,0"),
+            E::BadValue {
+                option: "weights",
+                ..
+            }
+        ));
+        assert!(matches!(
+            err("ensemble:rf+knn:vote=weighted:weights=1e308,1e308"),
             E::BadValue {
                 option: "weights",
                 ..

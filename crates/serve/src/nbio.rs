@@ -19,24 +19,25 @@
 //! * **Nagle is off.** Every accepted socket sets `TCP_NODELAY`, so a
 //!   small response never waits for the ACK that the client's next
 //!   request would carry.
-//! * **A waker, not a tick.** Routed responses arrive over in-process
-//!   channels that `poll(2)` cannot see. Each connection registers a wake
-//!   hook with the scheduler, and the router runs it when it routes into,
-//!   or closes, that connection's channel. The hook writes one byte to a
+//! * **A waker, not a tick.** Routed responses arrive in each connection's
+//!   in-process mailbox, which `poll(2)` cannot see. Each connection
+//!   registers a wake hook with the scheduler, and its mailbox runs the
+//!   hook on every change the loop can see: an answer filling the front
+//!   slot, or the stream closing — from a worker, or from the loop's own
+//!   `finish`. The hook writes one byte to a
 //!   self-pipe (`UnixStream::pair`) whose read end sits in the poll set —
 //!   but only while the loop is parked, and once per park, so a burst of
 //!   routed lines costs one write and an awake loop costs none. The loop
 //!   therefore parks with no timeout, and an idle loop makes no system
-//!   calls. The one channel change that runs no hook, `finish` closing the
-//!   channel at the loop's own EOF, counts as loop progress instead.
+//!   calls.
 //!
 //! Two invariants keep a single-threaded loop safe against the scheduler's
 //! blocking seams:
 //!
-//! * **Submit never blocks.** [`Connection::submit`] blocks in the
-//!   flow-control window when a connection has
+//! * **Submit never blocks.** [`Connection::submit`] blocks while a
+//!   connection's mailbox holds
 //!   [`SchedulerOptions::max_outstanding`](crate::SchedulerOptions::max_outstanding)
-//!   responses outstanding; the loop stops *reading* a connection once its
+//!   unreceived responses; the loop stops *reading* a connection once its
 //!   own in-flight count reaches a cap strictly below that, and reads at
 //!   most two bytes per free slot (the shortest request, `x\n`, is two),
 //!   so the window can never park the loop (and with it, every other
@@ -44,7 +45,7 @@
 //! * **Writes never buffer without bound.** Response bytes wait in a
 //!   per-connection buffer with a soft cap; past it the loop stops
 //!   draining that connection's responses and stops reading it — the
-//!   scheduler's window then backpressures the socket.
+//!   mailbox's window then backpressures the socket.
 //!
 //! Each connection has a framing. JSONL cuts lines with the stdin
 //! transport's `proto::LineFramer`, so oversized and unterminated lines
@@ -63,7 +64,7 @@
 //! once per episode, while the live connections keep being served.
 
 use crate::http::RequestFramer;
-use crate::proto::{self, Framed, LineFramer, Protocol};
+use crate::proto::{Framed, LineFramer, Protocol};
 use crate::router::{self, Head};
 use crate::scheduler::{
     Admission, Connection, PolledResponse, Responses, Scheduler, SubmitOutcome, WakeHook,
@@ -216,7 +217,7 @@ impl Conn {
     }
 
     /// Reads request bytes and submits complete requests (shed admission);
-    /// returns bytes read, plus one for finishing the request stream.
+    /// returns bytes read.
     fn pump_read(&mut self, scheduler: &Scheduler) -> usize {
         let mut scratch = [0u8; READ_CHUNK];
         let mut got = 0;
@@ -271,11 +272,6 @@ impl Conn {
             }
             self.submit.finish();
             self.finished = true;
-            // `finish` may close the response channel right here, on the
-            // loop's own thread, where no wake hook runs. Count it as
-            // progress so the loop sweeps again and retires the connection
-            // instead of parking.
-            got += 1;
         }
         got
     }
@@ -574,12 +570,7 @@ pub fn serve_tcp(
     let model = scheduler.model_name().to_owned();
     let (proto, tag, refusal) = match transport {
         Transport::Jsonl(proto) => {
-            let mut line = String::new();
-            match proto {
-                Protocol::V1 => proto::render_overload_v1(&mut line),
-                Protocol::V2 => proto::render_overload_v2(&mut line, "connect"),
-            }
-            line.push('\n');
+            let line = proto.render_overload("connect") + "\n";
             (proto, "", line.into_bytes())
         }
         Transport::Http => (Protocol::V2, "http ", router::refusal()),
@@ -725,11 +716,7 @@ pub fn serve_tcp(
                 continue;
             }
             let conn = conns.swap_remove(i);
-            let id = conn.submit.id();
-            // Drop the submit/response halves first: dropping `submit`
-            // finishes the connection, so the report below is final.
-            drop((conn.submit, conn.responses));
-            let mut report = scheduler.take_report(id);
+            let mut report = conn.submit.report();
             report.secs = conn.t0.elapsed().as_secs_f64();
             eprint!("[{tag}{}] {}", conn.peer, report.render(&model));
             total.absorb(&report);
@@ -754,6 +741,7 @@ pub fn serve_tcp(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto;
     use crate::scheduler::SchedulerOptions;
     use crate::testutil::{probe_lines, scanner};
     use std::io::{BufRead, BufReader};
@@ -919,9 +907,7 @@ mod tests {
                 })
             })
             .collect();
-        let mut overload_line = String::new();
-        proto::render_overload_v2(&mut overload_line, "connect");
-        overload_line.push('\n');
+        let overload_line = Protocol::V2.render_overload("connect") + "\n";
         for client in clients {
             assert_eq!(client.join().expect("client"), overload_line);
         }
@@ -1078,9 +1064,8 @@ mod tests {
         // One request at a time: a worker routes each answer while the
         // loop is parked, so each one needs a wake. Then EOF arrives in a
         // read of its own, after every answer has routed: `finish` closes
-        // the response channel on the loop's thread, where no wake hook
-        // runs, and the loop must still retire the connection rather than
-        // park for good.
+        // the response stream on the loop's own thread, and the loop must
+        // still retire the connection rather than park for good.
         let (input, codes) = probe_lines(8);
         let scheduler = Arc::new(Scheduler::new(scanner(), &SchedulerOptions::default()));
         let (addr, server) = spawn_server(

@@ -101,6 +101,88 @@ impl Protocol {
             _ => None,
         }
     }
+
+    /// One verdict line (without trailing newline) in this framing: v1
+    /// carries only the verdict and `proba` (see [`render_verdict_v2`]).
+    pub fn render_verdict(
+        self,
+        id: &str,
+        address: Option<&phishinghook_data::Address>,
+        proba: f64,
+        model_version: &str,
+        names: &[String],
+        probas: &[f64],
+    ) -> String {
+        let mut out = String::with_capacity(64);
+        match self {
+            Protocol::V1 => {
+                let _ = write!(out, "{}\t{proba:.6}", Verdict::from_proba(proba));
+            }
+            Protocol::V2 => {
+                render_verdict_v2(&mut out, id, address, proba, model_version, names, probas);
+            }
+        }
+        out
+    }
+
+    /// The error line for a malformed or unresolvable request.
+    pub fn render_error(self, id: &str, message: &str) -> String {
+        self.render_refusal(id, message, None)
+    }
+
+    /// The typed overload line: the queue or the connection limit is full.
+    pub fn render_overload(self, id: &str) -> String {
+        self.render_refusal(id, OVERLOAD_DETAIL, Some("overloaded"))
+    }
+
+    /// The typed timeout line: the request expired in the queue and was
+    /// answered without being scored (HTTP maps this to `504`).
+    pub fn render_timeout(self, id: &str) -> String {
+        self.render_refusal(id, TIMEOUT_DETAIL, Some("timeout"))
+    }
+
+    /// The typed internal-error line: a worker panicked while scoring the
+    /// batch holding this request (HTTP maps this to `500`). The worker is
+    /// respawned; the request may be retried.
+    pub fn render_internal(self, id: &str) -> String {
+        self.render_refusal(id, INTERNAL_DETAIL, Some("internal"))
+    }
+
+    /// An answer that is not a verdict. v2 is an error object, with a
+    /// `"code"` when the refusal is typed, so clients can tell *retry
+    /// later* apart from *malformed request*; v1 is `error\t…`, or
+    /// `ERR\t<code>: …` for a typed refusal, which old parsers of
+    /// `error\t…` lines never mistake for one.
+    fn render_refusal(self, id: &str, detail: &str, code: Option<&str>) -> String {
+        match (self, code) {
+            (Protocol::V1, None) => format!("error\t{detail}"),
+            (Protocol::V1, Some(code)) => format!("ERR\t{code}: {detail}"),
+            (Protocol::V2, _) => {
+                let mut out = String::from("{\"proto\":2,\"id\":");
+                push_json_string(&mut out, id);
+                out.push_str(",\"error\":");
+                push_json_string(&mut out, detail);
+                if let Some(code) = code {
+                    let _ = write!(out, ",\"code\":\"{code}\"");
+                }
+                out.push('}');
+                out
+            }
+        }
+    }
+
+    /// The `stats` command's answer. `quant_bins` is the widest
+    /// per-feature bin count of the served model's quantized mirrors
+    /// (`None` when every model scores through its arena or is not a tree
+    /// model): v2 reports it under `engine`, v1 at the end of the line.
+    pub fn render_stats(self, stats: &MetricsSnapshot, quant_bins: Option<usize>) -> String {
+        let mut out = String::new();
+        match self {
+            Protocol::V1 => render_stats_v1(&mut out, stats, quant_bins),
+            Protocol::V2 => render_stats_v2(&mut out, stats, quant_bins),
+        }
+        out
+    }
 }
 
 /// Pre-parse admission check: refuses lines longer than [`MAX_LINE_BYTES`].
@@ -331,93 +413,17 @@ pub fn render_verdict_v2(
     out.push_str("]}");
 }
 
-/// Renders one v1 verdict line (without trailing newline).
-pub fn render_verdict_v1(out: &mut String, proba: f64) {
-    let _ = write!(out, "{}\t{proba:.6}", Verdict::from_proba(proba));
-}
-
-/// Renders one v2 error line (without trailing newline).
-pub fn render_error_v2(out: &mut String, id: &str, message: &str) {
-    out.push_str("{\"proto\":2,\"id\":");
-    push_json_string(out, id);
-    out.push_str(",\"error\":");
-    push_json_string(out, message);
-    out.push('}');
-}
-
-/// Renders one v1 error line (without trailing newline).
-pub fn render_error_v1(out: &mut String, message: &str) {
-    out.push_str("error\t");
-    out.push_str(message);
-}
-
 /// The human-readable overload detail shared by both framings.
-pub const OVERLOAD_DETAIL: &str = "server overloaded: the scheduler queue is full";
-
-/// Renders the typed v2 overload response: an error object carrying
-/// `"code":"overloaded"` so clients can tell *retry later* apart from
-/// *malformed request*.
-pub fn render_overload_v2(out: &mut String, id: &str) {
-    out.push_str("{\"proto\":2,\"id\":");
-    push_json_string(out, id);
-    out.push_str(",\"error\":");
-    push_json_string(out, OVERLOAD_DETAIL);
-    out.push_str(",\"code\":\"overloaded\"}");
-}
-
-/// Renders the typed v1 overload response (`ERR\t…`, distinct from the
-/// `error\t…` malformed-line response old clients already parse).
-pub fn render_overload_v1(out: &mut String) {
-    out.push_str("ERR\toverloaded: ");
-    out.push_str(OVERLOAD_DETAIL);
-}
+const OVERLOAD_DETAIL: &str = "server overloaded: the scheduler queue is full";
 
 /// The human-readable deadline-exceeded detail shared by both framings.
-pub const TIMEOUT_DETAIL: &str = "deadline exceeded before the request was scored";
-
-/// Renders the typed v2 timeout response: an error object carrying
-/// `"code":"timeout"` — the request expired in the queue and was answered
-/// without being scored (HTTP maps this to `504`).
-pub fn render_timeout_v2(out: &mut String, id: &str) {
-    out.push_str("{\"proto\":2,\"id\":");
-    push_json_string(out, id);
-    out.push_str(",\"error\":");
-    push_json_string(out, TIMEOUT_DETAIL);
-    out.push_str(",\"code\":\"timeout\"}");
-}
-
-/// Renders the typed v1 timeout response (`ERR\ttimeout: …`).
-pub fn render_timeout_v1(out: &mut String) {
-    out.push_str("ERR\ttimeout: ");
-    out.push_str(TIMEOUT_DETAIL);
-}
+const TIMEOUT_DETAIL: &str = "deadline exceeded before the request was scored";
 
 /// The human-readable worker-failure detail shared by both framings.
-pub const INTERNAL_DETAIL: &str = "internal error: the scoring worker failed on this batch";
-
-/// Renders the typed v2 internal-error response: an error object carrying
-/// `"code":"internal"` — a worker panicked while scoring the batch holding
-/// this request (HTTP maps this to `500`). The worker is respawned; the
-/// request may be retried.
-pub fn render_internal_v2(out: &mut String, id: &str) {
-    out.push_str("{\"proto\":2,\"id\":");
-    push_json_string(out, id);
-    out.push_str(",\"error\":");
-    push_json_string(out, INTERNAL_DETAIL);
-    out.push_str(",\"code\":\"internal\"}");
-}
-
-/// Renders the typed v1 internal-error response (`ERR\tinternal: …`).
-pub fn render_internal_v1(out: &mut String) {
-    out.push_str("ERR\tinternal: ");
-    out.push_str(INTERNAL_DETAIL);
-}
+const INTERNAL_DETAIL: &str = "internal error: the scoring worker failed on this batch";
 
 /// Renders the v2 `stats` command response (without trailing newline).
-/// `quant_bins` is the widest per-feature bin count of the served model's
-/// quantized mirrors, reported under `engine` (`null` when every model
-/// scores through its arena or is not a tree model).
-pub fn render_stats_v2(out: &mut String, stats: &MetricsSnapshot, quant_bins: Option<usize>) {
+fn render_stats_v2(out: &mut String, stats: &MetricsSnapshot, quant_bins: Option<usize>) {
     let s = &stats.scheduler;
     let _ = write!(
         out,
@@ -450,7 +456,7 @@ fn render_cache_stats_json(out: &mut String, c: &CacheStats) {
 /// Renders the v1 `stats` command response: one `stats\tkey=value\t…` line.
 /// The engine field (`quant_bins`, 0 for the arena) rides at the end so
 /// older clients that read a fixed prefix keep parsing.
-pub fn render_stats_v1(out: &mut String, stats: &MetricsSnapshot, quant_bins: Option<usize>) {
+fn render_stats_v1(out: &mut String, stats: &MetricsSnapshot, quant_bins: Option<usize>) {
     let s = &stats.scheduler;
     let c = stats.cache.unwrap_or_default();
     let _ = write!(
@@ -789,9 +795,9 @@ mod tests {
     fn string_escapes_round_trip() {
         let req = parse_request_v2(r#"{"id":"a\"b\\c\ndA","bytecode":"60"}"#, "0").expect("parses");
         assert_eq!(req.id, "a\"b\\c\ndA");
-        let mut line = String::new();
-        render_error_v2(&mut line, &req.id, "nope");
+        let line = Protocol::V2.render_error(&req.id, "nope");
         assert_eq!(line, r#"{"proto":2,"id":"a\"b\\c\ndA","error":"nope"}"#);
+        assert_eq!(Protocol::V1.render_error(&req.id, "nope"), "error\tnope");
     }
 
     #[test]
@@ -814,8 +820,12 @@ mod tests {
              {\"name\":\"LightGBM\",\"proba\":0.700000}]}"
         );
         assert!(line.starts_with("{\"proto\":2,"));
-        let mut v1 = String::new();
-        render_verdict_v1(&mut v1, 0.25);
+        let names = ["Random Forest".to_owned(), "LightGBM".to_owned()];
+        let v2 =
+            Protocol::V2.render_verdict("tx-9", None, 0.75, "hsc-ensemble/v1", &names, &[0.8, 0.7]);
+        assert_eq!(v2, line);
+        let v1 =
+            Protocol::V1.render_verdict("tx-9", None, 0.25, "hsc-ensemble/v1", &names, &[0.8, 0.7]);
         assert_eq!(v1, "benign\t0.250000");
     }
 
@@ -852,38 +862,42 @@ mod tests {
 
     #[test]
     fn overload_rendering_is_typed_in_both_framings() {
-        let mut v2 = String::new();
-        render_overload_v2(&mut v2, "9");
-        assert!(
-            v2.starts_with("{\"proto\":2,\"id\":\"9\",\"error\":"),
-            "{v2}"
+        let v2 = Protocol::V2.render_overload("9");
+        assert_eq!(
+            v2,
+            "{\"proto\":2,\"id\":\"9\",\"error\":\"server overloaded: the scheduler queue is full\",\"code\":\"overloaded\"}"
         );
-        assert!(v2.ends_with(",\"code\":\"overloaded\"}"), "{v2}");
-        let mut v1 = String::new();
-        render_overload_v1(&mut v1);
-        assert!(v1.starts_with("ERR\toverloaded: "), "{v1}");
+        let v1 = Protocol::V1.render_overload("9");
+        assert_eq!(
+            v1,
+            "ERR\toverloaded: server overloaded: the scheduler queue is full"
+        );
     }
 
     #[test]
     fn timeout_and_internal_rendering_is_typed_in_both_framings() {
-        let mut v2 = String::new();
-        render_timeout_v2(&mut v2, "late-1");
-        assert!(
-            v2.starts_with("{\"proto\":2,\"id\":\"late-1\",\"error\":"),
-            "{v2}"
+        let v2 = Protocol::V2.render_timeout("late-1");
+        assert_eq!(
+            v2,
+            "{\"proto\":2,\"id\":\"late-1\",\"error\":\"deadline exceeded before the request was scored\",\"code\":\"timeout\"}"
         );
-        assert!(v2.ends_with(",\"code\":\"timeout\"}"), "{v2}");
-        let mut v1 = String::new();
-        render_timeout_v1(&mut v1);
-        assert!(v1.starts_with("ERR\ttimeout: "), "{v1}");
+        let v1 = Protocol::V1.render_timeout("late-1");
+        assert_eq!(
+            v1,
+            "ERR\ttimeout: deadline exceeded before the request was scored"
+        );
 
-        let mut v2 = String::new();
-        render_internal_v2(&mut v2, "boom");
-        assert!(v2.ends_with(",\"code\":\"internal\"}"), "{v2}");
+        let v2 = Protocol::V2.render_internal("boom");
+        assert_eq!(
+            v2,
+            "{\"proto\":2,\"id\":\"boom\",\"error\":\"internal error: the scoring worker failed on this batch\",\"code\":\"internal\"}"
+        );
         assert!(v2.contains(INTERNAL_DETAIL), "{v2}");
-        let mut v1 = String::new();
-        render_internal_v1(&mut v1);
-        assert!(v1.starts_with("ERR\tinternal: "), "{v1}");
+        let v1 = Protocol::V1.render_internal("boom");
+        assert_eq!(
+            v1,
+            "ERR\tinternal: internal error: the scoring worker failed on this batch"
+        );
     }
 
     #[test]
@@ -909,8 +923,7 @@ mod tests {
             }),
             ..MetricsSnapshot::default()
         };
-        let mut v2 = String::new();
-        render_stats_v2(&mut v2, &snapshot, Some(256));
+        let v2 = Protocol::V2.render_stats(&snapshot, Some(256));
         assert!(
             v2.starts_with("{\"proto\":2,\"stats\":{\"scheduler\":{"),
             "{v2}"
@@ -919,8 +932,7 @@ mod tests {
         assert!(v2.contains("\"cache\":{\"hits\":4,\"misses\":6"), "{v2}");
         assert!(v2.contains("\"hit_rate\":0.400000"), "{v2}");
         assert!(v2.ends_with(",\"engine\":{\"quant_bins\":256}}}"), "{v2}");
-        let mut v1 = String::new();
-        render_stats_v1(&mut v1, &snapshot, Some(256));
+        let v1 = Protocol::V1.render_stats(&snapshot, Some(256));
         assert!(v1.starts_with("stats\thits=4\tmisses=6"), "{v1}");
         assert!(v1.contains("scored=8"), "{v1}");
         assert!(v1.ends_with("\tbatches=3\tquant_bins=256"), "{v1}");
@@ -931,12 +943,10 @@ mod tests {
             cache: None,
             ..snapshot
         };
-        let mut v2 = String::new();
-        render_stats_v2(&mut v2, &disabled, None);
+        let v2 = Protocol::V2.render_stats(&disabled, None);
         assert!(v2.contains("\"cache\":null"), "{v2}");
         assert!(v2.ends_with(",\"engine\":{\"quant_bins\":null}}}"), "{v2}");
-        let mut v1 = String::new();
-        render_stats_v1(&mut v1, &disabled, None);
+        let v1 = Protocol::V1.render_stats(&disabled, None);
         assert!(v1.contains("hits=0"), "{v1}");
         assert!(v1.ends_with("\tbatches=3\tquant_bins=0"), "{v1}");
     }

@@ -5,8 +5,8 @@
 //! and hands each to `submit` here.
 //!
 //! One HTTP connection is one scheduler connection. Every HTTP request
-//! routes **exactly one** response body through the scheduler's ordered
-//! per-connection router — a `/predict` body is submitted verbatim as a
+//! routes **exactly one** response body through the connection's ordered
+//! mailbox in the scheduler — a `/predict` body is submitted verbatim as a
 //! v2 JSONL line (so HTTP verdicts are bit-identical to JSONL verdicts,
 //! cache and all), while `/healthz`, `/metrics` and immediate rejections
 //! route an already-rendered body. `submit` returns the matching `Head`,

@@ -8,9 +8,9 @@
 //!
 //! ```text
 //!  conn readers ──┐                      ┌─ worker 0 ─┐   per-conn
-//!  (decode, cache │   bounded MPMC       │  batch ≤ B │   ordered
-//!   lookup, seq#) ├──▶ submit queue ────▶│  score via ├──▶ routers ──▶ writers
-//!  conn readers ──┘   (admission        │  Scanner    │   (seq-sorted)
+//!  (decode, cache │   bounded MPMC       │  batch ≤ B │   mailboxes
+//!   lookup, slot) ├──▶ submit queue ────▶│  score via ├──▶ (slot per ──▶ writers
+//!  conn readers ──┘   (admission        │  Scanner    │   request)
 //!                      control)          └─ worker N ─┘
 //! ```
 //!
@@ -27,10 +27,16 @@
 //!   ([`Admission::Shed`], the TCP path) answers queue-full with a typed
 //!   overload response instead of buffering without limit, while
 //!   [`Admission::Block`] (the stdin bulk path) applies backpressure.
-//! * **Ordered responses** — every request takes a per-connection sequence
-//!   number at submit; a per-connection router reassembles responses in
-//!   that order no matter how cache hits, inline errors and scored batches
-//!   interleave.
+//! * **Ordered responses** — every request opens a slot at the back of its
+//!   connection's mailbox at submit, and its answer fills that slot when
+//!   it routes; the writer takes answers only off the front, so they leave
+//!   in request order no matter how cache hits, inline errors and scored
+//!   batches interleave. The mailbox is also the flow-control window: a
+//!   submit waits while [`SchedulerOptions::max_outstanding`] slots are
+//!   open. Each job carries its mailbox, so routing an answer takes that
+//!   connection's lock alone — lanes share no lock on the way back — and
+//!   a worker fills a scored batch's answers for one connection under one
+//!   lock, waking its writer once.
 //! * **Graceful shutdown** — [`Scheduler::shutdown`] closes the queue (the
 //!   sentinel), workers drain every in-flight job, and only then join; no
 //!   admitted request is ever dropped.
@@ -40,7 +46,7 @@
 //! * **Worker supervision** — scoring runs under `catch_unwind`; a panicked
 //!   batch answers every in-flight request with a typed internal error, and
 //!   the supervisor respawns a fresh worker sibling (panic counter in
-//!   `/metrics`). One model bug never wedges the per-connection routers.
+//!   `/metrics`). One model bug never wedges a connection's mailbox.
 //! * **Deadlines** — [`SchedulerOptions::deadline_ms`] is enforced at
 //!   dequeue: a request that waited past its budget answers a typed
 //!   timeout without occupying model time.
@@ -61,7 +67,7 @@
 //!
 //! ```text
 //!                      ┌─ shard 0: queue ─▶ workers ─▶ cache slice ─┐
-//!  conn readers ──────▶│  shard 1: queue ─▶ workers ─▶ cache slice  ├─▶ routers
+//!  conn readers ──────▶│  shard 1: queue ─▶ workers ─▶ cache slice  ├─▶ mailboxes
 //!  (keccak digest      │  …                                         │
 //!   % N routing)       └─ shard N-1: …                              ┘
 //! ```
@@ -81,10 +87,10 @@ use crate::serve::ServeReport;
 use phishinghook_data::{Address, CodeSource, RetryPolicy, SharedChain};
 use phishinghook_evm::keccak::Digest;
 use phishinghook_models::{ResolveError, Scanner, Target};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of one scheduler (one serving process).
@@ -111,7 +117,7 @@ pub struct SchedulerOptions {
     /// duplicate entries.
     pub cache_bytes: usize,
     /// Per-connection flow-control window: the maximum responses a
-    /// connection may have outstanding (allocated but not yet received by
+    /// connection may have outstanding (submitted but not yet received by
     /// its writer). When reached, [`Connection::submit`] blocks — the
     /// reader stops consuming the socket, so a client that never reads its
     /// responses is back-pressured by TCP instead of growing daemon memory
@@ -231,7 +237,8 @@ pub struct SchedulerStats {
 
 /// One queued scoring job.
 struct Job {
-    conn: u64,
+    /// Where the answer goes: the submitting connection's mailbox.
+    mailbox: Arc<Mailbox>,
     seq: u64,
     id: String,
     /// The resolved address, echoed in the v2 response for address-form
@@ -282,105 +289,209 @@ pub enum ResponseKind {
     Internal,
 }
 
-/// Called after the router moves lines into, or closes, a connection's
-/// response channel — how an event loop that polls sockets learns that an
-/// in-process channel changed (see [`Scheduler::connect_with_wake`]).
+/// Called after a connection's mailbox fills its front slot or closes its
+/// stream — every change a receiver can see — so an event loop that polls
+/// sockets learns of it (see [`Scheduler::connect_with_wake`]).
 pub(crate) type WakeHook = Arc<dyn Fn() + Send + Sync>;
 
-struct ConnState {
-    /// `Some` while the writer is attached; dropped (closing the writer's
-    /// channel) once the connection is finished and fully drained.
-    tx: Option<mpsc::Sender<(String, ResponseKind)>>,
-    /// Poked after routing into or closing `tx`, outside the router lock.
+/// One connection's answers, from submit to delivery: slot `i` holds the
+/// answer to request `head + i`. A submit opens an empty slot at the back
+/// (waiting while `max_outstanding` slots are open), routing fills a slot
+/// wherever it sits, and the receiver pops filled slots off the front. So
+/// the slot count is the flow-control window, the empty slots are the
+/// reorder buffer, and the filled prefix is what the receiver may take.
+/// Every [`Job`] carries its connection's mailbox, so routing an answer
+/// takes that connection's lock and no other.
+struct Mailbox {
+    state: Mutex<MailboxState>,
+    /// A submitter waiting for a free slot parks here.
+    space: Condvar,
+    /// A receiver waiting for the front slot to fill parks here.
+    filled: Condvar,
+    max_outstanding: usize,
+    /// Run outside the lock after a change a receiver can see.
     wake: Option<WakeHook>,
-    next_seq: u64,
-    submitted_seqs: u64,
-    pending: BTreeMap<u64, (String, ResponseKind)>,
-    eof: bool,
-    /// Tallied as responses route; `secs` is left to the transport.
+}
+
+struct MailboxState {
+    /// The request number of the front slot.
+    head: u64,
+    slots: VecDeque<Option<(String, ResponseKind)>>,
+    /// No more requests: the stream ends once the last slot is popped.
+    finished: bool,
+    /// The [`Responses`] half was dropped: answers go nowhere.
+    receiver_gone: bool,
+    /// Threads parked on `space` and on `filled`, so that a change nobody
+    /// waits for costs no notify.
+    parked_submitters: usize,
+    parked_receivers: usize,
+    /// Tallied as answers route; `secs` is left to the transport.
     report: ServeReport,
 }
 
-/// Per-connection flow-control window: counts responses allocated but not
-/// yet received from the connection's [`Responses`] stream, and remembers
-/// whether that stream is still alive.
-struct Window {
-    state: Mutex<WindowState>,
-    changed: Condvar,
-}
-
-struct WindowState {
-    outstanding: usize,
-    receiver_alive: bool,
-}
-
-impl Window {
-    fn new() -> Self {
-        Window {
-            state: Mutex::new(WindowState {
-                outstanding: 0,
-                receiver_alive: true,
+impl Mailbox {
+    fn new(max_outstanding: usize, wake: Option<WakeHook>) -> Self {
+        Mailbox {
+            state: Mutex::new(MailboxState {
+                head: 0,
+                slots: VecDeque::new(),
+                finished: false,
+                receiver_gone: false,
+                parked_submitters: 0,
+                parked_receivers: 0,
+                report: ServeReport::default(),
             }),
-            changed: Condvar::new(),
+            space: Condvar::new(),
+            filled: Condvar::new(),
+            max_outstanding,
+            wake,
         }
     }
 
-    /// Claims one response slot, blocking while the window is full. `false`
-    /// when the receiver is gone (responses would go nowhere).
-    fn claim(&self, max_outstanding: usize) -> bool {
-        let mut state = self.state.lock().expect("window lock");
-        while state.receiver_alive && state.outstanding >= max_outstanding {
-            state = self.changed.wait(state).expect("window lock");
-        }
-        if !state.receiver_alive {
-            return false;
-        }
-        state.outstanding += 1;
-        true
+    fn lock(&self) -> std::sync::MutexGuard<'_, MailboxState> {
+        self.state.lock().expect("mailbox lock")
     }
 
-    fn release(&self) {
-        let mut state = self.state.lock().expect("window lock");
-        state.outstanding = state.outstanding.saturating_sub(1);
+    /// Opens the next slot, waiting while the window is full, and returns
+    /// its request number; `None` once the receiver is gone.
+    fn open(&self) -> Option<u64> {
+        let mut state = self.lock();
+        while !state.receiver_gone && state.slots.len() >= self.max_outstanding {
+            state.parked_submitters += 1;
+            state = self.space.wait(state).expect("mailbox lock");
+            state.parked_submitters -= 1;
+        }
+        if state.receiver_gone {
+            return None;
+        }
+        state.slots.push_back(None);
+        Some(state.head + state.slots.len() as u64 - 1)
+    }
+
+    /// Fills each `(seq, line, settle)` answer's slot and tallies it, all
+    /// under one lock. Filling the front slot makes answers deliverable,
+    /// so the receiver is woken once for the lot — a worker routes a scored
+    /// batch's answers to each connection in one call.
+    fn fill(&self, answers: impl IntoIterator<Item = (u64, String, Settle)>) {
+        let mut state = self.lock();
+        let mut front = false;
+        for (seq, line, settle) in answers {
+            let kind = match &settle {
+                Settle::Scored { .. } => ResponseKind::Verdict,
+                Settle::Error => ResponseKind::Error,
+                Settle::Overload => ResponseKind::Overload,
+                Settle::Timeout => ResponseKind::Timeout,
+                Settle::Internal => ResponseKind::Internal,
+                Settle::Stats => ResponseKind::Inline,
+            };
+            let report = &mut state.report;
+            match settle {
+                Settle::Scored { bytes, cached } => {
+                    report.contracts += 1;
+                    report.bytes += bytes;
+                    if cached {
+                        report.cache_hits += 1;
+                    } else {
+                        report.cache_misses += 1;
+                    }
+                }
+                Settle::Error | Settle::Timeout | Settle::Internal => report.errors += 1,
+                Settle::Overload => report.overloads += 1,
+                Settle::Stats => {}
+            }
+            let index = (seq - state.head) as usize;
+            state.slots[index] = Some((line, kind));
+            front |= index == 0;
+        }
+        let deliverable = front && !state.receiver_gone;
+        let notify = deliverable && state.parked_receivers > 0;
         drop(state);
-        self.changed.notify_one();
+        if notify {
+            self.filled.notify_all();
+        }
+        if deliverable {
+            self.wake();
+        }
     }
 
-    fn close(&self) {
-        self.state.lock().expect("window lock").receiver_alive = false;
-        self.changed.notify_all();
+    /// Ends the requests. With every answer already taken, that ends the
+    /// stream, which the receiver sees. Idempotent.
+    fn finish(&self) {
+        let mut state = self.lock();
+        if state.finished {
+            return;
+        }
+        state.finished = true;
+        let closed = state.slots.is_empty() && !state.receiver_gone;
+        drop(state);
+        if closed {
+            self.filled.notify_all();
+            self.wake();
+        }
+    }
+
+    /// Pops the front slot once it is filled. `block` waits for it, and
+    /// never returns [`PolledResponse::Empty`].
+    fn take(&self, block: bool) -> PolledResponse {
+        let mut state = self.lock();
+        loop {
+            if state.slots.front().is_some_and(Option::is_some) {
+                let (line, kind) = state.slots.pop_front().flatten().expect("filled front");
+                state.head += 1;
+                let notify = state.parked_submitters > 0;
+                drop(state);
+                if notify {
+                    self.space.notify_one();
+                }
+                return PolledResponse::Ready(line, kind);
+            }
+            if state.finished && state.slots.is_empty() {
+                return PolledResponse::Closed;
+            }
+            if !block {
+                return PolledResponse::Empty;
+            }
+            state.parked_receivers += 1;
+            state = self.filled.wait(state).expect("mailbox lock");
+            state.parked_receivers -= 1;
+        }
+    }
+
+    /// The receiver left: a parked submitter wakes to disconnect.
+    fn drop_receiver(&self) {
+        self.lock().receiver_gone = true;
+        self.space.notify_all();
+    }
+
+    fn wake(&self) {
+        if let Some(wake) = &self.wake {
+            wake();
+        }
     }
 }
 
 /// The in-order response stream of one connection (the writer side of
-/// [`Scheduler::connect`]). Receiving a line credits the connection's
-/// flow-control window; dropping the stream unblocks and disconnects the
-/// submit side.
+/// [`Scheduler::connect`]). Taking an answer frees its slot in the
+/// connection's flow-control window; dropping the stream unblocks and
+/// disconnects the submit side.
 pub struct Responses {
-    rx: mpsc::Receiver<(String, ResponseKind)>,
-    window: Arc<Window>,
+    mailbox: Arc<Mailbox>,
 }
 
 impl Responses {
     /// The next response line, in request order; `None` once the
     /// connection is finished and fully drained.
     pub fn recv(&self) -> Option<String> {
-        let (line, _) = self.rx.recv().ok()?;
-        self.window.release();
-        Some(line)
+        match self.mailbox.take(true) {
+            PolledResponse::Ready(line, _) => Some(line),
+            _ => None,
+        }
     }
 
     /// Nonblocking receive that distinguishes "nothing yet" from "stream
     /// ended" — what an event loop needs.
     pub fn poll(&self) -> PolledResponse {
-        match self.rx.try_recv() {
-            Ok((line, kind)) => {
-                self.window.release();
-                PolledResponse::Ready(line, kind)
-            }
-            Err(mpsc::TryRecvError::Empty) => PolledResponse::Empty,
-            Err(mpsc::TryRecvError::Disconnected) => PolledResponse::Closed,
-        }
+        self.mailbox.take(false)
     }
 
     /// Iterates responses in request order until the stream ends.
@@ -408,69 +519,7 @@ impl std::fmt::Debug for Responses {
 
 impl Drop for Responses {
     fn drop(&mut self) {
-        self.window.close();
-    }
-}
-
-struct Router {
-    conns: Mutex<HashMap<u64, ConnState>>,
-    next_id: AtomicU64,
-}
-
-impl Router {
-    /// Routes one response line, releasing every line that is now in
-    /// per-connection order, and tallies it into the connection's report.
-    /// When that moved lines into the connection's channel or closed it,
-    /// the connection's wake hook runs once the router lock is released.
-    fn complete(&self, conn: u64, seq: u64, line: String, settle: Settle) {
-        let kind = match &settle {
-            Settle::Scored { .. } => ResponseKind::Verdict,
-            Settle::Error => ResponseKind::Error,
-            Settle::Overload => ResponseKind::Overload,
-            Settle::Timeout => ResponseKind::Timeout,
-            Settle::Internal => ResponseKind::Internal,
-            Settle::Stats => ResponseKind::Inline,
-        };
-        let mut conns = self.conns.lock().expect("router lock");
-        let Some(state) = conns.get_mut(&conn) else {
-            return; // report already taken (connection torn down)
-        };
-        match settle {
-            Settle::Scored { bytes, cached } => {
-                state.report.contracts += 1;
-                state.report.bytes += bytes;
-                if cached {
-                    state.report.cache_hits += 1;
-                } else {
-                    state.report.cache_misses += 1;
-                }
-            }
-            Settle::Error | Settle::Timeout | Settle::Internal => state.report.errors += 1,
-            Settle::Overload => state.report.overloads += 1,
-            Settle::Stats => {}
-        }
-        state.pending.insert(seq, (line, kind));
-        let routed_from = state.next_seq;
-        while let Some(ready) = state.pending.remove(&state.next_seq) {
-            if let Some(tx) = &state.tx {
-                // A dead writer only means the lines go nowhere; ordering
-                // bookkeeping still advances so shutdown can drain.
-                let _ = tx.send(ready);
-            }
-            state.next_seq += 1;
-        }
-        if state.eof && state.next_seq == state.submitted_seqs {
-            state.tx = None; // closes the writer's channel
-        }
-        // Closing only ever follows routing the last line, so a moved line
-        // covers both.
-        let wake = (state.next_seq != routed_from)
-            .then(|| state.wake.clone())
-            .flatten();
-        drop(conns);
-        if let Some(wake) = wake {
-            wake();
-        }
+        self.mailbox.drop_receiver();
     }
 }
 
@@ -510,7 +559,6 @@ pub struct ShardStats {
 
 struct Shared {
     shards: Vec<Shard>,
-    router: Router,
     /// Model names in per-model order — fixed for the process lifetime.
     names: Vec<String>,
     model_version: String,
@@ -698,10 +746,6 @@ impl Scheduler {
             .collect();
         let shared = Arc::new(Shared {
             shards,
-            router: Router {
-                conns: Mutex::new(HashMap::new()),
-                next_id: AtomicU64::new(0),
-            },
             names: scanner.model_names(),
             model_version: scanner.model_version().to_owned(),
             model_name: scanner.model_name().to_owned(),
@@ -754,62 +798,26 @@ impl Scheduler {
     }
 
     /// [`Scheduler::connect`] for a transport that parks in `poll(2)`:
-    /// `wake` runs whenever the router moves lines into, or closes, this
-    /// connection's response channel — from a worker, a deadline or drain
-    /// answer, or an inline answer — so the transport never has to tick to
-    /// notice a routed response. It runs outside the router lock and must
-    /// not block.
+    /// `wake` runs whenever this connection's mailbox fills its front slot
+    /// or closes its stream — from a worker, a deadline or drain answer, an
+    /// inline answer, or [`Connection::finish`] — so the transport never
+    /// has to tick to notice a routed response. It runs outside the mailbox
+    /// lock and must not block.
     pub(crate) fn connect_with_wake(
         &self,
         proto: Protocol,
         wake: Option<WakeHook>,
     ) -> (Connection, Responses) {
-        let (tx, rx) = mpsc::channel();
-        let window = Arc::new(Window::new());
-        let id = self.shared.router.next_id.fetch_add(1, Ordering::Relaxed);
         self.shared.metrics.inc_connections();
-        self.shared
-            .router
-            .conns
-            .lock()
-            .expect("router lock")
-            .insert(
-                id,
-                ConnState {
-                    tx: Some(tx),
-                    wake,
-                    next_seq: 0,
-                    submitted_seqs: 0,
-                    pending: BTreeMap::new(),
-                    eof: false,
-                    report: ServeReport::default(),
-                },
-            );
+        let mailbox = Arc::new(Mailbox::new(self.shared.max_outstanding, wake));
         (
             Connection {
                 shared: Arc::clone(&self.shared),
-                window: Arc::clone(&window),
-                id,
+                mailbox: Arc::clone(&mailbox),
                 proto,
-                seq: 0,
-                finished: false,
             },
-            Responses { rx, window },
+            Responses { mailbox },
         )
-    }
-
-    /// Removes a finished connection's state and returns its tallies, with
-    /// `secs` left at zero for the transport to fill in. Call after the
-    /// writer has drained (the response channel closed).
-    pub fn take_report(&self, conn_id: u64) -> ServeReport {
-        self.shared
-            .router
-            .conns
-            .lock()
-            .expect("router lock")
-            .remove(&conn_id)
-            .map(|state| state.report)
-            .unwrap_or_default()
     }
 
     /// The full metrics snapshot (what `/metrics` exports and the `stats`
@@ -927,19 +935,15 @@ impl Drop for Scheduler {
 /// The submit side of one registered connection (single-reader).
 pub struct Connection {
     shared: Arc<Shared>,
-    window: Arc<Window>,
-    id: u64,
+    mailbox: Arc<Mailbox>,
     proto: Protocol,
-    seq: u64,
-    finished: bool,
 }
 
 impl std::fmt::Debug for Connection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Connection")
-            .field("id", &self.id)
             .field("proto", &self.proto)
-            .field("submitted", &self.seq)
+            .field("report", &self.report())
             .finish()
     }
 }
@@ -969,16 +973,17 @@ pub enum SubmitOutcome {
 }
 
 impl Connection {
-    /// This connection's id (the key for [`Scheduler::take_report`]).
-    pub fn id(&self) -> u64 {
-        self.id
+    /// This connection's tallies so far, with `secs` left at zero for the
+    /// transport to fill in; final once its [`Responses`] stream has ended.
+    pub fn report(&self) -> ServeReport {
+        self.mailbox.lock().report
     }
 
     /// The scheduler's per-connection flow-control window — the poll loop
     /// caps its own in-flight count below this so [`Connection::submit`]
-    /// can never block a single-threaded event loop in `Window::claim`.
+    /// can never block a single-threaded event loop on a full mailbox.
     pub(crate) fn max_outstanding(&self) -> usize {
-        self.shared.max_outstanding
+        self.mailbox.max_outstanding
     }
 
     /// Decodes one request line under the connection's protocol and routes
@@ -995,20 +1000,14 @@ impl Connection {
         if trimmed.is_empty() {
             return SubmitOutcome::Ignored;
         }
-        let Some(seq) = self.allocate_seq() else {
+        let Some(seq) = self.mailbox.open() else {
             return SubmitOutcome::Disconnected;
         };
         if trimmed == proto::STATS_COMMAND {
-            let snapshot = self.shared.metrics_snapshot();
-            let bins = self.shared.quant_bins;
-            let mut out = String::new();
-            match self.proto {
-                Protocol::V1 => proto::render_stats_v1(&mut out, &snapshot, bins),
-                Protocol::V2 => proto::render_stats_v2(&mut out, &snapshot, bins),
-            }
-            self.shared
-                .router
-                .complete(self.id, seq, out, Settle::Stats);
+            let out = self
+                .proto
+                .render_stats(&self.shared.metrics_snapshot(), self.shared.quant_bins);
+            self.mailbox.fill([(seq, out, Settle::Stats)]);
             return SubmitOutcome::Stats;
         }
 
@@ -1058,7 +1057,7 @@ impl Connection {
             Framed::Line(line) => return self.submit(&String::from_utf8_lossy(line), admission),
             Framed::Oversized(line_bytes) => line_bytes,
         };
-        let Some(seq) = self.allocate_seq() else {
+        let Some(seq) = self.mailbox.open() else {
             return SubmitOutcome::Disconnected;
         };
         let msg = proto::oversized_line_message(line_bytes);
@@ -1070,19 +1069,15 @@ impl Connection {
     /// immediate-reject paths — they must interleave in request order with
     /// scored verdicts on the same connection).
     pub(crate) fn submit_rendered(&mut self, line: String, is_error: bool) -> SubmitOutcome {
-        let Some(seq) = self.allocate_seq() else {
+        let Some(seq) = self.mailbox.open() else {
             return SubmitOutcome::Disconnected;
         };
         if is_error {
             self.shared.metrics.inc_errors();
-            self.shared
-                .router
-                .complete(self.id, seq, line, Settle::Error);
+            self.mailbox.fill([(seq, line, Settle::Error)]);
             SubmitOutcome::Error
         } else {
-            self.shared
-                .router
-                .complete(self.id, seq, line, Settle::Stats);
+            self.mailbox.fill([(seq, line, Settle::Stats)]);
             SubmitOutcome::Stats
         }
     }
@@ -1090,14 +1085,8 @@ impl Connection {
     /// Answers a decode failure inline with the framing's error response.
     fn route_error(&mut self, seq: u64, id: &str, msg: &str) -> SubmitOutcome {
         self.shared.metrics.inc_errors();
-        let mut out = String::new();
-        match self.proto {
-            Protocol::V1 => proto::render_error_v1(&mut out, msg),
-            Protocol::V2 => proto::render_error_v2(&mut out, id, msg),
-        }
-        self.shared
-            .router
-            .complete(self.id, seq, out, Settle::Error);
+        let out = self.proto.render_error(id, msg);
+        self.mailbox.fill([(seq, out, Settle::Error)]);
         SubmitOutcome::Error
     }
 
@@ -1163,8 +1152,7 @@ impl Connection {
         let shard = &self.shared.shards[shard_idx];
         if let (Some(cache), Some(hash)) = (&shard.cache, hash) {
             if let Some(verdict) = cache.lookup(&hash) {
-                let line = render_verdict(
-                    self.proto,
+                let line = self.proto.render_verdict(
                     &id,
                     address.as_ref(),
                     verdict.proba,
@@ -1175,15 +1163,11 @@ impl Connection {
                 // Recorded before routing, so a `/metrics` scrape that
                 // follows the client's read of this answer counts it.
                 self.shared.metrics.record_latency(t0.elapsed());
-                self.shared.router.complete(
-                    self.id,
-                    seq,
-                    line,
-                    Settle::Scored {
-                        bytes: code.len() as u64,
-                        cached: true,
-                    },
-                );
+                let settle = Settle::Scored {
+                    bytes: code.len() as u64,
+                    cached: true,
+                };
+                self.mailbox.fill([(seq, line, settle)]);
                 return SubmitOutcome::CacheHit;
             }
         }
@@ -1202,21 +1186,15 @@ impl Connection {
                     // The cache already missed (or is off): refuse typed
                     // rather than deepen the queue the tier exists to save.
                     self.shared.metrics.inc_overloads();
-                    let mut out = String::new();
-                    match self.proto {
-                        Protocol::V1 => proto::render_overload_v1(&mut out),
-                        Protocol::V2 => proto::render_overload_v2(&mut out, &id),
-                    }
-                    self.shared
-                        .router
-                        .complete(self.id, seq, out, Settle::Overload);
+                    let out = self.proto.render_overload(&id);
+                    self.mailbox.fill([(seq, out, Settle::Overload)]);
                     return SubmitOutcome::Overloaded;
                 }
             },
         };
 
         let job = Job {
-            conn: self.id,
+            mailbox: Arc::clone(&self.mailbox),
             seq,
             id,
             address,
@@ -1240,50 +1218,18 @@ impl Connection {
             Some(job) => {
                 self.shared.metrics.dec_submitted();
                 self.shared.metrics.inc_overloads();
-                let mut out = String::new();
-                match self.proto {
-                    Protocol::V1 => proto::render_overload_v1(&mut out),
-                    Protocol::V2 => proto::render_overload_v2(&mut out, &job.id),
-                }
-                self.shared
-                    .router
-                    .complete(self.id, job.seq, out, Settle::Overload);
+                let out = self.proto.render_overload(&job.id);
+                self.mailbox.fill([(job.seq, out, Settle::Overload)]);
                 SubmitOutcome::Overloaded
             }
         }
     }
 
-    /// Marks the request stream as ended. Once every outstanding response
-    /// has been routed, the writer's channel closes. Idempotent; also runs
-    /// on drop.
+    /// Marks the request stream as ended: once every response has been
+    /// received, the [`Responses`] stream ends. Idempotent; also runs on
+    /// drop.
     pub fn finish(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        let mut conns = self.shared.router.conns.lock().expect("router lock");
-        if let Some(state) = conns.get_mut(&self.id) {
-            state.eof = true;
-            if state.next_seq == state.submitted_seqs {
-                state.tx = None;
-            }
-        }
-    }
-
-    /// Claims a flow-control slot (blocking while the window is full) and
-    /// allocates the next sequence number; `None` when the response stream
-    /// is gone.
-    fn allocate_seq(&mut self) -> Option<u64> {
-        if !self.window.claim(self.shared.max_outstanding) {
-            return None;
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        let mut conns = self.shared.router.conns.lock().expect("router lock");
-        if let Some(state) = conns.get_mut(&self.id) {
-            state.submitted_seqs = self.seq;
-        }
-        Some(seq)
+        self.mailbox.finish();
     }
 }
 
@@ -1293,42 +1239,11 @@ impl Drop for Connection {
     }
 }
 
-fn render_verdict(
-    proto: Protocol,
-    id: &str,
-    address: Option<&Address>,
-    proba: f64,
-    model_version: &str,
-    names: &[String],
-    per_model: &[f64],
-) -> String {
-    let mut out = String::with_capacity(64);
-    match proto {
-        Protocol::V1 => proto::render_verdict_v1(&mut out, proba),
-        Protocol::V2 => proto::render_verdict_v2(
-            &mut out,
-            id,
-            address,
-            proba,
-            model_version,
-            names,
-            per_model,
-        ),
-    }
-    out
-}
-
 /// Answers one dequeued job with the framing's typed timeout response.
 fn answer_timeout(shared: &Shared, job: &Job) {
     shared.metrics.inc_timeouts();
-    let mut out = String::new();
-    match job.proto {
-        Protocol::V1 => proto::render_timeout_v1(&mut out),
-        Protocol::V2 => proto::render_timeout_v2(&mut out, &job.id),
-    }
-    shared
-        .router
-        .complete(job.conn, job.seq, out, Settle::Timeout);
+    let out = job.proto.render_timeout(&job.id);
+    job.mailbox.fill([(job.seq, out, Settle::Timeout)]);
 }
 
 /// One worker, bound to one shard: take whatever that shard's queue holds
@@ -1400,86 +1315,87 @@ fn worker_loop(shared: &Shared, shard_idx: usize, mut scanner: Scanner, batch: u
             Ok(result) => result,
             Err(_) => {
                 // The batch is poisoned; every rider gets a typed internal
-                // error so no router slot is left waiting, and the
+                // error so no mailbox slot is left waiting, and the
                 // supervisor replaces this worker with a fresh sibling.
                 shared.metrics.inc_worker_panics();
-                for job in &jobs {
-                    let mut out = String::new();
-                    match job.proto {
-                        Protocol::V1 => proto::render_internal_v1(&mut out),
-                        Protocol::V2 => proto::render_internal_v2(&mut out, &job.id),
-                    }
-                    shared
-                        .router
-                        .complete(job.conn, job.seq, out, Settle::Internal);
-                }
+                let answers = jobs
+                    .iter()
+                    .map(|job| (job.proto.render_internal(&job.id), Settle::Internal));
+                route(&jobs, answers);
                 return false;
             }
         };
         shared.metrics.inc_batches();
         shared.metrics.inc_scored(jobs.len() as u64);
 
-        let mut member_probas = vec![0.0f64; per_model.len()];
-        for (row, &i) in full_rows.iter().enumerate() {
-            let job = &jobs[i];
-            for (m, (_, probs)) in per_model.iter().enumerate() {
-                member_probas[m] = probs[row];
-            }
-            if let (Some(cache), Some(hash)) = (&shard.cache, job.hash) {
-                cache.insert(
-                    hash,
-                    CachedVerdict {
-                        proba: combined[row],
-                        per_model: member_probas.clone(),
-                    },
-                );
-            }
-            let line = render_verdict(
-                job.proto,
-                &job.id,
-                job.address.as_ref(),
-                combined[row],
-                &shared.model_version,
-                &shared.names,
-                &member_probas,
-            );
-            // Recorded before routing (see the cache-hit path).
-            shared.metrics.record_latency(job.t0.elapsed());
-            shared.router.complete(
-                job.conn,
-                job.seq,
-                line,
-                Settle::Scored {
-                    bytes: job.code.len() as u64,
-                    cached: false,
-                },
-            );
-        }
         // Degraded verdicts report the one member they ran and never enter
         // the cache: a later hit must replay full-ensemble bits.
         let degraded_names = [primary_name];
-        for (row, &i) in degraded_rows.iter().enumerate() {
-            let job = &jobs[i];
-            let line = render_verdict(
-                job.proto,
-                &job.id,
-                job.address.as_ref(),
-                primary[row],
-                &shared.model_version,
-                &degraded_names,
-                &primary[row..=row],
-            );
-            shared.metrics.record_latency(job.t0.elapsed());
-            shared.router.complete(
-                job.conn,
-                job.seq,
-                line,
-                Settle::Scored {
+        let mut member_probas = vec![0.0f64; per_model.len()];
+        let (mut full_row, mut degraded_row) = (0, 0);
+        let answers: Vec<(String, Settle)> = jobs
+            .iter()
+            .map(|job| {
+                let line = if job.degraded {
+                    let row = degraded_row;
+                    degraded_row += 1;
+                    job.proto.render_verdict(
+                        &job.id,
+                        job.address.as_ref(),
+                        primary[row],
+                        &shared.model_version,
+                        &degraded_names,
+                        &primary[row..=row],
+                    )
+                } else {
+                    let row = full_row;
+                    full_row += 1;
+                    for (m, (_, probs)) in per_model.iter().enumerate() {
+                        member_probas[m] = probs[row];
+                    }
+                    if let (Some(cache), Some(hash)) = (&shard.cache, job.hash) {
+                        cache.insert(
+                            hash,
+                            CachedVerdict {
+                                proba: combined[row],
+                                per_model: member_probas.clone(),
+                            },
+                        );
+                    }
+                    job.proto.render_verdict(
+                        &job.id,
+                        job.address.as_ref(),
+                        combined[row],
+                        &shared.model_version,
+                        &shared.names,
+                        &member_probas,
+                    )
+                };
+                // Recorded before routing (see the cache-hit path).
+                shared.metrics.record_latency(job.t0.elapsed());
+                let settle = Settle::Scored {
                     bytes: job.code.len() as u64,
                     cached: false,
-                },
-            );
-        }
+                };
+                (line, settle)
+            })
+            .collect();
+        route(&jobs, answers);
+    }
+}
+
+/// Routes one batch's answers, the i-th to `jobs[i]`: each run of jobs
+/// from the same connection fills its mailbox under one lock, with one
+/// wake-up for the run.
+fn route(jobs: &[Job], answers: impl IntoIterator<Item = (String, Settle)>) {
+    let mut routed = jobs.iter().zip(answers).peekable();
+    while let Some((job, (line, settle))) = routed.next() {
+        let run = std::iter::from_fn(|| {
+            routed.next_if(|(next, _)| Arc::ptr_eq(&next.mailbox, &job.mailbox))
+        });
+        let answers = run.map(|(job, (line, settle))| (job.seq, line, settle));
+        job.mailbox
+            .fill(std::iter::once((job.seq, line, settle)).chain(answers));
     }
 }
 
@@ -1508,9 +1424,7 @@ mod tests {
             conn.submit(line, Admission::Block);
         }
         conn.finish();
-        let out: Vec<String> = rx.iter().collect();
-        scheduler.take_report(conn.id());
-        out
+        rx.iter().collect()
     }
 
     #[test]
@@ -1642,7 +1556,7 @@ mod tests {
             }
         }
         assert_eq!(typed, overloads);
-        let report = scheduler.take_report(conn.id());
+        let report = conn.report();
         assert_eq!(report.overloads, overloads as u64);
         assert_eq!(report.contracts + report.overloads, outcomes.len() as u64);
         let stats = scheduler.shutdown();
@@ -1704,34 +1618,70 @@ mod tests {
         // A tiny window: the submitter must block until the receiver
         // drains, yet every request still gets exactly one response —
         // bounded memory for a slow writer, no losses.
+        use std::sync::atomic::AtomicUsize;
+        const WINDOW: usize = 3;
         let (input, codes) = probe_lines(20);
         let windowed = SchedulerOptions {
-            max_outstanding: 3,
+            max_outstanding: WINDOW,
             cache_bytes: 0,
             ..opts()
         };
         let scheduler = Scheduler::new(scanner(), &windowed);
         let (mut conn, rx) = scheduler.connect(Protocol::V1);
+        let submitted = AtomicUsize::new(0);
         let lines = std::thread::scope(|scope| {
+            let submitted = &submitted;
             let submitter = scope.spawn(move || {
                 for line in input.lines() {
                     assert_ne!(
                         conn.submit(line, Admission::Block),
                         SubmitOutcome::Disconnected
                     );
+                    submitted.fetch_add(1, Ordering::SeqCst);
                 }
                 conn.finish();
             });
             // Drain slowly from this thread; the submitter can never be
-            // more than 3 responses ahead.
+            // more than WINDOW responses ahead of what was received.
             let mut lines = Vec::new();
             while let Some(line) = rx.recv() {
                 lines.push(line);
+                let ahead = submitted.load(Ordering::SeqCst) - lines.len();
+                assert!(ahead <= WINDOW, "{ahead} responses outstanding");
+                std::thread::sleep(Duration::from_millis(1));
             }
             submitter.join().expect("submitter");
             lines
         });
         assert_eq!(lines.len(), codes.len());
+    }
+
+    #[test]
+    fn late_answers_to_a_dropped_receiver_go_nowhere() {
+        // One worker scoring one-row batches falls behind a dozen lossless
+        // submits, and the receiver leaves while most of them still wait in
+        // the queue. Their answers fill a mailbox nobody reads: no panic,
+        // every job is still scored, and the submit side is disconnected.
+        let (input, codes) = probe_lines(12);
+        let slow = SchedulerOptions {
+            batch: 1,
+            workers: 1,
+            cache_bytes: 0,
+            ..opts()
+        };
+        let scheduler = Scheduler::new(scanner(), &slow);
+        let (mut conn, rx) = scheduler.connect(Protocol::V2);
+        for line in input.lines() {
+            assert_eq!(conn.submit(line, Admission::Block), SubmitOutcome::Queued);
+        }
+        drop(rx);
+        let stats = scheduler.shutdown();
+        assert_eq!(stats.scheduler.scored, codes.len() as u64);
+        let line = input.lines().next().expect("probe");
+        assert_eq!(
+            conn.submit(line, Admission::Block),
+            SubmitOutcome::Disconnected
+        );
     }
 
     #[test]
@@ -1751,7 +1701,7 @@ mod tests {
         );
         // Nothing was routed or counted for the dead connection.
         conn.finish();
-        let report = scheduler.take_report(conn.id());
+        let report = conn.report();
         assert_eq!(report, ServeReport::default());
     }
 

@@ -192,7 +192,6 @@ pub fn serve_lines(
 ) -> io::Result<ServeReport> {
     let t0 = Instant::now();
     let (mut conn, rx) = scheduler.connect(proto);
-    let conn_id = conn.id();
 
     let (writer_result, read_error) = std::thread::scope(|scope| {
         let writer = scope.spawn(move || -> io::Result<()> {
@@ -201,7 +200,7 @@ pub fn serve_lines(
             // batch costs one syscall, while an interactive session still
             // flushes per line. The buffer is ours because the sink may
             // not have one worth the name: std's `Stdout` is line-buffered
-            // and would write(2) every line. Every recv credits the
+            // and would write(2) every line. Every recv frees a slot in the
             // connection's flow-control window; on an output error this
             // returns early, dropping the stream, which disconnects
             // (unblocks) the submit side.
@@ -243,7 +242,7 @@ pub fn serve_lines(
         (writer.join().expect("writer thread"), read_error)
     });
 
-    let mut report = scheduler.take_report(conn_id);
+    let mut report = conn.report();
     writer_result?;
     if let Some(e) = read_error {
         return Err(e);

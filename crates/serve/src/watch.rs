@@ -136,7 +136,6 @@ pub fn run_watch(scanner: &Scanner, opts: &WatchOptions) -> WatchReport {
     let chain = SharedChain::new();
     let scheduler = Scheduler::with_chain(scanner, opts.serve.scheduler(), Some(chain.clone()));
     let (mut conn, rx) = scheduler.connect(Protocol::V2);
-    let conn_id = conn.id();
 
     let mut unique: HashSet<Digest> = HashSet::new();
     let mut report = WatchReport::default();
@@ -179,7 +178,7 @@ pub fn run_watch(scanner: &Scanner, opts: &WatchOptions) -> WatchReport {
     report.events = opts.events as u64;
     report.blocks = if opts.events == 0 { 0 } else { last_block + 1 };
     report.unique_bytecodes = unique.len() as u64;
-    let conn_report = scheduler.take_report(conn_id);
+    let conn_report = conn.report();
     report.cache_hits = conn_report.cache_hits;
     report.cache_misses = conn_report.cache_misses;
     report.bytes = conn_report.bytes;

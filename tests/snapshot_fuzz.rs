@@ -1,6 +1,7 @@
 //! Snapshot bytes are untrusted input: a restore must end in a typed
-//! [`PersistError`] or in a model that scores without panicking, whatever
-//! the payload holds.
+//! [`PersistError`] or in a model that scores without panicking, and
+//! every probability it scores — combined and per member — must lie in
+//! [0, 1], whatever the payload holds.
 //!
 //! The CRC-32 trailer only catches accidental corruption, so this fuzzer
 //! goes behind it. It mutates the payloads of real snapshots (bit flips,
@@ -205,7 +206,8 @@ fn mutate(snapshot: &Opened, rng: &mut Rng) -> (Vec<u8>, String) {
 }
 
 /// Restores `CASES` mutated copies of `spec`'s snapshot and scores
-/// `probes` with each one that loads; returns how many loaded.
+/// `probes` with each one that loads, requiring probabilities; returns
+/// how many loaded.
 fn fuzz(spec: &str, snapshot: &[u8], probes: &[&[u8]], seed: u64) -> u64 {
     let opened = Opened::open(snapshot);
     assert_eq!(
@@ -218,7 +220,8 @@ fn fuzz(spec: &str, snapshot: &[u8], probes: &[&[u8]], seed: u64) -> u64 {
     for case in 0..CASES {
         let (bytes, what) = mutate(&opened, &mut rng);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            Scanner::from_snapshot_bytes(&bytes).map(|scanner| scanner.worker().score_batch(probes))
+            Scanner::from_snapshot_bytes(&bytes)
+                .map(|scanner| scanner.worker().score_with_members(probes))
         }));
         match outcome {
             Err(_) => panic!("{spec}, case {case}: {what} panicked"),
@@ -226,8 +229,18 @@ fn fuzz(spec: &str, snapshot: &[u8], probes: &[&[u8]], seed: u64) -> u64 {
                 panic!("{spec}, case {case}: {what} was not re-sealed")
             }
             Ok(Err(_)) => {}
-            Ok(Ok(scores)) => {
-                assert_eq!(scores.len(), probes.len(), "{spec}, case {case}: {what}");
+            Ok(Ok((combined, members))) => {
+                assert_eq!(combined.len(), probes.len(), "{spec}, case {case}: {what}");
+                let scores = members.iter().map(|(name, p)| (name.as_str(), p));
+                for (name, probas) in std::iter::once(("combined", &combined)).chain(scores) {
+                    assert_eq!(probas.len(), probes.len(), "{spec}, case {case}: {what}");
+                    for p in probas {
+                        assert!(
+                            (0.0..=1.0).contains(p),
+                            "{spec}, case {case}: {what}: {name} scored {p}"
+                        );
+                    }
+                }
                 loaded += 1;
             }
         }
