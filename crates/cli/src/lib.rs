@@ -96,7 +96,7 @@ USAGE:
                                                trained on --train first)
   phishinghook scan     <dataset.csv> <hex…>   train Random Forest, classify bytecodes
   phishinghook serve    --model <snap-or-spec> [--train <dataset.csv>] [--proto v1|v2]
-                        [--shards <n>] [--batch <n>] [--workers <n>]
+                        [--shards <n>] [--batch <n>]
                         [--queue-depth <n>] [--cache-bytes <n>] [--tcp <addr>]
                         [--http <addr>] [--chain <dataset.csv>] [--max-conns <n>]
                         [--accept <n>] [--deadline-ms <n>] [--drain-ms <n>]
@@ -109,7 +109,7 @@ USAGE:
                                                micro-batching, keccak-keyed verdict
                                                cache, typed overload
   phishinghook watch    --model <snap-or-spec> [--train <dataset.csv>] [--events <n>]
-                        [--templates <n>] [--seed <n>] [--batch <n>] [--workers <n>]
+                        [--templates <n>] [--seed <n>] [--batch <n>]
                         [--cache-bytes <n>] [--quick]
                                                score a simulated chain-deployment
                                                firehose through the serving core
@@ -133,8 +133,9 @@ verdict cache; the `stats` request line reports scheduler/cache counters.
 Prometheus GET /metrics) over the same scheduler and cache as the JSONL
 front-ends; --chain loads a dataset as the eth_getCode source so
 address-form requests ({\"address\":\"0x…\"}) resolve to deployed bytecode.
---shards splits the scheduler into independent lanes (queue + workers +
-cache slice), routed by code-hash digest. --workers counts per lane.
+--shards splits the scheduler into independent lanes (queue + one scoring
+thread + cache slice), routed by code-hash digest; it defaults to the
+cores the process may use.
 Robustness: --deadline-ms answers requests that waited too long with a
 typed timeout (504 over HTTP); --drain-ms caps the shutdown drain;
 --retry-attempts bounds chain-lookup retries (decorrelated-jitter
@@ -545,7 +546,6 @@ fn serve_cmd(args: &[String]) -> Result<String, CliError> {
             "--chain" => chain_path = Some(value()?),
             "--batch" => builder = builder.batch(numeric(value()?, "batch size")?),
             "--shards" => builder = builder.shards(numeric(value()?, "shard count")?),
-            "--workers" => builder = builder.workers(numeric(value()?, "worker count")?),
             "--queue-depth" => builder = builder.queue_depth(numeric(value()?, "queue depth")?),
             "--cache-bytes" => {
                 builder = builder.cache_bytes(numeric(value()?, "cache byte budget")?);
@@ -602,18 +602,11 @@ fn serve_cmd(args: &[String]) -> Result<String, CliError> {
         ))
     })?;
     if !fault.is_inert() {
-        let lane = fault
-            .worker_panic_shard
-            .map_or_else(|| "any lane".to_owned(), |s| format!("lane {s} only"));
-        eprintln!(
-            "fault injection ON (seed {}): panic every {} batch(es) ({lane}), chain fail {}‰",
-            fault.seed, fault.worker_panic_every, fault.chain_fail_permille
-        );
         builder = builder.fault(fault);
     }
     // The builder validates the whole shape before any model work: sizes
-    // must be ≥ 1, and connection limits without a listener are refused,
-    // not silently ignored.
+    // must be ≥ 1, and connection limits without a listener or a fault
+    // target past the last lane are refused, not silently ignored.
     let config = builder.build().map_err(|e| match e {
         ConfigError::LimitsWithoutListener(_) => CliError::Usage(format!(
             "--max-conns and --accept are connection limits; add --tcp <addr> or \
@@ -621,6 +614,15 @@ fn serve_cmd(args: &[String]) -> Result<String, CliError> {
         )),
         e => CliError::Usage(format!("{e}\n\n{USAGE}")),
     })?;
+    if let Some(fault) = config.scheduler().fault {
+        let lane = fault
+            .worker_panic_shard
+            .map_or_else(|| "any lane".to_owned(), |s| format!("lane {s} only"));
+        eprintln!(
+            "fault injection ON (seed {}): panic every {} batch(es) ({lane}), chain fail {}‰",
+            fault.seed, fault.worker_panic_every, fault.chain_fail_permille
+        );
+    }
     let chain = chain_path
         .map(|path| -> Result<SharedChain, CliError> {
             let records = load_dataset(path)?;
@@ -630,7 +632,8 @@ fn serve_cmd(args: &[String]) -> Result<String, CliError> {
         })
         .transpose()?;
     // The model is restored (or trained) exactly once per process; one
-    // scheduler (worker pool + verdict cache) serves every front-end.
+    // scheduler (a scoring thread per lane + verdict cache) serves every
+    // front-end.
     // `run` prints the listener banners, serves stdin or the bound
     // listeners, and renders the aggregate report to stderr.
     let (scanner, banner) = scanner_from_model_arg(model, train, 7)?;
@@ -667,7 +670,6 @@ fn watch_cmd(args: &[String]) -> Result<String, CliError> {
             }
             "--seed" => opts.firehose.seed = numeric(value()?, "seed")?,
             "--batch" => serve = serve.batch(numeric(value()?, "batch size")?),
-            "--workers" => serve = serve.workers(numeric(value()?, "worker count")?),
             "--cache-bytes" => {
                 serve = serve.cache_bytes(numeric(value()?, "cache byte budget")?);
             }
@@ -989,11 +991,14 @@ mod tests {
             err.to_string().contains("`batch` must be at least 1"),
             "{err}"
         );
-        let err = run(&args(&["serve", "--model", "x.snap", "--workers", "0"])).unwrap_err();
-        assert!(
-            err.to_string().contains("`workers` must be at least 1"),
-            "{err}"
-        );
+        for cmd in ["serve", "watch"] {
+            let err = run(&args(&[cmd, "--model", "rf", "--workers", "2"])).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{err}");
+            assert!(
+                err.to_string().contains("unexpected argument `--workers`"),
+                "{err}"
+            );
+        }
         let err = run(&args(&["watch", "--model", "rf", "--batch", "0"])).unwrap_err();
         assert!(
             err.to_string().contains("`batch` must be at least 1"),
@@ -1027,6 +1032,48 @@ mod tests {
         assert!(
             err.to_string()
                 .contains("unexpected argument `--pin-cores`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn serve_rejects_a_fault_target_past_the_last_lane() {
+        // Refused before any model work: a chaos run aimed at a lane the
+        // daemon does not have would otherwise never inject anything.
+        let err = run(&args(&[
+            "serve",
+            "--model",
+            "x.snap",
+            "--shards",
+            "2",
+            "--fault-panic-every",
+            "1",
+            "--fault-panic-shard",
+            "9",
+        ]))
+        .unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("fault target lane 9 must be below `shards` (2)"),
+            "{err}"
+        );
+        // Without --shards the lane count is the core count.
+        let lanes = phishinghook_models::cores().to_string();
+        let err = run(&args(&[
+            "serve",
+            "--model",
+            "x.snap",
+            "--fault-panic-every",
+            "1",
+            "--fault-panic-shard",
+            &lanes,
+        ]))
+        .unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains(&format!("lane {lanes} must be below `shards` ({lanes})")),
             "{err}"
         );
     }

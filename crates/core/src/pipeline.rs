@@ -101,7 +101,7 @@ fn evaluate_cell(
 /// cross-validation for every detector the factory produces.
 ///
 /// The (run, fold) cells are independent; they are dispatched across
-/// [`std::thread::available_parallelism`] worker threads with
+/// [`phishinghook_ml::cores`] worker threads with
 /// [`std::thread::scope`]. Results are assembled in (run, fold, detector)
 /// order regardless of scheduling, so the output is deterministic for
 /// deterministic detectors. Note that detectors with internal thread pools
@@ -136,9 +136,7 @@ pub fn evaluate(
         }
     }
 
-    let threads = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(cells.len().max(1));
+    let threads = phishinghook_ml::cores().min(cells.len().max(1));
     let mut slots: Vec<Option<Vec<TrialResult>>> = (0..cells.len()).map(|_| None).collect();
     if threads <= 1 {
         for (slot, cell) in slots.iter_mut().zip(&cells) {

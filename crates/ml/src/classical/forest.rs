@@ -16,7 +16,6 @@ use crate::classical::tree::{DecisionTree, TreeConfig};
 use crate::classical::SplitMix;
 use crate::matrix::Matrix;
 use crate::Classifier;
-use std::sync::OnceLock;
 
 /// Hyperparameters for a [`RandomForest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -140,17 +139,12 @@ impl RandomForest {
         let mut out = vec![0.0; n];
         // Sharding never changes the result, so the thread count is free to
         // clamp by the cores actually present — configured counts above
-        // that are pure spawn overhead. On Linux the query re-reads the
-        // cgroup CPU quota on every call, which costs more than the whole
-        // walk of a one-row batch, so it runs once per process.
-        static CORES: OnceLock<usize> = OnceLock::new();
-        let hw = *CORES
-            .get_or_init(|| std::thread::available_parallelism().map_or(usize::MAX, usize::from));
+        // that are pure spawn overhead.
         let threads = self
             .config
             .threads
             .max(1)
-            .min(hw)
+            .min(crate::cores())
             .min(n.div_ceil(Self::ROWS_PER_THREAD).max(1));
         if threads == 1 {
             Self::quantize_and_accumulate(quant, x, 0, &mut out);

@@ -64,3 +64,13 @@ pub trait Classifier {
     /// Short human-readable model name.
     fn name(&self) -> &'static str;
 }
+
+/// The number of cores this process may use (at least 1), read once per
+/// process. On Linux [`std::thread::available_parallelism`] re-reads the
+/// cgroup CPU quota on every call, which costs more than the whole walk
+/// of a one-row batch, so every caller that sizes its threads by the
+/// machine asks here instead.
+pub fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}

@@ -34,6 +34,10 @@ pub use spec::{
 };
 pub use vision::{VisionConfig, VisionDetector};
 
+/// The cores this process may use, read once per process; the serving
+/// scheduler sizes its lanes by it.
+pub use phishinghook_ml::cores;
+
 /// Scaling preset controlling the deep models' capacity and training budget
 /// (the paper's GPU-scale settings are impractical on CPU; see DESIGN.md §2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

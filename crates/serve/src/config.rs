@@ -4,10 +4,11 @@
 //! A [`ServeConfig`] bundles the three pieces a serving process needs —
 //! [`SchedulerOptions`], the wire [`Protocol`] and the listeners with
 //! their [`TcpLimits`] — behind one validated shape: construct through
-//! [`ServeConfig::builder`], which validates sizes (`batch`, `workers`,
+//! [`ServeConfig::builder`], which validates sizes (`batch`, `shards`,
 //! `queue_depth` must be ≥ 1) and cross-field coherence (`max_conns` /
-//! `accept` without a listener is a configuration bug, not a silent
-//! no-op), and hand the result to [`run`](crate::serve::run). The CLI is
+//! `accept` without a listener, or a fault target past the last lane, is
+//! a configuration bug, not a silent no-op), and hand the result to
+//! [`run`](crate::serve::run). The CLI is
 //! a thin parser over this builder; embedding callers skip the strings
 //! entirely. A caller that builds its own [`Scheduler`](crate::Scheduler)
 //! and binds its own sockets passes the same pieces to the transports
@@ -19,7 +20,7 @@
 //!
 //! let config = ServeConfig::builder()
 //!     .batch(32)
-//!     .workers(2)
+//!     .shards(2)
 //!     .tcp("127.0.0.1:0")
 //!     .http("127.0.0.1:0")
 //!     .max_conns(64)
@@ -54,6 +55,14 @@ pub enum ConfigError {
         /// The configured cache-only threshold (percent of queue depth).
         cache_only_pct: u32,
     },
+    /// The fault plan targets a lane that does not exist, so it would
+    /// never inject a worker panic.
+    FaultShardOutOfRange {
+        /// The targeted lane ([`FaultConfig::worker_panic_shard`]).
+        shard: usize,
+        /// The configured lane count.
+        shards: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -70,6 +79,10 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "`cache_first_pct` ({cache_first_pct}) must not exceed \
                  `cache_only_pct` ({cache_only_pct})"
+            ),
+            ConfigError::FaultShardOutOfRange { shard, shards } => write!(
+                f,
+                "fault target lane {shard} must be below `shards` ({shards})"
             ),
         }
     }
@@ -103,7 +116,7 @@ impl ServeConfig {
         ServeConfigBuilder::default()
     }
 
-    /// Scheduler tuning (batching, workers, queue, cache, window).
+    /// Scheduler tuning (batching, lanes, queue, cache, window).
     pub fn scheduler(&self) -> &SchedulerOptions {
         &self.scheduler
     }
@@ -152,15 +165,8 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Scoring worker threads per shard (≥ 1).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.scheduler.workers = workers;
-        self
-    }
-
-    /// Independent serving lanes (≥ 1); each shard owns its own queue
-    /// slice, worker(s) and verdict-cache slice, routed by keccak digest
-    /// (see [`SchedulerOptions::shards`]).
+    /// Independent serving lanes (≥ 1; default: one per core), each with
+    /// one scoring thread (see [`SchedulerOptions::shards`]).
     pub fn shards(mut self, shards: usize) -> Self {
         self.scheduler.shards = shards;
         self
@@ -265,12 +271,14 @@ impl ServeConfigBuilder {
     ///
     /// # Errors
     /// [`ConfigError::Zero`] for a size knob set to 0;
+    /// [`ConfigError::BrownoutOrder`] for an inverted brownout ladder;
+    /// [`ConfigError::FaultShardOutOfRange`] for a fault plan aimed past
+    /// the last lane;
     /// [`ConfigError::LimitsWithoutListener`] for connection limits with
     /// neither `tcp` nor `http` bound.
     pub fn build(self) -> Result<ServeConfig, ConfigError> {
         for (field, value) in [
             ("batch", self.scheduler.batch),
-            ("workers", self.scheduler.workers),
             ("shards", self.scheduler.shards),
             ("queue_depth", self.scheduler.queue_depth),
             ("max_outstanding", self.scheduler.max_outstanding),
@@ -287,6 +295,14 @@ impl ServeConfigBuilder {
                 cache_first_pct: self.scheduler.cache_first_pct,
                 cache_only_pct: self.scheduler.cache_only_pct,
             });
+        }
+        if let Some(shard) = self.scheduler.fault.and_then(|f| f.worker_panic_shard) {
+            if shard >= self.scheduler.shards {
+                return Err(ConfigError::FaultShardOutOfRange {
+                    shard,
+                    shards: self.scheduler.shards,
+                });
+            }
         }
         if self.tcp.is_none() && self.http.is_none() {
             if self.max_conns.is_some() {
@@ -327,7 +343,6 @@ mod tests {
     fn builder_threads_every_knob_through() {
         let config = ServeConfig::builder()
             .batch(8)
-            .workers(3)
             .shards(4)
             .queue_depth(17)
             .cache_bytes(0)
@@ -340,7 +355,6 @@ mod tests {
             .build()
             .expect("valid");
         assert_eq!(config.scheduler().batch, 8);
-        assert_eq!(config.scheduler().workers, 3);
         assert_eq!(config.scheduler().shards, 4);
         assert_eq!(config.scheduler().queue_depth, 17);
         assert_eq!(config.scheduler().cache_bytes, 0);
@@ -356,7 +370,6 @@ mod tests {
     fn zero_sizes_are_rejected_by_field_name() {
         for (field, builder) in [
             ("batch", ServeConfig::builder().batch(0)),
-            ("workers", ServeConfig::builder().workers(0)),
             ("shards", ServeConfig::builder().shards(0)),
             ("queue_depth", ServeConfig::builder().queue_depth(0)),
             ("max_outstanding", ServeConfig::builder().max_outstanding(0)),
@@ -421,6 +434,48 @@ mod tests {
             .build()
             .expect_err("zero attempts");
         assert_eq!(err, ConfigError::Zero("retry.max_attempts"));
+    }
+
+    #[test]
+    fn a_fault_target_past_the_last_lane_is_rejected() {
+        let fault = |shard| FaultConfig {
+            worker_panic_every: 1,
+            worker_panic_shard: Some(shard),
+            ..FaultConfig::default()
+        };
+        let err = ServeConfig::builder()
+            .shards(2)
+            .fault(fault(9))
+            .build()
+            .expect_err("lane 9 of 2");
+        assert_eq!(
+            err,
+            ConfigError::FaultShardOutOfRange {
+                shard: 9,
+                shards: 2
+            }
+        );
+        let msg = err.to_string();
+        assert!(msg.contains('9') && msg.contains('2'), "{msg}");
+        let err = ServeConfig::builder()
+            .shards(2)
+            .fault(fault(2))
+            .build()
+            .expect_err("lane 2 of 2");
+        assert_eq!(
+            err,
+            ConfigError::FaultShardOutOfRange {
+                shard: 2,
+                shards: 2
+            }
+        );
+        // The last lane is a valid target.
+        let config = ServeConfig::builder()
+            .shards(2)
+            .fault(fault(1))
+            .build()
+            .expect("lane 1 of 2");
+        assert_eq!(config.scheduler().fault, Some(fault(1)));
     }
 
     #[test]

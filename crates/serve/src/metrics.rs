@@ -401,13 +401,15 @@ fn metric(out: &mut String, name: &str, help: &str, kind: &str, value: f64) {
 
 /// Renders a [`MetricsSnapshot`] in the Prometheus text exposition format
 /// (version 0.0.4): cache hit/miss/eviction counters, queue depth,
-/// overload count, the full request-latency histogram, and `p50`/`p90`/
-/// `p99` gauges derived from it.
+/// overload count, the full request-latency histogram, `p50`/`p90`/
+/// `p99` gauges derived from it, and a `build_info` sample labelled with
+/// the served model and the lane count.
 pub fn render_prometheus(
     snap: &MetricsSnapshot,
     model_name: &str,
     model_version: &str,
     quant_bins: Option<usize>,
+    shards: usize,
 ) -> String {
     let mut out = String::with_capacity(4096);
     let s = &snap.scheduler;
@@ -580,9 +582,9 @@ pub fn render_prometheus(
         );
     }
     out.push_str(&format!(
-        "# HELP phishinghook_build_info The served model, as labels.\n\
+        "# HELP phishinghook_build_info The served model and the lane count, as labels.\n\
          # TYPE phishinghook_build_info gauge\n\
-         phishinghook_build_info{{model=\"{}\",version=\"{}\",quant_bins=\"{}\"}} 1\n",
+         phishinghook_build_info{{model=\"{}\",version=\"{}\",quant_bins=\"{}\",shards=\"{shards}\"}} 1\n",
         escape_label(model_name),
         escape_label(model_version),
         quant_bins.unwrap_or(0),
@@ -795,7 +797,7 @@ mod tests {
             capacity_bytes: 8 << 20,
         };
         let snap = metrics.snapshot(0, 1024, Some(cache));
-        let text = render_prometheus(&snap, "Random Forest", "hsc-detector/v1", Some(256));
+        let text = render_prometheus(&snap, "Random Forest", "hsc-detector/v1", Some(256), 3);
 
         // Every line is a comment or `name[{labels}] value`.
         for line in text.lines() {
@@ -826,7 +828,7 @@ mod tests {
             "phishinghook_request_latency_seconds_count 1",
             "phishinghook_request_latency_p50_seconds 0.001024",
             "phishinghook_request_latency_p99_seconds 0.001024",
-            "phishinghook_build_info{model=\"Random Forest\",version=\"hsc-detector/v1\",quant_bins=\"256\"} 1",
+            "phishinghook_build_info{model=\"Random Forest\",version=\"hsc-detector/v1\",quant_bins=\"256\",shards=\"3\"} 1",
         ] {
             assert!(text.contains(expected), "missing `{expected}` in:\n{text}");
         }

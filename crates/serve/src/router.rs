@@ -214,6 +214,7 @@ fn answer(scheduler: &Scheduler, conn: &mut Connection, req: HttpRequest) -> Opt
                 scheduler.model_name(),
                 scheduler.model_version(),
                 scheduler.quant_bins(),
+                scheduler.shards(),
             );
             text.push_str(&metrics::render_prometheus_shards(&scheduler.shard_stats()));
             head.response.content_type = PROMETHEUS;
@@ -647,7 +648,7 @@ mod tests {
         use crate::fault::FaultConfig;
         let opts = SchedulerOptions {
             batch: 1,
-            workers: 1,
+            shards: 1,
             cache_bytes: 0,
             fault: Some(FaultConfig {
                 worker_panic_every: 2,

@@ -7,11 +7,11 @@
 //! that design around one shared pipeline:
 //!
 //! ```text
-//!  conn readers ──┐                      ┌─ worker 0 ─┐   per-conn
+//!  conn readers ──┐                      ┌────────────┐   per-conn
 //!  (decode, cache │   bounded MPMC       │  batch ≤ B │   mailboxes
 //!   lookup, slot) ├──▶ submit queue ────▶│  score via ├──▶ (slot per ──▶ writers
 //!  conn readers ──┘   (admission        │  Scanner    │   request)
-//!                      control)          └─ worker N ─┘
+//!                      control)          └── worker ──┘
 //! ```
 //!
 //! * **Micro-batching** — workers drain the queue into batches of up to
@@ -63,18 +63,20 @@
 //!   chain faults at exactly the seams above; `None` costs nothing.
 //!
 //! PR 8 shards the core. With [`SchedulerOptions::shards`] = N, the single
-//! `(queue, worker pool, cache)` triple becomes N independent lanes:
+//! `(queue, worker, cache)` triple becomes N independent lanes:
 //!
 //! ```text
-//!                      ┌─ shard 0: queue ─▶ workers ─▶ cache slice ─┐
-//!  conn readers ──────▶│  shard 1: queue ─▶ workers ─▶ cache slice  ├─▶ mailboxes
-//!  (keccak digest      │  …                                         │
-//!   % N routing)       └─ shard N-1: …                              ┘
+//!                      ┌─ lane 0: queue ─▶ worker ─▶ cache slice ─┐
+//!  conn readers ──────▶│  lane 1: queue ─▶ worker ─▶ cache slice  ├─▶ mailboxes
+//!  (keccak digest      │  …                                       │
+//!   % N routing)       └─ lane N-1: …                             ┘
 //! ```
 //!
-//! Requests route by [`shard_of`] over the keccak-256 digest already
-//! computed for cache keying, so a given bytecode always lands on the same
-//! shard — its cache slice stays hot and no lock is shared across lanes.
+//! Each lane runs one scoring thread, `lane-<i>`, and by default there is
+//! one lane per core. Requests route by [`shard_of`] over the keccak-256
+//! digest already computed for cache keying, so a given bytecode always
+//! lands on the same lane — its cache slice stays hot and no lock is
+//! shared across lanes.
 //! Because scoring is a pure function of the bytecode, verdicts are
 //! `f64::to_bits`-identical across every shard layout — asserted by the
 //! determinism harness in `tests/shard_determinism.rs`.
@@ -98,17 +100,17 @@ use std::time::{Duration, Instant};
 pub struct SchedulerOptions {
     /// Maximum rows per scored batch (≥ 1).
     pub batch: usize,
-    /// Scoring worker threads **per shard** (≥ 1).
-    pub workers: usize,
-    /// Independent serving lanes (≥ 1). Each shard owns a bounded queue of
-    /// `queue_depth / shards` slots, `workers` scoring threads, and a
-    /// `cache_bytes / shards` slice of the verdict cache; requests route by
-    /// keccak digest ([`shard_of`]), so a given bytecode always lands on
-    /// the same shard and no queue or cache lock is shared across lanes.
+    /// Independent serving lanes (≥ 1; default: the cores this process may
+    /// use). Each lane owns a share of `queue_depth`, one scoring thread,
+    /// and a `cache_bytes / shards` slice of the verdict cache; requests
+    /// route by keccak digest ([`shard_of`]), so a given bytecode always
+    /// lands on the same lane and no queue or cache lock is shared across
+    /// lanes.
     pub shards: usize,
     /// Bounded submit-queue capacity — the admission-control knob. Split
-    /// evenly across shards (each lane gets `queue_depth / shards`,
-    /// rounded up).
+    /// exactly across lanes: each gets `queue_depth / shards` slots, the
+    /// first `queue_depth % shards` lanes one more, and every lane at
+    /// least one (so `shards > queue_depth` still admits).
     pub queue_depth: usize,
     /// Verdict-cache byte budget; `0` disables the cache. The budget bounds
     /// the cache's resident memory (see [`entry_bytes`](crate::entry_bytes)).
@@ -156,8 +158,7 @@ impl Default for SchedulerOptions {
         // half full means the workers are already behind.
         SchedulerOptions {
             batch: 64,
-            workers: 1,
-            shards: 1,
+            shards: phishinghook_models::cores(),
             queue_depth: 1024,
             cache_bytes: 8 << 20,
             max_outstanding: 8192,
@@ -537,7 +538,7 @@ pub fn shard_of(digest: &Digest, n_shards: usize) -> usize {
 }
 
 /// One serving lane: a bounded queue and a verdict-cache slice, owned
-/// exclusively by this shard's workers and the submitters that route here.
+/// exclusively by this lane's worker and the submitters that route here.
 struct Shard {
     queue: crate::queue::BoundedQueue<Job>,
     cache: Option<VerdictCache>,
@@ -700,25 +701,25 @@ impl Shared {
 /// The shared serving core: one scheduler per process, many connections.
 pub struct Scheduler {
     shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    lanes: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
             .field("model", &self.shared.model_name)
-            .field("workers", &self.workers.len())
+            .field("lanes", &self.lanes.len())
             .field("metrics", &self.shared.metrics_snapshot())
             .finish()
     }
 }
 
 impl Scheduler {
-    /// Spawns the worker pool around `scanner`'s shared model. The snapshot
-    /// behind `scanner` is restored once by the caller; every worker is an
-    /// `Arc`-sharing [`Scanner::worker`] sibling with its own scratch
-    /// matrix. Serves bytecode-only: address-form requests answer a typed
-    /// error (attach a chain with [`Scheduler::with_chain`]).
+    /// Spawns one scoring thread per lane around `scanner`'s shared model.
+    /// The snapshot behind `scanner` is restored once by the caller; every
+    /// worker is an `Arc`-sharing [`Scanner::worker`] sibling with its own
+    /// scratch matrix. Serves bytecode-only: address-form requests answer a
+    /// typed error (attach a chain with [`Scheduler::with_chain`]).
     pub fn new(scanner: &Scanner, opts: &SchedulerOptions) -> Self {
         Scheduler::with_chain(scanner, opts, None)
     }
@@ -732,15 +733,18 @@ impl Scheduler {
         chain: Option<SharedChain>,
     ) -> Self {
         let n_shards = opts.shards.max(1);
-        // Each lane gets an even split of the queue and cache budgets —
-        // rounded up for queues (so `shards > queue_depth` still admits),
-        // rounded down for caches (a 0-byte slice disables caching, which
-        // keeps `cache_bytes: 0` meaning "off" for any shard count).
-        let lane_depth = opts.queue_depth.max(1).div_ceil(n_shards);
+        // The queue budget splits exactly, the remainder one slot each to
+        // the first lanes, and every lane keeps at least one slot (so
+        // `shards > queue_depth` still admits). Caches round down: a 0-byte
+        // slice disables caching, which keeps `cache_bytes: 0` meaning
+        // "off" for any lane count.
+        let depth = opts.queue_depth.max(1);
         let lane_cache_bytes = opts.cache_bytes / n_shards;
         let shards = (0..n_shards)
-            .map(|_| Shard {
-                queue: crate::queue::BoundedQueue::new(lane_depth),
+            .map(|i| Shard {
+                queue: crate::queue::BoundedQueue::new(
+                    (depth / n_shards + usize::from(i < depth % n_shards)).max(1),
+                ),
                 cache: (lane_cache_bytes > 0).then(|| VerdictCache::new(lane_cache_bytes)),
             })
             .collect();
@@ -766,24 +770,24 @@ impl Scheduler {
                 .map(|config| Arc::new(FaultPlan::new(config))),
         });
         let batch = opts.batch.max(1);
-        let workers_per_shard = opts.workers.max(1);
-        let mut workers = Vec::with_capacity(n_shards * workers_per_shard);
-        for shard_idx in 0..n_shards {
-            for _ in 0..workers_per_shard {
+        let lanes = (0..n_shards)
+            .map(|shard_idx| {
                 let shared = Arc::clone(&shared);
                 let seed = scanner.worker();
                 // Supervisor: a clean (queue-closed) exit ends the thread;
-                // a panicked batch respawns a fresh Arc-sharing sibling —
-                // fresh scratch state, same shared model, same shard.
-                workers.push(std::thread::spawn(move || loop {
-                    let worker = seed.worker();
-                    if worker_loop(&shared, shard_idx, worker, batch) {
-                        return;
-                    }
-                }));
-            }
-        }
-        Scheduler { shared, workers }
+                // a panicked batch respawns a fresh Arc-sharing sibling in
+                // place — fresh scratch state, same shared model, same lane.
+                std::thread::Builder::new()
+                    .name(format!("lane-{shard_idx}"))
+                    .spawn(move || loop {
+                        if worker_loop(&shared, shard_idx, seed.worker(), batch) {
+                            return;
+                        }
+                    })
+                    .expect("spawn a lane's scoring thread")
+            })
+            .collect();
+        Scheduler { shared, lanes }
     }
 
     /// Registers a new connection: the returned [`Connection`] is the
@@ -907,7 +911,7 @@ impl Scheduler {
         self.shared.quant_bins
     }
 
-    /// Graceful shutdown: closes the queue (the shutdown sentinel), lets
+    /// Graceful shutdown: closes the queues (the shutdown sentinel), lets
     /// the workers drain and score every already-admitted job, joins them,
     /// and returns the final counters. In-flight requests are never
     /// dropped — their responses are routed before the workers exit.
@@ -920,7 +924,7 @@ impl Scheduler {
         for shard in &self.shared.shards {
             shard.queue.close();
         }
-        for handle in self.workers.drain(..) {
+        for handle in self.lanes.drain(..) {
             let _ = handle.join();
         }
     }
@@ -1246,14 +1250,14 @@ fn answer_timeout(shared: &Shared, job: &Job) {
     job.mailbox.fill([(job.seq, out, Settle::Timeout)]);
 }
 
-/// One worker, bound to one shard: take whatever that shard's queue holds
-/// (up to `batch` jobs, waiting only while it is empty), score it through
-/// the shared model, insert into the shard's cache slice, route responses.
-/// Returns `true` on the clean exit (queue closed **and** drained) and
-/// `false` after a
-/// caught scoring panic — the supervisor in [`Scheduler::with_chain`]
-/// respawns a fresh sibling on the same shard in that case, after every
-/// job of the poisoned batch was answered with a typed internal error.
+/// A lane's worker: take whatever that lane's queue holds (up to `batch`
+/// jobs, waiting only while it is empty), score it through the shared
+/// model, insert into the lane's cache slice, route responses. Returns
+/// `true` on the clean exit (queue closed **and** drained) and `false`
+/// after a caught scoring panic — the supervisor in
+/// [`Scheduler::with_chain`] respawns a fresh sibling on the same thread
+/// in that case, after every job of the poisoned batch was answered with
+/// a typed internal error.
 /// Requests that out-waited their deadline (or a bounded drain's budget)
 /// answer typed timeouts at dequeue without being scored.
 fn worker_loop(shared: &Shared, shard_idx: usize, mut scanner: Scanner, batch: usize) -> bool {
@@ -1665,7 +1669,7 @@ mod tests {
         let (input, codes) = probe_lines(12);
         let slow = SchedulerOptions {
             batch: 1,
-            workers: 1,
+            shards: 1,
             cache_bytes: 0,
             ..opts()
         };
@@ -1791,6 +1795,35 @@ mod tests {
     }
 
     #[test]
+    fn the_queue_budget_splits_exactly_across_lanes() {
+        let capacities = |shards, queue_depth| -> Vec<u64> {
+            let opts = SchedulerOptions {
+                shards,
+                queue_depth,
+                ..opts()
+            };
+            let scheduler = Scheduler::new(scanner(), &opts);
+            scheduler
+                .shard_stats()
+                .iter()
+                .map(|s| s.queue_capacity)
+                .collect()
+        };
+        // The remainder goes one slot each to the first lanes, so the
+        // capacities sum to `queue_depth` for every lane count.
+        for shards in 1..=7 {
+            let caps = capacities(shards, 1024);
+            assert_eq!(caps.iter().sum::<u64>(), 1024, "{caps:?}");
+            assert!(
+                caps.windows(2).all(|w| w[0] == w[1] || w[0] == w[1] + 1),
+                "{caps:?}"
+            );
+        }
+        // More lanes than slots: every lane still keeps one.
+        assert_eq!(capacities(3, 2), [1, 1, 1]);
+    }
+
+    #[test]
     fn worker_panics_answer_typed_internal_and_the_supervisor_respawns() {
         // One worker, one-row batches, and a fault plan that panics every
         // second batch: requests alternate verdict / internal, the panic
@@ -1798,7 +1831,7 @@ mod tests {
         // crash — the supervisor respawned the worker.
         let opts = SchedulerOptions {
             batch: 1,
-            workers: 1,
+            shards: 1,
             cache_bytes: 0,
             fault: Some(FaultConfig {
                 worker_panic_every: 2,
@@ -1833,7 +1866,7 @@ mod tests {
         // it as a typed timeout without scoring it.
         use phishinghook_data::SharedChain;
         let opts = SchedulerOptions {
-            workers: 1,
+            shards: 1,
             deadline_ms: 10,
             cache_bytes: 0,
             fault: Some(FaultConfig {
@@ -1867,7 +1900,7 @@ mod tests {
         // and its 1ms budget has elapsed, queued work is answered as typed
         // timeouts instead of holding shutdown hostage.
         let opts = SchedulerOptions {
-            workers: 1,
+            shards: 1,
             drain_ms: 1,
             cache_bytes: 0,
             ..opts()

@@ -252,20 +252,27 @@ pub fn serve_lines(
 }
 
 /// Runs a whole serving process from one validated [`ServeConfig`]: spawn
-/// the scheduler (with the optional chain handle for address-form
-/// requests), bind whichever listeners the config names, and serve.
+/// the scheduler (one scoring thread per lane, by default one lane per
+/// core, with the optional chain handle for address-form requests), bind
+/// whichever listeners the config names, and serve.
 ///
 /// * **No listeners** — serve stdin to EOF with lossless (blocking)
 ///   admission and write responses to stdout; the report goes to stderr
 ///   so `serve … > verdicts.jsonl` stays clean.
 /// * **`tcp` and/or `http`** — bind each, print one
-///   `serving <model> on tcp://<addr>` / `http://<addr>` banner per
-///   listener to stderr (scripts scrape these for the ephemeral port),
-///   and run one readiness loop per listener (HTTP's on the calling
-///   thread) against the one scheduler — JSONL and HTTP requests share
-///   batches, cache, admission control and metrics. With `accept` set,
-///   returns the aggregate report once every listener has accepted its
-///   quota and drained; otherwise serves forever.
+///   `serving <model> on tcp://<addr> (…, <lanes> shard(s), …)` /
+///   `http://<addr>` banner per listener to stderr (scripts scrape these
+///   for the ephemeral port), and run one readiness loop per listener
+///   (HTTP's on the calling thread) against the one scheduler — JSONL and
+///   HTTP requests share batches, cache, admission control and metrics.
+///   With `accept` set, returns the aggregate report once every listener
+///   has accepted its quota and drained; otherwise serves forever.
+///
+/// [`Scheduler::begin_drain`] runs only once the work is over: after the
+/// last stdin answer was written, or after every listener loop returned.
+/// `run` handles no signal, so a client never sees `/healthz` report
+/// `draining`, and the drain budget bounds only the scoring of jobs left
+/// by connections that have already closed.
 ///
 /// # Errors
 /// Propagates bind/accept errors and stdin-mode I/O errors.
@@ -294,11 +301,10 @@ pub fn run(
     let http_listener = config.http().map(TcpListener::bind).transpose()?;
     if let Some(listener) = &tcp_listener {
         eprintln!(
-            "serving {model} on tcp://{} ({proto:?}, {} shard(s), batch {}, {} worker(s)/shard, queue {}, cache {} bytes{})",
+            "serving {model} on tcp://{} ({proto:?}, {} shard(s), batch {}, queue {}, cache {} bytes{})",
             listener.local_addr()?,
-            config.scheduler().shards,
+            scheduler.shards(),
             config.scheduler().batch,
-            config.scheduler().workers,
             config.scheduler().queue_depth,
             config.scheduler().cache_bytes,
             match limits.max_conns {
@@ -525,18 +531,18 @@ mod tests {
         let (input, _) = probe_lines(23);
         for proto in [Protocol::V1, Protocol::V2] {
             let (reference, _) = serve_to_string(&input, &no_cache(), proto);
-            for (batch, workers) in [(1, 1), (4, 3), (5, 2), (64, 4)] {
+            for (batch, shards) in [(1, 1), (4, 3), (5, 2), (64, 4)] {
                 for cache_bytes in [0usize, 8 << 20] {
                     let opts = SchedulerOptions {
                         batch,
-                        workers,
+                        shards,
                         cache_bytes,
                         ..SchedulerOptions::default()
                     };
                     let (out, report) = serve_to_string(&input, &opts, proto);
                     assert_eq!(
                         out, reference,
-                        "batch={batch} workers={workers} cache={cache_bytes} {proto:?}"
+                        "batch={batch} shards={shards} cache={cache_bytes} {proto:?}"
                     );
                     assert_eq!(report.contracts, 23);
                 }
@@ -552,7 +558,7 @@ mod tests {
             &input,
             &SchedulerOptions {
                 batch: 2,
-                workers: 2,
+                shards: 2,
                 ..SchedulerOptions::default()
             },
             Protocol::V1,

@@ -45,7 +45,7 @@ fn every_submission_gets_exactly_one_typed_response_under_chaos() {
     }
     let opts = SchedulerOptions {
         batch: 4,
-        workers: 2,
+        shards: 2,
         queue_depth: 8,
         retry: RetryPolicy {
             max_attempts: 3,
@@ -156,7 +156,6 @@ fn shard_targeted_panics_blast_only_that_lane() {
     let opts = SchedulerOptions {
         shards: SHARDS,
         batch: 1,
-        workers: 1,
         cache_bytes: 0,
         fault: Some(FaultConfig {
             worker_panic_every: 1,
@@ -222,7 +221,6 @@ fn graceful_shutdown_drains_every_shard_within_the_drain_budget() {
     let opts = SchedulerOptions {
         shards: SHARDS,
         batch: 4,
-        workers: 1,
         queue_depth: 64,
         cache_bytes: 0,
         drain_ms: 2_000,

@@ -193,7 +193,6 @@ fn ten_thousand_idle_connections_cost_constant_threads() {
 
     let opts = SchedulerOptions {
         shards: 2,
-        workers: 1,
         ..SchedulerOptions::default()
     };
     let scheduler = Scheduler::new(fixture::rf_scanner(), &opts);

@@ -14,7 +14,6 @@ const PROBE_SEED: u64 = 83;
 fn opts(shards: usize) -> SchedulerOptions {
     SchedulerOptions {
         shards,
-        workers: 2,
         batch: 4,
         ..SchedulerOptions::default()
     }

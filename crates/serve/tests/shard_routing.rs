@@ -88,7 +88,6 @@ fn same_digest_lands_on_the_same_shard_and_hits_its_cache() {
 
     let opts = SchedulerOptions {
         shards: SHARDS,
-        workers: 1,
         ..SchedulerOptions::default()
     };
     let scheduler = Scheduler::new(fixture::rf_scanner(), &opts);

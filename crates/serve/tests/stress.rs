@@ -129,7 +129,6 @@ fn aggregate_stats_are_the_sum_of_shard_stats() {
     const SHARDS: usize = 4;
     let opts = SchedulerOptions {
         shards: SHARDS,
-        workers: 1,
         queue_depth: 64,
         ..SchedulerOptions::default()
     };

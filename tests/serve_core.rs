@@ -135,12 +135,12 @@ fn serve_config_builder_validates_through_the_umbrella_crate() {
     use phishinghook::serve::ServeConfig;
     let config = ServeConfig::builder()
         .batch(4)
-        .workers(1)
+        .shards(1)
         .build()
         .expect("valid config");
     assert_eq!(config.scheduler().batch, 4);
     assert_eq!(config.tcp(), None);
-    assert!(ServeConfig::builder().workers(0).build().is_err());
+    assert!(ServeConfig::builder().shards(0).build().is_err());
     assert!(ServeConfig::builder().max_conns(2).build().is_err());
 }
 
