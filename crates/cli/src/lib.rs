@@ -101,7 +101,6 @@ USAGE:
                         [--http <addr>] [--chain <dataset.csv>] [--max-conns <n>]
                         [--accept <n>] [--deadline-ms <n>] [--drain-ms <n>]
                         [--retry-attempts <n>]
-                        [--cache-first-pct <n>] [--cache-only-pct <n>]
                         [--fault-panic-every <n>] [--fault-panic-shard <n>]
                         [--fault-chain-permille <n>] [--fault-seed <n>]
                                                batched scoring daemon (stdin, TCP JSONL
@@ -136,14 +135,14 @@ address-form requests ({\"address\":\"0x…\"}) resolve to deployed bytecode.
 --shards splits the scheduler into independent lanes (queue + one scoring
 thread + cache slice), routed by code-hash digest; it defaults to the
 cores the process may use.
-Robustness: --deadline-ms answers requests that waited too long with a
-typed timeout (504 over HTTP); --drain-ms caps the shutdown drain;
---retry-attempts bounds chain-lookup retries (decorrelated-jitter
-backoff); --cache-first-pct / --cache-only-pct set the queue-fill
-percentages where brownout degrades shedding traffic to cheapest-member
-and then cache-only scoring. The --fault-* flags arm the deterministic
-fault-injection plan (chaos testing only); --fault-panic-shard confines
-the injected worker panics to one lane.
+Robustness: every admitted request is scored by the whole model; a TCP or
+HTTP request that finds its lane's queue full gets a typed overload (503
+over HTTP), so --queue-depth (default 512) bounds the wait. --deadline-ms
+answers requests that waited too long with a typed timeout (504 over
+HTTP); --drain-ms caps the shutdown drain; --retry-attempts bounds
+chain-lookup retries (decorrelated-jitter backoff). The --fault-* flags
+arm the deterministic fault-injection plan (chaos testing only);
+--fault-panic-shard confines the injected worker panics to one lane.
 ";
 
 /// Executes a CLI invocation, returning the text to print.
@@ -556,12 +555,6 @@ fn serve_cmd(args: &[String]) -> Result<String, CliError> {
                 builder = builder.deadline_ms(numeric(value()?, "deadline")?);
             }
             "--drain-ms" => builder = builder.drain_ms(numeric(value()?, "drain budget")?),
-            "--cache-first-pct" => {
-                builder = builder.cache_first_pct(numeric(value()?, "brownout percentage")?);
-            }
-            "--cache-only-pct" => {
-                builder = builder.cache_only_pct(numeric(value()?, "brownout percentage")?);
-            }
             "--retry-attempts" => {
                 builder = builder.retry(RetryPolicy {
                     max_attempts: numeric(value()?, "retry attempt count")?,
@@ -824,19 +817,18 @@ mod tests {
     #[test]
     fn serve_robustness_flags_validate_before_serving() {
         // Bad robustness knobs are refused at validation time — no model
-        // is trained and no listener is bound.
-        let err = run(&args(&[
-            "serve",
-            "--model",
-            "rf",
-            "--cache-first-pct",
-            "90",
-            "--cache-only-pct",
-            "10",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
-        assert!(err.to_string().contains("cache_first_pct"), "{err}");
+        // is trained and no listener is bound. The retired queue-fill
+        // thresholds are unknown flags.
+        for rung in ["first", "only"] {
+            let flag = format!("--cache-{rung}-pct");
+            let err = run(&args(&["serve", "--model", "rf", &flag, "50"])).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unexpected argument `{flag}`")),
+                "{err}"
+            );
+        }
 
         let err = run(&args(&["serve", "--model", "rf", "--retry-attempts", "0"])).unwrap_err();
         assert!(err.to_string().contains("retry.max_attempts"), "{err}");
@@ -845,10 +837,10 @@ mod tests {
         assert!(err.to_string().contains("not a valid deadline"), "{err}");
 
         // 2^32 + 50 is refused, not truncated to 50.
-        let pct = ["serve", "--model", "rf", "--cache-first-pct", "4294967346"];
-        let err = run(&args(&pct)).unwrap_err();
+        let attempts = ["serve", "--model", "rf", "--retry-attempts", "4294967346"];
+        let err = run(&args(&attempts)).unwrap_err();
         assert!(
-            err.to_string().contains("not a valid brownout percentage"),
+            err.to_string().contains("not a valid retry attempt count"),
             "{err}"
         );
     }
@@ -1034,6 +1026,33 @@ mod tests {
                 .contains("unexpected argument `--pin-cores`"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn serve_rejects_zero_connection_limits() {
+        // Refused before any model work: a listener that may hold no
+        // connection refuses every client, and one that may accept none
+        // exits having served nothing.
+        for (flag, field) in [("--max-conns", "max_conns"), ("--accept", "accept")] {
+            for listener in ["--tcp", "--http"] {
+                let argv = [
+                    "serve",
+                    "--model",
+                    "x.snap",
+                    listener,
+                    "127.0.0.1:0",
+                    flag,
+                    "0",
+                ];
+                let err = run(&args(&argv)).unwrap_err();
+                assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+                assert!(
+                    err.to_string()
+                        .contains(&format!("`{field}` must be at least 1")),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

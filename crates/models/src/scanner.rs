@@ -175,17 +175,6 @@ impl AnyDetector {
         }
     }
 
-    /// Class-1 probability per row from the *primary* model only: the
-    /// single HSC itself, or an ensemble's first member — the cheapest
-    /// answer the detector can give. Serving brownout uses this to keep
-    /// answering under load at one inference pass instead of N.
-    pub fn predict_primary_proba(&self, x: &Matrix) -> Vec<f64> {
-        match self {
-            AnyDetector::Hsc(d) => d.predict_proba(x),
-            AnyDetector::Ensemble(e) => e.members()[0].predict_proba(x),
-        }
-    }
-
     /// The snapshot envelope kind this detector saves under.
     pub fn snapshot_kind(&self) -> &'static str {
         match self {
@@ -582,26 +571,12 @@ impl Scanner {
     /// and returns raw probability vectors — no request/report structs are
     /// built — so a cross-connection batching scheduler can submit rows
     /// gathered from many clients without cloning payloads. Bit-identical
-    /// to [`Scanner::scan_batch`] on the same rows.
+    /// to [`Scanner::scan_batch`] on the same rows. It is the serving
+    /// scheduler's one scoring path, so every admitted request is scored
+    /// by every member of the deployed detector.
     pub fn score_with_members(&mut self, codes: &[&[u8]]) -> (Vec<f64>, Vec<(String, Vec<f64>)>) {
         self.transform_batch(codes);
         self.model.predict_with_members(&self.scratch)
-    }
-
-    /// Degraded-mode batch scoring: class-1 probabilities from the primary
-    /// model only (the single HSC, or an ensemble's first member), plus
-    /// that model's name. One extraction pass and exactly one inference
-    /// pass regardless of ensemble width — the brownout ladder's
-    /// cheapest-member tier. Bit-identical to the primary member's entry in
-    /// [`Scanner::score_with_members`] on the same rows.
-    pub fn score_primary(&mut self, codes: &[&[u8]]) -> (Vec<f64>, String) {
-        self.transform_batch(codes);
-        let probs = self.model.predict_primary_proba(&self.scratch);
-        let name = match self.model.as_ref() {
-            AnyDetector::Hsc(d) => d.name().to_owned(),
-            AnyDetector::Ensemble(e) => e.members()[0].name().to_owned(),
-        };
-        (probs, name)
     }
 
     /// Scores a batch of typed requests, echoing ids and exposing per-model
@@ -677,26 +652,6 @@ mod tests {
             .expect("valid spec");
         det.fit(&refs[..60], &labels[..60]);
         det
-    }
-
-    #[test]
-    fn score_primary_matches_the_first_member_bit_identically() {
-        let (codes, _) = corpus();
-        let probes: Vec<&[u8]> = codes[60..75].iter().map(Vec::as_slice).collect();
-        for spec in ["rf", "ensemble:rf+lgbm:vote=soft"] {
-            let mut scanner = Scanner::new(fitted(spec)).expect("fitted");
-            let (full, per_model) = scanner.score_with_members(&probes);
-            let (primary, name) = scanner.score_primary(&probes);
-            let (first_name, first_probs) = &per_model[0];
-            assert_eq!(&name, first_name, "{spec}");
-            let a: Vec<u64> = primary.iter().map(|p| p.to_bits()).collect();
-            let b: Vec<u64> = first_probs.iter().map(|p| p.to_bits()).collect();
-            assert_eq!(a, b, "{spec}: primary scoring must replay member 0");
-            if per_model.len() == 1 {
-                let c: Vec<u64> = full.iter().map(|p| p.to_bits()).collect();
-                assert_eq!(a, c, "{spec}: single models degrade to themselves");
-            }
-        }
     }
 
     #[test]

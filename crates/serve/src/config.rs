@@ -5,7 +5,8 @@
 //! [`SchedulerOptions`], the wire [`Protocol`] and the listeners with
 //! their [`TcpLimits`] — behind one validated shape: construct through
 //! [`ServeConfig::builder`], which validates sizes (`batch`, `shards`,
-//! `queue_depth` must be ≥ 1) and cross-field coherence (`max_conns` /
+//! `queue_depth`, `max_outstanding`, and `max_conns` / `accept` when set,
+//! must be ≥ 1) and cross-field coherence (`max_conns` /
 //! `accept` without a listener, or a fault target past the last lane, is
 //! a configuration bug, not a silent no-op), and hand the result to
 //! [`run`](crate::serve::run). The CLI is
@@ -47,14 +48,6 @@ pub enum ConfigError {
     /// `max_conns` / `accept` was set but neither `tcp` nor `http` is
     /// bound — connection limits without a listener guard nothing.
     LimitsWithoutListener(&'static str),
-    /// The brownout ladder is inverted: `cache_first_pct` must not
-    /// exceed `cache_only_pct`, or the tiers would engage out of order.
-    BrownoutOrder {
-        /// The configured cache-first threshold (percent of queue depth).
-        cache_first_pct: u32,
-        /// The configured cache-only threshold (percent of queue depth).
-        cache_only_pct: u32,
-    },
     /// The fault plan targets a lane that does not exist, so it would
     /// never inject a worker panic.
     FaultShardOutOfRange {
@@ -72,14 +65,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::LimitsWithoutListener(field) => {
                 write!(f, "`{field}` requires a tcp or http listener")
             }
-            ConfigError::BrownoutOrder {
-                cache_first_pct,
-                cache_only_pct,
-            } => write!(
-                f,
-                "`cache_first_pct` ({cache_first_pct}) must not exceed \
-                 `cache_only_pct` ({cache_only_pct})"
-            ),
             ConfigError::FaultShardOutOfRange { shard, shards } => write!(
                 f,
                 "fault target lane {shard} must be below `shards` ({shards})"
@@ -172,7 +157,8 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Bounded submit-queue capacity (≥ 1) — the admission-control knob.
+    /// Bounded submit-queue capacity (≥ 1) — the admission-control knob,
+    /// and so the bound on queue wait under overload.
     pub fn queue_depth(mut self, queue_depth: usize) -> Self {
         self.scheduler.queue_depth = queue_depth;
         self
@@ -208,21 +194,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Queue-fill percentage at which brownout drops shedding traffic to
-    /// cheapest-member scoring (see
-    /// [`SchedulerOptions::cache_first_pct`]).
-    pub fn cache_first_pct(mut self, cache_first_pct: u32) -> Self {
-        self.scheduler.cache_first_pct = cache_first_pct;
-        self
-    }
-
-    /// Queue-fill percentage at which brownout answers from cache only
-    /// (see [`SchedulerOptions::cache_only_pct`]).
-    pub fn cache_only_pct(mut self, cache_only_pct: u32) -> Self {
-        self.scheduler.cache_only_pct = cache_only_pct;
-        self
-    }
-
     /// Retry policy for chain-backed address resolution.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.scheduler.retry = retry;
@@ -253,15 +224,15 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Maximum concurrent connections per listener; surplus accepts are
-    /// refused with a typed overload (JSONL) or `503` (HTTP).
+    /// Maximum concurrent connections per listener (≥ 1); surplus accepts
+    /// are refused with a typed overload (JSONL) or `503` (HTTP).
     pub fn max_conns(mut self, max_conns: usize) -> Self {
         self.max_conns = Some(max_conns);
         self
     }
 
     /// Total connections each listener accepts before draining and
-    /// returning (test/CI runs); unset = serve forever.
+    /// returning (≥ 1; test/CI runs); unset = serve forever.
     pub fn accept(mut self, accept: usize) -> Self {
         self.accept = Some(accept);
         self
@@ -270,31 +241,26 @@ impl ServeConfigBuilder {
     /// Validates the whole configuration and returns it.
     ///
     /// # Errors
-    /// [`ConfigError::Zero`] for a size knob set to 0;
-    /// [`ConfigError::BrownoutOrder`] for an inverted brownout ladder;
+    /// [`ConfigError::Zero`] for a size knob or connection limit set to 0;
     /// [`ConfigError::FaultShardOutOfRange`] for a fault plan aimed past
     /// the last lane;
     /// [`ConfigError::LimitsWithoutListener`] for connection limits with
     /// neither `tcp` nor `http` bound.
     pub fn build(self) -> Result<ServeConfig, ConfigError> {
         for (field, value) in [
-            ("batch", self.scheduler.batch),
-            ("shards", self.scheduler.shards),
-            ("queue_depth", self.scheduler.queue_depth),
-            ("max_outstanding", self.scheduler.max_outstanding),
+            ("batch", Some(self.scheduler.batch)),
+            ("shards", Some(self.scheduler.shards)),
+            ("queue_depth", Some(self.scheduler.queue_depth)),
+            ("max_outstanding", Some(self.scheduler.max_outstanding)),
+            ("max_conns", self.max_conns),
+            ("accept", self.accept),
         ] {
-            if value == 0 {
+            if value == Some(0) {
                 return Err(ConfigError::Zero(field));
             }
         }
         if self.scheduler.retry.max_attempts == 0 {
             return Err(ConfigError::Zero("retry.max_attempts"));
-        }
-        if self.scheduler.cache_first_pct > self.scheduler.cache_only_pct {
-            return Err(ConfigError::BrownoutOrder {
-                cache_first_pct: self.scheduler.cache_first_pct,
-                cache_only_pct: self.scheduler.cache_only_pct,
-            });
         }
         if let Some(shard) = self.scheduler.fault.and_then(|f| f.worker_panic_shard) {
             if shard >= self.scheduler.shards {
@@ -383,6 +349,33 @@ mod tests {
     }
 
     #[test]
+    fn zero_connection_limits_are_rejected_by_field_name() {
+        // A listener that may hold no connection refuses every client, and
+        // one that may accept none serves nothing and exits at once.
+        for (field, builder) in [
+            ("max_conns", ServeConfig::builder().max_conns(0)),
+            ("accept", ServeConfig::builder().accept(0)),
+        ] {
+            for builder in [
+                builder.clone().tcp("127.0.0.1:0"),
+                builder.http("127.0.0.1:0"),
+            ] {
+                let err = builder.build().expect_err(field);
+                assert_eq!(err, ConfigError::Zero(field));
+                assert!(err.to_string().contains(field), "{err}");
+            }
+        }
+        let config = ServeConfig::builder()
+            .tcp("127.0.0.1:0")
+            .max_conns(1)
+            .accept(1)
+            .build()
+            .expect("one is a valid limit");
+        assert_eq!(config.limits().max_conns, Some(1));
+        assert_eq!(config.limits().accept_total, Some(1));
+    }
+
+    #[test]
     fn robustness_knobs_thread_through_and_validate() {
         let retry = RetryPolicy {
             max_attempts: 5,
@@ -397,33 +390,14 @@ mod tests {
         let config = ServeConfig::builder()
             .deadline_ms(250)
             .drain_ms(1_000)
-            .cache_first_pct(40)
-            .cache_only_pct(80)
             .retry(retry.clone())
             .fault(fault)
             .build()
             .expect("valid");
         assert_eq!(config.scheduler().deadline_ms, 250);
         assert_eq!(config.scheduler().drain_ms, 1_000);
-        assert_eq!(config.scheduler().cache_first_pct, 40);
-        assert_eq!(config.scheduler().cache_only_pct, 80);
         assert_eq!(config.scheduler().retry, retry);
         assert_eq!(config.scheduler().fault, Some(fault));
-
-        // An inverted brownout ladder is a configuration bug.
-        let err = ServeConfig::builder()
-            .cache_first_pct(90)
-            .cache_only_pct(60)
-            .build()
-            .expect_err("inverted ladder");
-        assert_eq!(
-            err,
-            ConfigError::BrownoutOrder {
-                cache_first_pct: 90,
-                cache_only_pct: 60
-            }
-        );
-        assert!(err.to_string().contains("cache_first_pct"), "{err}");
 
         // A retry policy that never attempts anything is a zero knob.
         let err = ServeConfig::builder()

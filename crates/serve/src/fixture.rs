@@ -47,8 +47,8 @@ pub fn rf_scanner() -> &'static Scanner {
     SCANNER.get_or_init(|| train("rf:seed=7"))
 }
 
-/// A fitted 2-member soft-vote ensemble scanner, for per-model wire and
-/// brownout (cheapest-member) assertions.
+/// A fitted 2-member soft-vote ensemble scanner, for per-model wire
+/// assertions and full fidelity under overload.
 pub fn ensemble_scanner() -> &'static Scanner {
     static SCANNER: OnceLock<Scanner> = OnceLock::new();
     SCANNER.get_or_init(|| train("ensemble:rf+lgbm:vote=soft"))

@@ -31,8 +31,9 @@
 //! 2. **Bit-identical caching** — a cache hit replays the exact `f64`s the
 //!    cold path produced (`f64::to_bits` equality).
 //! 3. **Typed overload** — a full queue or connection limit answers with a
-//!    machine-readable overload response; nothing is silently dropped or
-//!    silently buffered without bound.
+//!    machine-readable overload response; nothing is silently dropped,
+//!    silently buffered without bound, or scored by less than the
+//!    deployed detector.
 //! 4. **Graceful shutdown** — closing the scheduler drains every admitted
 //!    request before the workers exit.
 //! 5. **Exactly-one-response under faults** — with a seeded
@@ -66,8 +67,8 @@ pub use nbio::{serve_tcp, Transport};
 pub use proto::{Protocol, MAX_LINE_BYTES, STATS_COMMAND};
 pub use queue::BoundedQueue;
 pub use scheduler::{
-    shard_of, Admission, Connection, DegradationTier, Lifecycle, PolledResponse, ResponseKind,
-    Responses, Scheduler, SchedulerOptions, SchedulerStats, ShardStats, SubmitOutcome,
+    shard_of, Admission, Connection, Lifecycle, PolledResponse, ResponseKind, Responses, Scheduler,
+    SchedulerOptions, SchedulerStats, ShardStats, SubmitOutcome,
 };
 pub use serve::{run, serve_lines, ServeReport, TcpLimits};
 pub use watch::{run_watch, WatchOptions, WatchReport};

@@ -24,8 +24,7 @@
 use crate::cache::CacheStats;
 use crate::scheduler::{SchedulerStats, ShardStats};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of finite latency buckets: powers of two from 1 µs to ~134 s.
 pub const LATENCY_BUCKETS: usize = 28;
@@ -141,7 +140,7 @@ pub struct HttpSnapshot {
 
 /// Fault-tolerance counters: what the robustness layer did to keep the
 /// daemon answering (PR 7).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RobustnessStats {
     /// Scoring-worker panics caught and answered with typed internal
     /// errors (each one also respawned a fresh worker).
@@ -152,18 +151,12 @@ pub struct RobustnessStats {
     /// Requests that out-waited their deadline and answered a typed
     /// timeout at dequeue.
     pub timeouts: u64,
-    /// Cumulative wall-clock seconds spent at a degraded brownout tier
-    /// (CacheFirst or deeper).
-    pub degraded_seconds: f64,
-    /// The current brownout tier (0 = full, 1 = cache-first,
-    /// 2 = cache-only), as last observed by the scheduler.
-    pub tier: u8,
 }
 
 /// Everything `/metrics` (and the JSONL `stats` command) reports, captured
 /// by one [`Metrics::snapshot`] call — the single consistent read path for
 /// every serving counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Scheduler counters (submitted/scored/errors/overloads/batches/
     /// connections + current queue depth).
@@ -176,7 +169,7 @@ pub struct MetricsSnapshot {
     pub http: HttpSnapshot,
     /// Request-latency histogram (submit → response routed).
     pub latency: LatencySnapshot,
-    /// Fault-tolerance counters (panics, retries, timeouts, brownout).
+    /// Fault-tolerance counters (panics, retries, timeouts).
     pub robustness: RobustnessStats,
 }
 
@@ -198,14 +191,6 @@ pub struct Metrics {
     worker_panics: AtomicU64,
     chain_retries: AtomicU64,
     timeouts: AtomicU64,
-    /// Current brownout tier (0/1/2), a gauge.
-    tier: AtomicU64,
-    /// Completed degraded intervals, accumulated in nanoseconds.
-    degraded_nanos: AtomicU64,
-    /// Start of the still-open degraded interval, when one is open. A
-    /// mutex (not an atomic) because `Instant` is opaque; tier flips are
-    /// rare and never on the per-request hot path's common branch.
-    degraded_since: Mutex<Option<Instant>>,
 }
 
 impl Metrics {
@@ -290,38 +275,6 @@ impl Metrics {
         self.timeouts.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Records the current brownout tier (0 = full, 1 = cache-first,
-    /// 2 = cache-only) and keeps the degraded-time clock: entering a
-    /// degraded tier opens an interval, returning to full closes it into
-    /// the cumulative `serve_degraded_seconds_total` counter.
-    pub fn set_tier(&self, tier: u8) {
-        let prev = self.tier.swap(u64::from(tier), Ordering::SeqCst) as u8;
-        if prev == tier {
-            return;
-        }
-        let was_degraded = prev > 0;
-        let is_degraded = tier > 0;
-        if was_degraded == is_degraded {
-            return; // moved between degraded tiers: the clock keeps running
-        }
-        let mut since = self.degraded_since.lock().expect("degraded clock");
-        if is_degraded {
-            *since = Some(Instant::now());
-        } else if let Some(t0) = since.take() {
-            let nanos = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            self.degraded_nanos.fetch_add(nanos, Ordering::SeqCst);
-        }
-    }
-
-    /// Total degraded time so far: closed intervals plus the open one.
-    fn degraded_seconds(&self) -> f64 {
-        let mut nanos = self.degraded_nanos.load(Ordering::SeqCst);
-        if let Some(t0) = *self.degraded_since.lock().expect("degraded clock") {
-            nanos = nanos.saturating_add(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-        }
-        nanos as f64 / 1e9
-    }
-
     /// One consistent snapshot of every counter.
     ///
     /// Loads run downstream-first under `SeqCst`: `scored` is read before
@@ -341,8 +294,6 @@ impl Metrics {
             worker_panics: self.worker_panics.load(Ordering::SeqCst),
             chain_retries: self.chain_retries.load(Ordering::SeqCst),
             timeouts: self.timeouts.load(Ordering::SeqCst),
-            degraded_seconds: self.degraded_seconds(),
-            tier: self.tier.load(Ordering::SeqCst) as u8,
         };
         let http = HttpSnapshot {
             responses_2xx: self.http_2xx.load(Ordering::SeqCst),
@@ -522,19 +473,6 @@ pub fn render_prometheus(
         "phishinghook_request_timeouts_total",
         "Requests that out-waited their deadline and answered a typed timeout.",
         snap.robustness.timeouts,
-    );
-    metric(
-        &mut out,
-        "phishinghook_serve_degraded_seconds_total",
-        "Cumulative seconds spent at a degraded brownout tier.",
-        "counter",
-        snap.robustness.degraded_seconds,
-    );
-    gauge(
-        &mut out,
-        "phishinghook_degradation_tier",
-        "Current brownout tier: 0 full, 1 cache-first, 2 cache-only.",
-        f64::from(snap.robustness.tier),
     );
     counter(
         &mut out,
@@ -822,8 +760,6 @@ mod tests {
             "phishinghook_worker_panics_total 0",
             "phishinghook_chain_retries_total 0",
             "phishinghook_request_timeouts_total 0",
-            "phishinghook_serve_degraded_seconds_total 0",
-            "phishinghook_degradation_tier 0",
             "phishinghook_http_responses_total{class=\"2xx\"} 1",
             "phishinghook_request_latency_seconds_count 1",
             "phishinghook_request_latency_p50_seconds 0.001024",
@@ -905,7 +841,7 @@ mod tests {
     }
 
     #[test]
-    fn robustness_counters_and_degraded_clock_accumulate() {
+    fn robustness_counters_accumulate() {
         let metrics = Metrics::new();
         metrics.inc_worker_panics();
         metrics.inc_chain_retries();
@@ -915,27 +851,5 @@ mod tests {
         assert_eq!(snap.robustness.worker_panics, 1);
         assert_eq!(snap.robustness.chain_retries, 2);
         assert_eq!(snap.robustness.timeouts, 1);
-        assert_eq!(snap.robustness.tier, 0);
-        assert_eq!(snap.robustness.degraded_seconds, 0.0);
-
-        // Entering a degraded tier opens the clock; the open interval is
-        // visible in snapshots before the tier returns to full.
-        metrics.set_tier(1);
-        std::thread::sleep(Duration::from_millis(5));
-        let open = metrics.snapshot(0, 0, None);
-        assert_eq!(open.robustness.tier, 1);
-        assert!(open.robustness.degraded_seconds > 0.0);
-        // Moving deeper keeps the same interval running.
-        metrics.set_tier(2);
-        metrics.set_tier(0);
-        let closed = metrics.snapshot(0, 0, None);
-        assert_eq!(closed.robustness.tier, 0);
-        assert!(closed.robustness.degraded_seconds >= open.robustness.degraded_seconds);
-        // Back at full the clock stands still.
-        let later = metrics.snapshot(0, 0, None);
-        assert_eq!(
-            later.robustness.degraded_seconds,
-            closed.robustness.degraded_seconds
-        );
     }
 }

@@ -570,7 +570,7 @@ pub fn serve_tcp(
     let model = scheduler.model_name().to_owned();
     let (proto, tag, refusal) = match transport {
         Transport::Jsonl(proto) => {
-            let line = proto.render_overload("connect") + "\n";
+            let line = proto.render_connection_refusal("connect") + "\n";
             (proto, "", line.into_bytes())
         }
         Transport::Http => (Protocol::V2, "http ", router::refusal()),
@@ -907,7 +907,7 @@ mod tests {
                 })
             })
             .collect();
-        let overload_line = Protocol::V2.render_overload("connect") + "\n";
+        let overload_line = "{\"proto\":2,\"id\":\"connect\",\"error\":\"overloaded: connection limit reached\",\"code\":\"overloaded\"}\n";
         for client in clients {
             assert_eq!(client.join().expect("client"), overload_line);
         }

@@ -130,9 +130,15 @@ impl Protocol {
         self.render_refusal(id, message, None)
     }
 
-    /// The typed overload line: the queue or the connection limit is full.
+    /// The typed overload line: the request's lane queue is full.
     pub fn render_overload(self, id: &str) -> String {
         self.render_refusal(id, OVERLOAD_DETAIL, Some("overloaded"))
+    }
+
+    /// The typed overload line that refuses a whole connection at accept:
+    /// the listener already holds its `max_conns` connections.
+    pub fn render_connection_refusal(self, id: &str) -> String {
+        self.render_refusal(id, CONNECTION_LIMIT_DETAIL, Some("overloaded"))
     }
 
     /// The typed timeout line: the request expired in the queue and was
@@ -415,6 +421,10 @@ pub fn render_verdict_v2(
 
 /// The human-readable overload detail shared by both framings.
 const OVERLOAD_DETAIL: &str = "server overloaded: the scheduler queue is full";
+
+/// The human-readable connection-refusal detail shared by both framings
+/// and the HTTP gateway's `503` at accept.
+pub(crate) const CONNECTION_LIMIT_DETAIL: &str = "overloaded: connection limit reached";
 
 /// The human-readable deadline-exceeded detail shared by both framings.
 const TIMEOUT_DETAIL: &str = "deadline exceeded before the request was scored";
@@ -872,6 +882,17 @@ mod tests {
             v1,
             "ERR\toverloaded: server overloaded: the scheduler queue is full"
         );
+    }
+
+    #[test]
+    fn connection_refusal_rendering_names_the_limit_in_both_framings() {
+        let v2 = Protocol::V2.render_connection_refusal("connect");
+        assert_eq!(
+            v2,
+            "{\"proto\":2,\"id\":\"connect\",\"error\":\"overloaded: connection limit reached\",\"code\":\"overloaded\"}"
+        );
+        let v1 = Protocol::V1.render_connection_refusal("connect");
+        assert_eq!(v1, "ERR\toverloaded: overloaded: connection limit reached");
     }
 
     #[test]

@@ -19,18 +19,17 @@
 //! * `POST /predict` — body is one v2 request: `{"bytecode":"0x…"}`,
 //!   `{"address":"0x…"}` (resolved through the scheduler's chain handle),
 //!   or bare hex. `200` with the v2 verdict object; `400` malformed;
-//!   `404` unresolvable address; `503` + `Retry-After` when shed by
-//!   admission control; `413` when the body exceeds the 1 MiB cap; `500`
+//!   `404` unresolvable address; `503` + `Retry-After` when its lane's
+//!   queue is full; `413` when the body exceeds the 1 MiB cap; `500`
 //!   or `504` when the scoring worker panicked on the batch or the request
 //!   out-waited its deadline (a queued request's status is settled when
 //!   its verdict routes, not when it was admitted).
 //! * `GET /healthz` — lifecycle-aware liveness: `200` with
-//!   `{"status":"ok"|"degraded",…}` while serving (degraded = the brownout
-//!   ladder left the Full tier), `503` with `{"status":"draining",…}` once
-//!   [`Scheduler::begin_drain`] ran — load balancers stop routing here
-//!   *before* the listener dies.
-//! * `GET /readyz` — readiness: `200` only when running **and** shallower
-//!   than the cache-only brownout tier; `503` otherwise.
+//!   `{"status":"ok",…}` while serving, `503` with
+//!   `{"status":"draining",…}` once [`Scheduler::begin_drain`] ran — load
+//!   balancers stop routing here *before* the listener dies.
+//! * `GET /readyz` — readiness: `200` `{"ready":true}` while running,
+//!   `503` `{"ready":false}` once draining.
 //! * `GET /metrics` — `200` with the Prometheus text exposition from
 //!   [`metrics::render_prometheus`].
 //!
@@ -41,9 +40,7 @@
 use crate::http::{self, HttpRequest, RequestOutcome, ResponseHead};
 use crate::metrics;
 use crate::proto;
-use crate::scheduler::{
-    Admission, Connection, DegradationTier, Lifecycle, ResponseKind, Scheduler, SubmitOutcome,
-};
+use crate::scheduler::{Admission, Connection, Lifecycle, ResponseKind, Scheduler, SubmitOutcome};
 
 const JSON: &str = "application/json";
 const PROMETHEUS: &str = "text/plain; version=0.0.4";
@@ -102,7 +99,7 @@ pub(crate) fn refusal() -> Vec<u8> {
     let mut head = Head::json(503, false);
     head.response.retry_after = Some(1);
     let mut out = Vec::new();
-    let body = error_body("overloaded: connection limit reached");
+    let body = error_body(proto::CONNECTION_LIMIT_DETAIL);
     head.write(&body, ResponseKind::Overload, &mut out);
     out
 }
@@ -166,46 +163,29 @@ fn answer(scheduler: &Scheduler, conn: &mut Connection, req: HttpRequest) -> Opt
         }
         ("GET", "/healthz") => {
             let draining = scheduler.lifecycle() == Lifecycle::Draining;
-            let tier = scheduler.degradation_tier();
-            let status_name = if draining {
-                "draining"
-            } else if tier > DegradationTier::Full {
-                "degraded"
+            let mut body = String::from(if draining {
+                "{\"status\":\"draining\""
             } else {
-                "ok"
-            };
-            let mut body = String::from("{\"status\":");
-            proto::push_json_string(&mut body, status_name);
+                "{\"status\":\"ok\""
+            });
             body.push_str(",\"model\":");
             proto::push_json_string(&mut body, scheduler.model_name());
             body.push_str(",\"model_version\":");
             proto::push_json_string(&mut body, scheduler.model_version());
-            body.push_str(",\"tier\":");
-            proto::push_json_string(&mut body, tier.as_str());
             body.push('}');
             // Draining answers 503 so load balancers pull the instance
-            // while the drain finishes; degraded stays 200 (alive, just
-            // trading quality for headroom — /readyz is the gate).
+            // while the drain finishes.
             if draining {
                 head.response.status = 503;
             }
             (body, false)
         }
         ("GET", "/readyz") => {
-            let draining = scheduler.lifecycle() == Lifecycle::Draining;
-            let tier = scheduler.degradation_tier();
-            let ready = !draining && tier < DegradationTier::CacheOnly;
-            let mut body = String::from(if ready {
-                "{\"ready\":true,\"tier\":"
-            } else {
-                "{\"ready\":false,\"tier\":"
-            });
-            proto::push_json_string(&mut body, tier.as_str());
-            body.push('}');
+            let ready = scheduler.lifecycle() == Lifecycle::Running;
             if !ready {
                 head.response.status = 503;
             }
-            (body, false)
+            (format!("{{\"ready\":{ready}}}"), false)
         }
         ("GET", "/metrics") => {
             let snap = scheduler.metrics_snapshot();
@@ -244,7 +224,7 @@ mod tests {
     use crate::testutil::{probe_lines, scanner};
     use phishinghook_data::{Address, SharedChain};
     use phishinghook_evm::keccak::to_hex;
-    use std::io::{Read, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::net::{TcpListener, TcpStream};
 
     fn no_cache() -> SchedulerOptions {
@@ -562,13 +542,12 @@ mod tests {
 
     #[test]
     fn healthz_and_readyz_track_lifecycle() {
-        // Running and at full service: both probes answer 200.
+        // Running: both probes answer 200.
         let scheduler = Scheduler::new(scanner(), &no_cache());
         with_gateway(&scheduler, 2, |addr, scheduler| {
             let r = raw_exchange(addr, PROBES.to_owned());
             assert!(r.starts_with("HTTP/1.1 200 "), "{r}");
             assert!(r.contains("\"status\":\"ok\""), "{r}");
-            assert!(r.contains("\"tier\":\"full\""), "{r}");
             assert!(r.contains("\"ready\":true"), "{r}");
 
             // Draining: liveness answers 503 and readiness flips false.
@@ -582,48 +561,40 @@ mod tests {
         scheduler.shutdown();
     }
 
-    #[test]
-    fn healthz_and_readyz_track_brownout_tiers() {
-        // Cache-first brownout: alive (200, "degraded") and still ready —
-        // degraded answers are answers.
-        let cache_first = SchedulerOptions {
-            cache_first_pct: 0,
-            cache_only_pct: 101,
-            ..SchedulerOptions::default()
-        };
-        let scheduler = Scheduler::new(scanner(), &cache_first);
-        with_gateway(&scheduler, 1, |addr, _| {
-            let r = raw_exchange(addr, PROBES.to_owned());
-            assert!(r.contains("\"status\":\"degraded\""), "{r}");
-            assert!(r.contains("\"tier\":\"cache-first\""), "{r}");
-            assert!(r.contains("\"ready\":true"), "{r}");
-        });
-        scheduler.shutdown();
-
-        // Cache-only brownout: alive, but not ready for new traffic.
-        let cache_only = SchedulerOptions {
-            cache_first_pct: 0,
-            cache_only_pct: 0,
-            ..SchedulerOptions::default()
-        };
-        let scheduler = Scheduler::new(scanner(), &cache_only);
-        with_gateway(&scheduler, 1, |addr, _| {
-            let r = raw_exchange(addr, PROBES.to_owned());
-            assert!(r.contains("\"status\":\"degraded\""), "{r}");
-            assert!(r.contains("\"tier\":\"cache-only\""), "{r}");
-            assert!(r.contains("\"ready\":false"), "{r}");
-            assert!(r.contains("HTTP/1.1 503 "), "{r}");
-        });
-        scheduler.shutdown();
+    /// Reads one response off a keep-alive connection: the head, then its
+    /// `Content-Length` body.
+    fn read_response(reader: &mut impl BufRead) -> String {
+        let mut response = String::new();
+        let mut length = 0;
+        loop {
+            let mut line = String::new();
+            let n = reader.read_line(&mut line).expect("response head");
+            assert!(n > 0, "closed mid-response: {response}");
+            if let Some(value) = line.strip_prefix("Content-Length: ") {
+                length = value.trim().parse().expect("content length");
+            }
+            response.push_str(&line);
+            if line == "\r\n" {
+                break;
+            }
+        }
+        let mut body = vec![0; length];
+        reader.read_exact(&mut body).expect("response body");
+        response.push_str(&String::from_utf8(body).expect("utf8 body"));
+        response
     }
 
     #[test]
     fn predicts_shed_by_admission_answer_503_with_retry_after() {
-        // The cache-only brownout tier refuses every shed-mode cache miss
-        // with the typed overload: admission shedding without a race.
-        let cache_only = SchedulerOptions {
-            cache_first_pct: 0,
-            cache_only_pct: 0,
+        // One lane of one slot scoring one-row batches, with no cache:
+        // predicts pipelined on one connection outrun the worker, and each
+        // one that finds the slot taken is refused with the typed overload.
+        const BURST: usize = 64;
+        let one_slot = SchedulerOptions {
+            shards: 1,
+            queue_depth: 1,
+            batch: 1,
+            cache_bytes: 0,
             ..SchedulerOptions::default()
         };
         let (_, codes) = probe_lines(1);
@@ -631,15 +602,36 @@ mod tests {
             "{{\"id\":\"shed\",\"bytecode\":\"0x{}\"}}",
             to_hex(&codes[0])
         );
-        let scheduler = Scheduler::new(scanner(), &cache_only);
+        let burst = post_predict(&body).repeat(BURST);
+        let scheduler = Scheduler::new(scanner(), &one_slot);
+        let mut shed = 0;
         with_gateway(&scheduler, 1, |addr, _| {
-            let r = raw_exchange(addr, post_predict(&body));
-            assert!(r.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{r}");
-            assert!(r.contains("Retry-After: 1\r\n"), "{r}");
-            assert!(r.contains("\"id\":\"shed\""), "{r}");
-            assert!(r.contains("\"code\":\"overloaded\""), "{r}");
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .expect("read timeout");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            for _ in 0..100 {
+                stream.write_all(burst.as_bytes()).expect("send");
+                for _ in 0..BURST {
+                    let r = read_response(&mut reader);
+                    if r.starts_with("HTTP/1.1 200 ") {
+                        assert!(r.contains("\"verdict\""), "{r}");
+                        continue;
+                    }
+                    assert!(r.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{r}");
+                    assert!(r.contains("Retry-After: 1\r\n"), "{r}");
+                    assert!(r.contains("\"id\":\"shed\""), "{r}");
+                    assert!(r.contains("\"code\":\"overloaded\""), "{r}");
+                    shed += 1;
+                }
+                if shed > 0 {
+                    break;
+                }
+            }
         });
-        assert_eq!(scheduler.metrics_snapshot().http.responses_5xx, 1);
+        assert!(shed > 0, "the one-slot queue never filled");
+        assert_eq!(scheduler.metrics_snapshot().http.responses_5xx, shed);
         scheduler.shutdown();
     }
 

@@ -27,6 +27,8 @@
 //!   ([`Admission::Shed`], the TCP path) answers queue-full with a typed
 //!   overload response instead of buffering without limit, while
 //!   [`Admission::Block`] (the stdin bulk path) applies backpressure.
+//!   Every admitted request is scored by the deployed detector, so the
+//!   queue depth is what bounds the wait under overload.
 //! * **Ordered responses** — every request opens a slot at the back of its
 //!   connection's mailbox at submit, and its answer fills that slot when
 //!   it routes; the writer takes answers only off the front, so they leave
@@ -53,11 +55,6 @@
 //! * **Retry/backoff** — address resolution through the chain runs under a
 //!   seeded [`RetryPolicy`] with decorrelated-jitter backoff, so transient
 //!   chain faults don't fail requests.
-//! * **Brownout ladder** — queue fill drives
-//!   [`DegradationTier`]: `Full → CacheFirst` (ensembles answer from their
-//!   cheapest member) `→ CacheOnly` (misses shed typed overload)
-//!   `→ Shed` (queue full refuses). Lossless [`Admission::Block`]
-//!   submissions never degrade.
 //! * **Fault injection** — an optional seeded
 //!   [`FaultPlan`] injects worker panics and
 //!   chain faults at exactly the seams above; `None` costs nothing.
@@ -107,9 +104,11 @@ pub struct SchedulerOptions {
     /// lands on the same lane and no queue or cache lock is shared across
     /// lanes.
     pub shards: usize,
-    /// Bounded submit-queue capacity — the admission-control knob. Split
-    /// exactly across lanes: each gets `queue_depth / shards` slots, the
-    /// first `queue_depth % shards` lanes one more, and every lane at
+    /// Bounded submit-queue capacity — the admission-control knob: a
+    /// shed-mode request that finds its lane full answers a typed
+    /// overload, so this also bounds how long an admitted request waits.
+    /// Split exactly across lanes: each gets `queue_depth / shards` slots,
+    /// the first `queue_depth % shards` lanes one more, and every lane at
     /// least one (so `shards > queue_depth` still admits).
     pub queue_depth: usize,
     /// Verdict-cache byte budget; `0` disables the cache. The budget bounds
@@ -134,13 +133,6 @@ pub struct SchedulerOptions {
     /// this long, workers answer still-queued jobs with typed timeouts
     /// instead of scoring them. `0` drains without bound (score everything).
     pub drain_ms: u64,
-    /// Queue-fill percentage at which shed-mode submissions degrade to the
-    /// cheapest ensemble member ([`DegradationTier::CacheFirst`]). `0`
-    /// forces the tier (a test knob); above `100` it can never trigger.
-    pub cache_first_pct: u32,
-    /// Queue-fill percentage at which shed-mode cache misses are refused
-    /// with a typed overload ([`DegradationTier::CacheOnly`]).
-    pub cache_only_pct: u32,
     /// Backoff policy for transient chain faults during address resolution.
     pub retry: RetryPolicy,
     /// Optional deterministic fault schedule (the chaos harness). `None`
@@ -154,18 +146,17 @@ impl Default for SchedulerOptions {
         // single-model verdicts — plenty for the few thousand live
         // phishing templates the paper observes. 8192 outstanding
         // responses bound a never-reading connection to a couple of MB.
-        // Brownout thresholds sit above any healthy steady state: a queue
-        // half full means the workers are already behind.
+        // 512 queued jobs bound the wait under overload (ROBUSTNESS.md
+        // has the measurement): past that a shed-mode request answers a
+        // typed overload instead of queueing deeper.
         SchedulerOptions {
             batch: 64,
             shards: phishinghook_models::cores(),
-            queue_depth: 1024,
+            queue_depth: 512,
             cache_bytes: 8 << 20,
             max_outstanding: 8192,
             deadline_ms: 0,
             drain_ms: 0,
-            cache_first_pct: 50,
-            cache_only_pct: 75,
             retry: RetryPolicy::default(),
             fault: None,
         }
@@ -179,32 +170,6 @@ pub enum Lifecycle {
     Running,
     /// [`Scheduler::begin_drain`] ran: finish what's queued, then stop.
     Draining,
-}
-
-/// The brownout ladder: how much quality the scheduler is currently
-/// trading for headroom, driven by queue fill. The implicit fourth rung —
-/// Shed — is the queue-full refusal that always existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DegradationTier {
-    /// Normal operation: full-ensemble scoring.
-    Full = 0,
-    /// Shed-mode submissions score on the cheapest ensemble member only
-    /// (cache hits still replay full-ensemble verdicts).
-    CacheFirst = 1,
-    /// Shed-mode cache misses answer a typed overload; only cache hits are
-    /// served.
-    CacheOnly = 2,
-}
-
-impl DegradationTier {
-    /// Stable lower-case name, used in `/healthz` bodies and metrics.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DegradationTier::Full => "full",
-            DegradationTier::CacheFirst => "cache-first",
-            DegradationTier::CacheOnly => "cache-only",
-        }
-    }
 }
 
 /// How a submission behaves when the queue is full.
@@ -251,9 +216,6 @@ struct Job {
     proto: Protocol,
     /// Submit time, for the request-latency histogram.
     t0: Instant,
-    /// Admitted under [`DegradationTier::CacheFirst`]: score on the
-    /// cheapest ensemble member only, and never insert into the cache.
-    degraded: bool,
 }
 
 /// What kind of response a routed line settles, for per-conn tallies.
@@ -583,9 +545,6 @@ struct Shared {
     /// Set by [`Scheduler::begin_drain`] when `drain_ms > 0`; past this
     /// instant workers answer queued jobs with typed timeouts.
     drain_deadline: Mutex<Option<Instant>>,
-    /// Brownout thresholds (percent of queue capacity).
-    cache_first_pct: u32,
-    cache_only_pct: u32,
     /// Backoff policy for transient chain faults.
     retry: RetryPolicy,
     /// Seeded fault schedule; `None` injects nothing.
@@ -642,44 +601,6 @@ impl Shared {
                 cache: shard.cache.as_ref().map(VerdictCache::stats),
             })
             .collect()
-    }
-
-    /// The brownout tier a queue at `len` of `cap` slots sits in. Pure —
-    /// callers that report the tier push it to the gauge themselves.
-    fn tier_from_fill(&self, len: usize, cap: usize) -> DegradationTier {
-        let fill = len * 100;
-        if fill >= self.cache_only_pct as usize * cap {
-            DegradationTier::CacheOnly
-        } else if fill >= self.cache_first_pct as usize * cap {
-            DegradationTier::CacheFirst
-        } else {
-            DegradationTier::Full
-        }
-    }
-
-    /// The brownout tier for one shard's current fill, pushed to the
-    /// metrics tier gauge / degraded-time clock as a side effect — each
-    /// lane degrades on its own backlog, so one hot shard browning out
-    /// never sheds traffic from its idle siblings.
-    fn tier_for(&self, shard: usize) -> DegradationTier {
-        let queue = &self.shards[shard].queue;
-        let tier = self.tier_from_fill(queue.len(), queue.capacity());
-        self.metrics.set_tier(tier as u8);
-        tier
-    }
-
-    /// The deepest brownout tier across all shards (the process-level
-    /// answer `/healthz` and the CLI report), also pushed to the gauge.
-    fn current_tier(&self) -> DegradationTier {
-        let tier = (0..self.shards.len())
-            .map(|i| {
-                let queue = &self.shards[i].queue;
-                self.tier_from_fill(queue.len(), queue.capacity())
-            })
-            .max()
-            .unwrap_or(DegradationTier::Full);
-        self.metrics.set_tier(tier as u8);
-        tier
     }
 
     fn is_draining(&self) -> bool {
@@ -761,8 +682,6 @@ impl Scheduler {
             drain_ms: opts.drain_ms,
             lifecycle: AtomicU8::new(0),
             drain_deadline: Mutex::new(None),
-            cache_first_pct: opts.cache_first_pct,
-            cache_only_pct: opts.cache_only_pct,
             retry: opts.retry.clone(),
             fault: opts
                 .fault
@@ -877,11 +796,6 @@ impl Scheduler {
         } else {
             Lifecycle::Running
         }
-    }
-
-    /// The brownout tier for the current queue fill.
-    pub fn degradation_tier(&self) -> DegradationTier {
-        self.shared.current_tier()
     }
 
     /// The attached fault schedule, when one was configured — the chaos
@@ -1176,27 +1090,6 @@ impl Connection {
             }
         }
 
-        // Brownout ladder: the tier is computed on every admission (keeps
-        // the gauge and degraded-time clock honest) but only applied to
-        // lossy shed-mode submissions — Block is the lossless bulk path.
-        // Each shard degrades on its own queue fill.
-        let tier = self.shared.tier_for(shard_idx);
-        let degraded = match admission {
-            Admission::Block => false,
-            Admission::Shed => match tier {
-                DegradationTier::Full => false,
-                DegradationTier::CacheFirst => true,
-                DegradationTier::CacheOnly => {
-                    // The cache already missed (or is off): refuse typed
-                    // rather than deepen the queue the tier exists to save.
-                    self.shared.metrics.inc_overloads();
-                    let out = self.proto.render_overload(&id);
-                    self.mailbox.fill([(seq, out, Settle::Overload)]);
-                    return SubmitOutcome::Overloaded;
-                }
-            },
-        };
-
         let job = Job {
             mailbox: Arc::clone(&self.mailbox),
             seq,
@@ -1206,7 +1099,6 @@ impl Connection {
             hash,
             proto: self.proto,
             t0,
-            degraded,
         };
         // Counted before the push so a worker can never score a job whose
         // `submitted` increment is still pending (see `Metrics::snapshot`).
@@ -1286,36 +1178,18 @@ fn worker_loop(shared: &Shared, shard_idx: usize, mut scanner: Scanner, batch: u
             continue;
         }
 
-        // Degraded (CacheFirst-tier) rows score on the primary member
-        // only; full rows keep the whole ensemble. Both passes run inside
-        // one catch_unwind so a panic anywhere answers the whole batch.
-        let full_rows: Vec<usize> = (0..jobs.len()).filter(|&i| !jobs[i].degraded).collect();
-        let degraded_rows: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].degraded).collect();
+        // The whole batch scores inside one catch_unwind, so a panic
+        // anywhere answers every rider.
         let scored = std::panic::catch_unwind(AssertUnwindSafe(|| {
             if let Some(plan) = &shared.fault {
                 if plan.should_panic_batch(shard_idx) {
                     panic!("{}", crate::fault::INJECTED_PANIC);
                 }
             }
-            let full_codes: Vec<&[u8]> =
-                full_rows.iter().map(|&i| jobs[i].code.as_slice()).collect();
-            let degraded_codes: Vec<&[u8]> = degraded_rows
-                .iter()
-                .map(|&i| jobs[i].code.as_slice())
-                .collect();
-            let full = if full_codes.is_empty() {
-                (Vec::new(), Vec::new())
-            } else {
-                scanner.score_with_members(&full_codes)
-            };
-            let degraded = if degraded_codes.is_empty() {
-                (Vec::new(), String::new())
-            } else {
-                scanner.score_primary(&degraded_codes)
-            };
-            (full, degraded)
+            let codes: Vec<&[u8]> = jobs.iter().map(|job| job.code.as_slice()).collect();
+            scanner.score_with_members(&codes)
         }));
-        let ((combined, per_model), (primary, primary_name)) = match scored {
+        let (combined, per_model) = match scored {
             Ok(result) => result,
             Err(_) => {
                 // The batch is poisoned; every rider gets a typed internal
@@ -1332,49 +1206,31 @@ fn worker_loop(shared: &Shared, shard_idx: usize, mut scanner: Scanner, batch: u
         shared.metrics.inc_batches();
         shared.metrics.inc_scored(jobs.len() as u64);
 
-        // Degraded verdicts report the one member they ran and never enter
-        // the cache: a later hit must replay full-ensemble bits.
-        let degraded_names = [primary_name];
         let mut member_probas = vec![0.0f64; per_model.len()];
-        let (mut full_row, mut degraded_row) = (0, 0);
         let answers: Vec<(String, Settle)> = jobs
             .iter()
-            .map(|job| {
-                let line = if job.degraded {
-                    let row = degraded_row;
-                    degraded_row += 1;
-                    job.proto.render_verdict(
-                        &job.id,
-                        job.address.as_ref(),
-                        primary[row],
-                        &shared.model_version,
-                        &degraded_names,
-                        &primary[row..=row],
-                    )
-                } else {
-                    let row = full_row;
-                    full_row += 1;
-                    for (m, (_, probs)) in per_model.iter().enumerate() {
-                        member_probas[m] = probs[row];
-                    }
-                    if let (Some(cache), Some(hash)) = (&shard.cache, job.hash) {
-                        cache.insert(
-                            hash,
-                            CachedVerdict {
-                                proba: combined[row],
-                                per_model: member_probas.clone(),
-                            },
-                        );
-                    }
-                    job.proto.render_verdict(
-                        &job.id,
-                        job.address.as_ref(),
-                        combined[row],
-                        &shared.model_version,
-                        &shared.names,
-                        &member_probas,
-                    )
-                };
+            .enumerate()
+            .map(|(row, job)| {
+                for (m, (_, probs)) in per_model.iter().enumerate() {
+                    member_probas[m] = probs[row];
+                }
+                if let (Some(cache), Some(hash)) = (&shard.cache, job.hash) {
+                    cache.insert(
+                        hash,
+                        CachedVerdict {
+                            proba: combined[row],
+                            per_model: member_probas.clone(),
+                        },
+                    );
+                }
+                let line = job.proto.render_verdict(
+                    &job.id,
+                    job.address.as_ref(),
+                    combined[row],
+                    &shared.model_version,
+                    &shared.names,
+                    &member_probas,
+                );
                 // Recorded before routing (see the cache-hit path).
                 shared.metrics.record_latency(job.t0.elapsed());
                 let settle = Settle::Scored {
@@ -1514,62 +1370,89 @@ mod tests {
         // A tiny queue and deliberately slow draining (1-row batches) make
         // the fast producer outrun the worker; shed admission must answer
         // the surplus with typed overload responses while every admitted
-        // request still gets scored.
-        let (input, _) = probe_lines(4);
-        let slow = SchedulerOptions {
+        // request still gets scored. The ensemble runs one lane of four
+        // slots, so its queue passes half and three quarters full before
+        // the first refusal: every queued answer must still be the whole
+        // ensemble's cold verdict.
+        let (input, codes) = probe_lines(4);
+        let line = input.lines().next().expect("one probe");
+        let single = SchedulerOptions {
             batch: 1,
             queue_depth: 1,
             cache_bytes: 0, // identical lines must not short-circuit
             ..opts()
         };
-        let scheduler = Scheduler::new(scanner(), &slow);
-        let (mut conn, rx) = scheduler.connect(Protocol::V2);
-        let line = input.lines().next().expect("one probe");
-        let mut outcomes = Vec::new();
-        const SUBMITS: usize = 4000;
-        for _ in 0..SUBMITS {
-            outcomes.push(conn.submit(line, Admission::Shed));
-            if outcomes
+        let ensemble = SchedulerOptions {
+            shards: 1,
+            queue_depth: 4,
+            batch: 1,
+            cache_bytes: 0,
+            ..opts()
+        };
+        for (model, slow) in [
+            (scanner(), single),
+            (crate::testutil::ensemble_scanner(), ensemble),
+        ] {
+            let (combined, members) = model.worker().score_with_members(&[codes[0].as_slice()]);
+            let member_probas: Vec<f64> = members.iter().map(|(_, probs)| probs[0]).collect();
+            let scheduler = Scheduler::new(model, &slow);
+            let (mut conn, rx) = scheduler.connect(Protocol::V2);
+            let mut outcomes = Vec::new();
+            const SUBMITS: usize = 4000;
+            for _ in 0..SUBMITS {
+                outcomes.push(conn.submit(line, Admission::Shed));
+                if outcomes
+                    .iter()
+                    .filter(|o| **o == SubmitOutcome::Overloaded)
+                    .count()
+                    >= 3
+                {
+                    break;
+                }
+            }
+            conn.finish();
+            let lines: Vec<String> = rx.iter().collect();
+            assert_eq!(lines.len(), outcomes.len(), "one response per request");
+            let overloads = outcomes
                 .iter()
                 .filter(|o| **o == SubmitOutcome::Overloaded)
-                .count()
-                >= 3
-            {
-                break;
-            }
-        }
-        conn.finish();
-        let lines: Vec<String> = rx.iter().collect();
-        assert_eq!(lines.len(), outcomes.len(), "one response per request");
-        let overloads = outcomes
-            .iter()
-            .filter(|o| **o == SubmitOutcome::Overloaded)
-            .count();
-        assert!(overloads >= 1, "queue never filled in {SUBMITS} submits");
-        let mut typed = 0;
-        for (line, outcome) in lines.iter().zip(&outcomes) {
-            match outcome {
-                SubmitOutcome::Overloaded => {
-                    assert!(line.contains("\"code\":\"overloaded\""), "{line}");
-                    typed += 1;
+                .count();
+            assert!(overloads >= 1, "queue never filled in {SUBMITS} submits");
+            let mut typed = 0;
+            for (i, (line, outcome)) in lines.iter().zip(&outcomes).enumerate() {
+                match outcome {
+                    SubmitOutcome::Overloaded => {
+                        assert!(line.contains("\"code\":\"overloaded\""), "{line}");
+                        typed += 1;
+                    }
+                    SubmitOutcome::Queued => {
+                        // Every member's entry and the combined proba of
+                        // a cold full score (bare-hex ids are positional).
+                        let full = Protocol::V2.render_verdict(
+                            &i.to_string(),
+                            None,
+                            combined[0],
+                            model.model_version(),
+                            &model.model_names(),
+                            &member_probas,
+                        );
+                        assert_eq!(*line, full);
+                    }
+                    other => panic!("unexpected outcome {other:?}"),
                 }
-                SubmitOutcome::Queued => {
-                    assert!(line.contains("\"verdict\":"), "{line}");
-                }
-                other => panic!("unexpected outcome {other:?}"),
             }
+            assert_eq!(typed, overloads);
+            let report = conn.report();
+            assert_eq!(report.overloads, overloads as u64);
+            assert_eq!(report.contracts + report.overloads, outcomes.len() as u64);
+            let stats = scheduler.shutdown();
+            assert_eq!(stats.scheduler.overloads, overloads as u64);
+            assert_eq!(
+                stats.scheduler.scored,
+                (outcomes.len() - overloads) as u64,
+                "every admitted request must be scored"
+            );
         }
-        assert_eq!(typed, overloads);
-        let report = conn.report();
-        assert_eq!(report.overloads, overloads as u64);
-        assert_eq!(report.contracts + report.overloads, outcomes.len() as u64);
-        let stats = scheduler.shutdown();
-        assert_eq!(stats.scheduler.overloads, overloads as u64);
-        assert_eq!(
-            stats.scheduler.scored,
-            (outcomes.len() - overloads) as u64,
-            "every admitted request must be scored"
-        );
     }
 
     #[test]
@@ -1916,95 +1799,6 @@ mod tests {
         assert!(lines[0].contains("\"code\":\"timeout\""), "{}", lines[0]);
         let stats = scheduler.shutdown();
         assert_eq!(stats.scheduler.scored, 0);
-    }
-
-    #[test]
-    fn brownout_cache_only_sheds_misses_but_serves_hits() {
-        // `cache_only_pct: 0` pins the brownout ladder to its deepest
-        // tier. Shedding traffic is answered from cache when possible and
-        // refused typed otherwise; lossless (Block) traffic still scores.
-        let opts = SchedulerOptions {
-            cache_first_pct: 0,
-            cache_only_pct: 0,
-            ..opts()
-        };
-        let (input, _) = probe_lines(2);
-        let lines: Vec<&str> = input.lines().collect();
-        let scheduler = Scheduler::new(scanner(), &opts);
-        assert_eq!(scheduler.degradation_tier(), DegradationTier::CacheOnly);
-
-        // Warm the cache losslessly — Block admission never degrades —
-        // and wait for the verdict so the insert has landed.
-        let warm = roundtrip(&scheduler, Protocol::V2, lines[0]);
-        assert!(warm[0].contains("\"verdict\""), "{}", warm[0]);
-
-        let (mut conn, rx) = scheduler.connect(Protocol::V2);
-        // A shed cache hit is still served under cache-only brownout...
-        assert_eq!(
-            conn.submit(lines[0], Admission::Shed),
-            SubmitOutcome::CacheHit
-        );
-        // ...but a shed miss is refused typed instead of queued.
-        assert_eq!(
-            conn.submit(lines[1], Admission::Shed),
-            SubmitOutcome::Overloaded
-        );
-        conn.finish();
-        let out: Vec<String> = rx.iter().collect();
-        assert_eq!(out.len(), 2);
-        assert!(out[0].contains("\"verdict\""), "{}", out[0]);
-        assert!(out[1].contains("\"code\":\"overloaded\""), "{}", out[1]);
-        let snap = scheduler.metrics_snapshot();
-        assert_eq!(snap.scheduler.overloads, 1);
-        assert_eq!(snap.robustness.tier, DegradationTier::CacheOnly as u8);
-        scheduler.shutdown();
-    }
-
-    #[test]
-    fn brownout_cache_first_scores_with_the_primary_member_and_skips_cache() {
-        use crate::testutil::ensemble_scanner;
-        // `cache_first_pct: 0` (with cache-only disabled at > 100%) pins
-        // the middle tier: shed traffic is scored by the ensemble's first
-        // member only, bit-identically to `score_primary`, and the result
-        // is NOT cached — degraded verdicts must never poison replay.
-        let opts = SchedulerOptions {
-            cache_first_pct: 0,
-            cache_only_pct: 101,
-            ..opts()
-        };
-        let (input, codes) = probe_lines(1);
-        let refs: Vec<&[u8]> = codes.iter().map(Vec::as_slice).collect();
-        let mut primary = ensemble_scanner().worker();
-        let (primary_probs, primary_name) = primary.score_primary(&refs);
-
-        let scheduler = Scheduler::new(ensemble_scanner(), &opts);
-        assert_eq!(scheduler.degradation_tier(), DegradationTier::CacheFirst);
-        let (mut conn, rx) = scheduler.connect(Protocol::V2);
-        let line = input.lines().next().expect("one probe");
-        assert_eq!(conn.submit(line, Admission::Shed), SubmitOutcome::Queued);
-        // The same line again, lossless: scored cold by the full ensemble,
-        // proving the degraded pass did not populate the cache.
-        assert_eq!(conn.submit(line, Admission::Block), SubmitOutcome::Queued);
-        conn.finish();
-        let out: Vec<String> = rx.iter().collect();
-        assert_eq!(out.len(), 2);
-        let degraded = &out[0];
-        let full = &out[1];
-        assert!(
-            degraded.contains(&format!("\"proba\":{:.6}", primary_probs[0])),
-            "{degraded}"
-        );
-        assert!(
-            degraded.contains(&format!("\"{primary_name}\"")),
-            "{degraded}"
-        );
-        // One per-model entry on the degraded row, two on the full row.
-        assert_eq!(degraded.matches("\"name\":").count(), 1, "{degraded}");
-        assert_eq!(full.matches("\"name\":").count(), 2, "{full}");
-        let snap = scheduler.metrics_snapshot();
-        assert_eq!(snap.scheduler.scored, 2);
-        assert_eq!(snap.cache.expect("cache on").hits, 0);
-        scheduler.shutdown();
     }
 
     #[test]

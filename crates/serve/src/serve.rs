@@ -15,10 +15,12 @@
 //!   shed requests.
 //! * **TCP JSONL** and **HTTP**, both served by the readiness loop
 //!   [`serve_tcp`], submit with
-//!   [`Admission::Shed`]: a saturated daemon answers queue-full with a
+//!   [`Admission::Shed`]: a request whose lane's queue is full answers a
 //!   typed overload response (`"code":"overloaded"` / `ERR` line / `503`)
-//!   instead of buffering without bound, and `max_conns` refuses surplus
-//!   *connections* the same way.
+//!   instead of buffering without bound, so the queue depth bounds the
+//!   wait, and every admitted request is scored by the deployed detector.
+//!   `max_conns` refuses surplus *connections* the same way, naming the
+//!   connection limit.
 //!
 //! Oversized request lines are handled below the protocol layer: stdin and
 //! TCP cut lines with the same `proto::LineFramer`, which never buffers
